@@ -30,7 +30,8 @@ from .matching import (BalanceError, Configuration, ConfigurationShortfall,
                        find_transversal, flip_balance, is_multigraphic,
                        pair_complete_balanced_matching, realize_multigraph,
                        regular_bipartite_perfect_matching)
-from .oracle import (OracleVerdict, brute_force_packing, canonical_form,
+from .oracle import (CanonicalFormBudgetExceeded, OracleVerdict,
+                     brute_force_packing, canonical_form,
                      is_isomorphic_to_gamma, random_min_degree_graph,
                      verify_theorem_boundary)
 from .pipeline import (BlockAssignment, CandidateExtremal, DeletionLedger,

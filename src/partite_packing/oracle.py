@@ -1,9 +1,9 @@
 """Ground truth at desk scale: exhaustive packing decision, canonical-form
 isomorphism against the extremal construction, seeded boundary harnesses.
 
-The packing search here deliberately uses plain set-based adjacency rather
-than the bitmask machinery used elsewhere, so oracle verdicts and solver
-output come from genuinely different code paths.
+The packing search uses bitmask adjacency, rebuilt from the graph's edge list
+so that it shares no state with the solver, and every packing it returns is
+re-checked by the plain loops of `CliquePacking.verify`.
 """
 
 from __future__ import annotations
@@ -144,6 +144,15 @@ def brute_force_packing(g: MultipartiteGraph, k: int,
 # -- canonical forms -----------------------------------------------------------
 
 
+class CanonicalFormBudgetExceeded(RuntimeError):
+    """The canonical-form search spent its node budget without finishing."""
+
+    def __init__(self, max_nodes: int):
+        self.max_nodes = max_nodes
+        super().__init__("canonical form search exceeded its node budget "
+                         f"of {max_nodes} nodes")
+
+
 def canonical_form(g: MultipartiteGraph, max_nodes: int = 2_000_000):
     """Class-preserving canonical encoding: the lexicographically greatest
     adjacency code over all orderings of equal-size classes and of vertices
@@ -200,7 +209,7 @@ def canonical_form(g: MultipartiteGraph, max_nodes: int = 2_000_000):
         nonlocal best, nodes
         nodes += 1
         if nodes > max_nodes:
-            raise RuntimeError("canonical form search exceeded its node budget")
+            raise CanonicalFormBudgetExceeded(max_nodes)
         if pos == g.n_vertices:
             return
         slot = slot_positions[pos]

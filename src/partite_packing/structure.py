@@ -3,9 +3,12 @@ lattices of edge indices, and barrier diagnosis.
 
 Splittability and pair-completeness are existential density conditions; the
 searches here are exact (complete backtracking) for small classes and a
-verified local-search heuristic above a size cap.  Any returned witness is
-re-checked through the independent `graphs.density` path before it is handed
-back, so witnesses are always exact and only *absence* is mode-qualified.
+verified local-search heuristic above a size cap.  The searches score
+candidates with integer edge counts over bitmasks (the heuristics update
+them incrementally per swap), never with `Fraction`s.  Any returned witness
+is re-checked once, by `is_splittable` / `is_pair_complete`, through the
+independent `graphs.density` path before it is handed back, so witnesses are
+always exact and only *absence* is mode-qualified.
 """
 
 from __future__ import annotations
@@ -97,20 +100,23 @@ def min_diagonal_density(g: MultipartiteGraph, decomp: RowDecomposition) -> Frac
     the decomposition has a single row."""
     if decomp.s == 1:
         return Fraction(1)
-    best = Fraction(1)
+    masks = [[g.mask_of(decomp.block_vertices(i, j)) for j in range(decomp.r)]
+             for i in range(decomp.s)]
+    sizes = [w * decomp.unit for w in decomp.weights]
+    best_e, best_den = 1, 1
     for i in range(decomp.s):
         for i2 in range(decomp.s):
             if i2 == i:
                 continue
+            den = sizes[i] * sizes[i2]
             for j in range(decomp.r):
                 for j2 in range(decomp.r):
                     if j2 == j:
                         continue
-                    d = density(g, decomp.block_vertices(i, j),
-                                decomp.block_vertices(i2, j2))
-                    if d < best:
-                        best = d
-    return best
+                    e = g.edge_count_between(masks[i][j], masks[i2][j2])
+                    if e * best_den < best_e * den:
+                        best_e, best_den = e, den
+    return Fraction(best_e, best_den)
 
 
 # -- splittability ------------------------------------------------------------
@@ -132,16 +138,18 @@ def verify_split_witness(g: MultipartiteGraph, w: SplitWitness,
     r = g.r
     size = g.class_sizes[0]
     achieved = Fraction(1)
+    members = [set(s) for s in w.sets]
     for j in range(r):
-        if len(set(w.sets[j])) != len(w.sets[j]):
+        if len(members[j]) != len(w.sets[j]):
             return False
+    comps = [[(j, o) for o in range(size) if o not in members[j]]
+             for j in range(r)]
     for j in range(r):
+        s_j = [(j, o) for o in w.sets[j]]
         for j2 in range(r):
             if j == j2:
                 continue
-            s_j = [(j, o) for o in w.sets[j]]
-            comp = [(j2, o) for o in range(size) if o not in set(w.sets[j2])]
-            dens = density(g, s_j, comp)
+            dens = density(g, s_j, comps[j2])
             achieved = min(achieved, dens)
     w.achieved = achieved
     return achieved >= 1 - d
@@ -226,15 +234,34 @@ def _split_exact(g, p, n, d):
     return None
 
 
+def _class_masks(g, sets):
+    """Bitmasks of the chosen offsets per class, and of their complements."""
+    masks = [g.mask_of((j, o) for o in s) for j, s in enumerate(sets)]
+    comps = [g.class_mask(j) & ~m for j, m in enumerate(masks)]
+    return masks, comps
+
+
+def _pair_counts(g, left, right):
+    """e(left[a], right[b]) for every ordered pair of classes a != b (masks
+    per class), 0 on the diagonal."""
+    r = len(left)
+    return [[g.edge_count_between(left[a], right[b]) if a != b else 0
+             for b in range(r)] for a in range(r)]
+
+
+def _neighborhoods(g, size):
+    return [[g.adj_mask((j, o)) for o in range(size)] for j in range(g.r)]
+
+
 def _split_pivot_candidates(g, p, n):
     """Deterministic seed splits derived from single vertices: outside the
     pivot's class take its non-neighbors, inside take the vertices with the
     most similar neighborhoods.  Exact for blow-up-shaped instances."""
     size = p * n
+    nbrs = _neighborhoods(g, size)
     for c in range(g.r):
         for o in range(size):
-            v = (c, o)
-            nv = g.adj_mask(v)
+            nv = nbrs[c][o]
             non_counts = [(g.class_mask(j) & ~nv).bit_count()
                           for j in range(g.r) if j != c]
             if not non_counts:
@@ -248,8 +275,7 @@ def _split_pivot_candidates(g, p, n):
                 if j == c:
                     ranked = sorted(
                         range(size),
-                        key=lambda o2: ((g.adj_mask((j, o2)) ^ nv).bit_count(),
-                                        o2))
+                        key=lambda o2: ((nbrs[j][o2] ^ nv).bit_count(), o2))
                 else:
                     ranked = sorted(
                         range(size),
@@ -259,88 +285,90 @@ def _split_pivot_candidates(g, p, n):
 
 
 def _split_heuristic(g, p, n, d, seed, restarts, max_steps):
+    """Pivot candidates first, then seeded hill climbing from random splits.
+
+    All sets have p_prime*n offsets, so every density of a split shares the
+    denominator full = target * (size - target), and the climb ranks splits
+    by the integer pair (min e, sum e) over e[a][b] = e(S_a, V_b minus S_b):
+    the same order as the densities give, with no Fractions.  A swap in class
+    j changes only row j and column j of that table, so a trial move costs
+    O(r) bit counts.
+    """
     size = p * n
+    r = g.r
     bound = 1 - Fraction(d)
+    num, den = bound.numerator, bound.denominator
+    nbrs = _neighborhoods(g, size)
 
-    def objective(sets):
-        worst = Fraction(1)
-        total = Fraction(0)
-        for a in range(g.r):
-            for b in range(g.r):
-                if a == b:
-                    continue
-                mask_a = sum(1 << g.flat((a, o)) for o in sets[a])
-                comp_b = g.class_mask(b) & ~sum(1 << g.flat((b, o)) for o in sets[b])
-                e = g.edge_count_between(mask_a, comp_b)
-                dens = Fraction(e, len(sets[a]) * (size - len(sets[b])))
-                worst = min(worst, dens)
-                total += dens
-        return worst, total
+    def feasible(worst, full):
+        return worst * den >= num * full
 
-    def climb(sets, rng):
-        best = objective(sets)
+    def climb(sets, rng, target):
+        free = size - target
+        full = target * free
+        comps = [[o for o in range(size) if o not in set(s)] for s in sets]
+        masks, comp_masks = _class_masks(g, sets)
+        e = _pair_counts(g, masks, comp_masks)
+        pairs = [(a, b) for a in range(r) for b in range(r) if a != b]
+        others = [[b for b in range(r) if b != j] for j in range(r)]
+        worst = min([full] + [e[a][b] for a, b in pairs])
+        total = sum(e[a][b] for a, b in pairs)
         for _ in range(max_steps):
-            if best[0] >= bound:
+            if feasible(worst, full):
                 break
+            # per class j: the least entry outside row j and column j, and
+            # the sum of the entries inside them
+            rest = [min([full] + [e[a][b] for a, b in pairs
+                                  if j not in (a, b)]) for j in range(r)]
+            inside = [sum(e[j]) + sum(e[a][j] for a in range(r))
+                      for j in range(r)]
+            # shuffling the move indices draws from rng exactly as shuffling
+            # the list of moves (j, out, in), nested in that order, would
+            order = list(range(r * full))
+            rng.shuffle(order)
             improved = False
-            moves = [(j, out_v, in_v)
-                     for j in range(g.r)
-                     for out_v in sets[j]
-                     for in_v in range(size) if in_v not in set(sets[j])]
-            rng.shuffle(moves)
-            for j, out_v, in_v in moves[:80]:
-                trial = list(sets)
-                trial[j] = sorted((set(sets[j]) - {out_v}) | {in_v})
-                val = objective(trial)
-                if val > best:
-                    sets, best, improved = trial, val, True
+            for idx in order[:80]:
+                j, rem = divmod(idx, full)
+                out_v = sets[j][rem // free]
+                in_v = comps[j][rem % free]
+                n_out, n_in = nbrs[j][out_v], nbrs[j][in_v]
+                row = [e[j][b] - (n_out & comp_masks[b]).bit_count()
+                       + (n_in & comp_masks[b]).bit_count() for b in others[j]]
+                col = [e[a][j] - (n_in & masks[a]).bit_count()
+                       + (n_out & masks[a]).bit_count() for a in others[j]]
+                new_worst = min(rest[j], *row, *col)
+                new_total = total - inside[j] + sum(row) + sum(col)
+                if (new_worst, new_total) > (worst, total):
+                    for x, b in enumerate(others[j]):
+                        e[j][b], e[b][j] = row[x], col[x]
+                    sets[j] = sorted(set(sets[j]) - {out_v} | {in_v})
+                    comps[j] = sorted(set(comps[j]) - {in_v} | {out_v})
+                    swap = 1 << g.flat((j, out_v)) | 1 << g.flat((j, in_v))
+                    masks[j] ^= swap
+                    comp_masks[j] ^= swap
+                    worst, total, improved = new_worst, new_total, True
                     break
             if not improved:
                 break
-        return sets, best
+        return sets, feasible(worst, full)
 
     for p_prime, sets in _split_pivot_candidates(g, p, n):
-        w = SplitWitness(p_prime, [tuple(s) for s in sets], Fraction(0))
-        if verify_split_witness(g, w, d):
-            return w
+        target = p_prime * n
+        e = _pair_counts(g, *_class_masks(g, sets))
+        if feasible(min(e[a][b] for a in range(r) for b in range(r) if a != b),
+                    target * (size - target)):
+            return SplitWitness(p_prime, [tuple(s) for s in sets], Fraction(0))
 
     for p_prime in range(1, p):
         target = p_prime * n
         for t in range(restarts):
             rng = random.Random(f"split:{seed}:{p_prime}:{t}")
-            sets = [sorted(rng.sample(range(size), target)) for _ in range(g.r)]
-            sets, best = climb(sets, rng)
-            if best[0] >= bound:
-                w = SplitWitness(p_prime, [tuple(s) for s in sets], best[0])
-                if verify_split_witness(g, w, d):
-                    return w
-    return None
-
-
-def naive_is_splittable(g: MultipartiteGraph, p: int, d: Fraction) -> bool:
-    """Independent full-enumeration checker (no pruning); test oracle only."""
-    size = g.class_sizes[0]
-    n = size // p
-    from itertools import product
-    for p_prime in range(1, p):
-        target = p_prime * n
-        options = list(combinations(range(size), target))
-        for pick in product(options, repeat=g.r):
-            ok = True
-            for a in range(g.r):
-                for b in range(g.r):
-                    if a == b:
-                        continue
-                    s_a = [(a, o) for o in pick[a]]
-                    comp_b = [(b, o) for o in range(size) if o not in pick[b]]
-                    if density(g, s_a, comp_b) < 1 - d:
-                        ok = False
-                        break
-                if not ok:
-                    break
+            sets = [sorted(rng.sample(range(size), target)) for _ in range(r)]
+            sets, ok = climb(sets, rng, target)
             if ok:
-                return True
-    return False
+                return SplitWitness(p_prime, [tuple(s) for s in sets],
+                                    Fraction(0))
+    return None
 
 
 # -- pair-completeness ----------------------------------------------------------
@@ -361,17 +389,17 @@ def verify_pair_complete_witness(g: MultipartiteGraph, w: PairCompleteWitness,
     size = g.class_sizes[0]
     lo1 = lo2 = Fraction(1)
     hi = Fraction(0)
+    halves = [[(j, o) for o in w.halves[j]] for j in range(g.r)]
+    members = [set(h) for h in w.halves]
+    others = [[(j, o) for o in range(size) if o not in members[j]]
+              for j in range(g.r)]
     for j in range(g.r):
         for j2 in range(g.r):
             if j == j2:
                 continue
-            s_j = [(j, o) for o in w.halves[j]]
-            s_j2 = [(j2, o) for o in w.halves[j2]]
-            t_j = [(j, o) for o in range(size) if o not in set(w.halves[j])]
-            t_j2 = [(j2, o) for o in range(size) if o not in set(w.halves[j2])]
-            lo1 = min(lo1, density(g, s_j, s_j2))
-            lo2 = min(lo2, density(g, t_j, t_j2))
-            hi = max(hi, density(g, s_j, t_j2))
+            lo1 = min(lo1, density(g, halves[j], halves[j2]))
+            lo2 = min(lo2, density(g, others[j], others[j2]))
+            hi = max(hi, density(g, halves[j], others[j2]))
     w.min_half_density, w.min_cohalf_density, w.max_cross_density = lo1, lo2, hi
     return lo1 >= 1 - d and lo2 >= 1 - d and hi <= d
 
@@ -455,17 +483,16 @@ def _pc_pivot_candidates(g, n):
     """Deterministic seed halves from single vertices: outside the pivot's
     class its neighbors, inside the most similar neighborhoods."""
     size = 2 * n
+    nbrs = _neighborhoods(g, size)
     for c in range(g.r):
         for o in range(size):
-            v = (c, o)
-            nv = g.adj_mask(v)
+            nv = nbrs[c][o]
             halves = []
             for j in range(g.r):
                 if j == c:
                     ranked = sorted(
                         range(size),
-                        key=lambda o2: ((g.adj_mask((j, o2)) ^ nv).bit_count(),
-                                        o2))
+                        key=lambda o2: ((nbrs[j][o2] ^ nv).bit_count(), o2))
                 else:
                     ranked = sorted(
                         range(size),
@@ -475,49 +502,86 @@ def _pc_pivot_candidates(g, n):
 
 
 def _pc_heuristic(g, n, d, seed, restarts, max_steps):
-    size = 2 * n
+    """Pivot candidates first, then seeded first-improvement climbing.
 
-    def score(halves):
-        # feasibility margin: min over constraints of slack
-        lo = Fraction(1)
-        hi = Fraction(0)
-        for a in range(g.r):
-            for b in range(g.r):
-                if a == b:
-                    continue
-                s_a = sum(1 << g.flat((a, o)) for o in halves[a])
-                s_b = sum(1 << g.flat((b, o)) for o in halves[b])
-                t_a = g.class_mask(a) & ~s_a
-                t_b = g.class_mask(b) & ~s_b
-                lo = min(lo, Fraction(g.edge_count_between(s_a, s_b), n * n))
-                lo = min(lo, Fraction(g.edge_count_between(t_a, t_b), n * n))
-                hi = max(hi, Fraction(g.edge_count_between(s_a, t_b), n * n))
+    Every density of a half pair has the denominator n*n, so the score
+    lo - hi is kept as the integer min e(S_a, S_b), e(T_a, T_b) minus max
+    e(S_a, T_b), with the identities n*n and 0 that the density form starts
+    from.  A swap in class j changes only the entries that involve class j,
+    and each vertex's edge counts into the halves are counted once per step.
+    """
+    size = 2 * n
+    r = g.r
+    full = n * n
+    lo_bound, hi_bound = 1 - Fraction(d), Fraction(d)
+    nbrs = _neighborhoods(g, size)
+    pairs = [(a, b) for a in range(r) for b in range(r) if a != b]
+
+    def table(halves):
+        s_masks, t_masks = _class_masks(g, halves)
+        return (s_masks, t_masks, _pair_counts(g, s_masks, s_masks),
+                _pair_counts(g, t_masks, t_masks),
+                _pair_counts(g, s_masks, t_masks))
+
+    def extremes(ss, tt, st, skip=None):
+        kept = [(a, b) for a, b in pairs if skip not in (a, b)]
+        lo = min([full] + [ss[a][b] for a, b in kept]
+                 + [tt[a][b] for a, b in kept])
+        hi = max([0] + [st[a][b] for a, b in kept])
         return lo, hi
 
+    def feasible(lo, hi):
+        return (lo * lo_bound.denominator >= lo_bound.numerator * full
+                and hi * hi_bound.denominator <= hi_bound.numerator * full)
+
     for cand in _pc_pivot_candidates(g, n):
-        w = PairCompleteWitness([tuple(h) for h in cand],
-                                Fraction(0), Fraction(0), Fraction(0))
-        if verify_pair_complete_witness(g, w, d):
-            return w
+        _, _, ss, tt, st = table(cand)
+        if feasible(*extremes(ss, tt, st)):
+            return PairCompleteWitness([tuple(h) for h in cand],
+                                       Fraction(0), Fraction(0), Fraction(0))
 
     for t in range(restarts):
         rng = random.Random(f"pc:{seed}:{t}")
-        halves = [sorted(rng.sample(range(size), n)) for _ in range(g.r)]
-        lo, hi = score(halves)
+        halves = [sorted(rng.sample(range(size), n)) for _ in range(r)]
+        s_masks, t_masks, ss, tt, st = table(halves)
+        lo, hi = extremes(ss, tt, st)
         for _ in range(max_steps):
-            if lo >= 1 - d and hi <= d:
+            if feasible(lo, hi):
                 break
             improved = False
-            for j in range(g.r):
+            for j in range(r):
+                rest_lo, rest_hi = extremes(ss, tt, st, skip=j)
+                others = [b for b in range(r) if b != j]
+                # edge counts of each class-j vertex into S_b and T_b
+                into = [[((nbrs[j][o] & s_masks[b]).bit_count(),
+                          (nbrs[j][o] & t_masks[b]).bit_count())
+                         for b in others] for o in range(size)]
                 inside = set(halves[j])
-                for out_v in sorted(inside):
-                    for in_v in [o for o in range(size) if o not in inside]:
-                        trial = list(halves)
-                        trial[j] = sorted((inside - {out_v}) | {in_v})
-                        lo2, hi2 = score(trial)
-                        if (lo2 - hi2) > (lo - hi):
-                            halves, lo, hi = trial, lo2, hi2
-                            improved = True
+                outside = [o for o in range(size) if o not in inside]
+                for out_v in halves[j]:
+                    for in_v in outside:
+                        lo2, hi2 = rest_lo, rest_hi
+                        for x, b in enumerate(others):
+                            s_out, t_out = into[out_v][x]
+                            s_in, t_in = into[in_v][x]
+                            lo2 = min(lo2, ss[j][b] - s_out + s_in,
+                                      tt[j][b] - t_in + t_out)
+                            hi2 = max(hi2, st[j][b] - t_out + t_in,
+                                      st[b][j] - s_in + s_out)
+                        if lo2 - hi2 > lo - hi:
+                            for x, b in enumerate(others):
+                                s_out, t_out = into[out_v][x]
+                                s_in, t_in = into[in_v][x]
+                                ss[j][b] = ss[b][j] = ss[j][b] - s_out + s_in
+                                tt[j][b] = tt[b][j] = tt[j][b] - t_in + t_out
+                                st[j][b] += t_in - t_out
+                                st[b][j] += s_out - s_in
+                            swap = (1 << g.flat((j, out_v))
+                                    | 1 << g.flat((j, in_v)))
+                            s_masks[j] ^= swap
+                            t_masks[j] ^= swap
+                            halves[j] = sorted(inside - {out_v} | {in_v})
+                            lo, hi, improved = lo2, hi2, True
                             break
                     if improved:
                         break
@@ -525,40 +589,10 @@ def _pc_heuristic(g, n, d, seed, restarts, max_steps):
                     break
             if not improved:
                 break
-        if lo >= 1 - d and hi <= d:
-            w = PairCompleteWitness([tuple(h) for h in halves],
-                                    lo, lo, hi)
-            if verify_pair_complete_witness(g, w, d):
-                return w
+        if feasible(lo, hi):
+            return PairCompleteWitness([tuple(h) for h in halves],
+                                       Fraction(0), Fraction(0), Fraction(0))
     return None
-
-
-def naive_is_pair_complete(g: MultipartiteGraph, d: Fraction) -> bool:
-    """Independent full-enumeration checker; test oracle only."""
-    from itertools import product
-    size = g.class_sizes[0]
-    n = size // 2
-    options = list(combinations(range(size), n))
-    for pick in product(options, repeat=g.r):
-        ok = True
-        for a in range(g.r):
-            for b in range(g.r):
-                if a == b:
-                    continue
-                s_a = [(a, o) for o in pick[a]]
-                s_b = [(b, o) for o in pick[b]]
-                t_b = [(b, o) for o in range(size) if o not in pick[b]]
-                t_a = [(a, o) for o in range(size) if o not in pick[a]]
-                if (density(g, s_a, s_b) < 1 - d
-                        or density(g, t_a, t_b) < 1 - d
-                        or density(g, s_a, t_b) > d):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
 
 
 # -- iterative refinement -------------------------------------------------------

@@ -32,9 +32,9 @@ from partite_packing.pipeline import (DeletionLedger, PipelineParams,
 from partite_packing.structure import (RowDecomposition,
                                        divisibility_barrier_graph,
                                        is_complete_wrt, is_pair_complete,
-                                       is_splittable, naive_is_pair_complete,
-                                       naive_is_splittable, robust_edge_lattice)
+                                       is_splittable, robust_edge_lattice)
 from partite_packing.graphs import clique_complex_edges
+from detection_reference import naive_is_pair_complete, naive_is_splittable
 
 
 def criterion(name):

@@ -10,7 +10,9 @@ import pytest
 from partite_packing.graphs import (CliquePacking, MultipartiteGraph,
                                     build_gamma, complete_multipartite)
 from partite_packing.matching import exact_balanced_clique_packing
-from partite_packing.oracle import brute_force_packing, random_min_degree_graph
+from partite_packing import pipeline
+from partite_packing.oracle import (CanonicalFormBudgetExceeded,
+                                    brute_force_packing, random_min_degree_graph)
 from partite_packing.pipeline import (BlockAssignment, DeletionLedger,
                                       PipelineParams, RecountFailure,
                                       StageFailure, balance_blocks,
@@ -371,6 +373,22 @@ def test_solve_complete_graph_via_pipeline():
 def test_solve_gamma_extremal():
     res = solve(build_gamma(3, 3, 3).graph, 3)
     assert res.status == "extremal"
+
+
+@pytest.mark.parametrize("n,r,k,stage", [(3, 3, 3, "oracle"), (9, 5, 3, "rows")],
+                         ids=["oracle-route", "pipeline-route"])
+def test_solve_reports_canonical_form_budget_stop(monkeypatch, n, r, k, stage):
+    # Gamma(3,3,3) is certified after the oracle proves it unpackable,
+    # Gamma(9,5,3) after the rows stage flags a candidate extremal instance
+    def out_of_budget(*args):
+        raise CanonicalFormBudgetExceeded(17)
+
+    monkeypatch.setattr(pipeline, "is_isomorphic_to_gamma", out_of_budget)
+    res = solve(build_gamma(n, r, k).graph, k)
+    assert res.status == "diagnosis"
+    assert res.diagnosis["stage"] == stage
+    assert res.diagnosis["budget"] == {"name": "canonical_form.max_nodes",
+                                       "limit": 17}
 
 
 def test_solve_agrees_with_oracle_small():

@@ -15,11 +15,11 @@ from partite_packing.structure import (IntegerLattice, RowDecomposition,
                                        is_complete_wrt, is_pair_complete,
                                        is_splittable, iterate_decomposition,
                                        merge_to_minimal, min_diagonal_density,
-                                       naive_is_pair_complete,
-                                       naive_is_splittable, robust_edge_lattice,
+                                       robust_edge_lattice,
                                        space_barrier_graph,
                                        verify_pair_complete_witness,
                                        verify_split_witness)
+from detection_reference import naive_is_pair_complete, naive_is_splittable
 
 
 def two_row_graph(r: int, n: int, row_internal: bool = False):
