@@ -49,28 +49,6 @@ class MultipartiteGraph:
             self._adj[fu] |= 1 << fv
             self._adj[fv] |= 1 << fu
 
-    @classmethod
-    def from_adjacency_masks(cls, class_sizes: Sequence[int],
-                             masks: Sequence[int]) -> "MultipartiteGraph":
-        """Build from per-vertex bitmasks (validated for symmetry/partiteness)."""
-        g = cls(class_sizes)
-        if len(masks) != g.n_vertices:
-            raise ValueError("mask count does not match vertex count")
-        full = (1 << g.n_vertices) - 1
-        for fu, m in enumerate(masks):
-            if m & ~full or m & g._class_masks[g._class_of[fu]]:
-                raise ValueError(f"mask of vertex {fu} leaves the allowed range")
-        for fu, m in enumerate(masks):
-            rest = m
-            while rest:
-                low = rest & -rest
-                fv = low.bit_length() - 1
-                if not masks[fv] >> fu & 1:
-                    raise ValueError(f"asymmetric adjacency between {fu} and {fv}")
-                rest ^= low
-        g._adj = list(masks)
-        return g
-
     # -- vertex bookkeeping ------------------------------------------------
 
     def flat(self, v: Vertex) -> int:
@@ -87,10 +65,6 @@ class MultipartiteGraph:
         for c, s in enumerate(self.class_sizes):
             for o in range(s):
                 yield (c, o)
-
-    def class_of(self, v: Vertex) -> int:
-        self.flat(v)
-        return v[0]
 
     def class_mask(self, c: int) -> int:
         return self._class_masks[c]
@@ -122,10 +96,6 @@ class MultipartiteGraph:
 
     def degree_in_class(self, v: Vertex, c: int) -> int:
         return (self.adj_mask(v) & self._class_masks[c]).bit_count()
-
-    def non_neighbors_in_set(self, v: Vertex, mask: int) -> int:
-        fv = self.flat(v)
-        return (mask & ~self._adj[fv] & ~(1 << fv)).bit_count()
 
     def edges(self) -> list[tuple[Vertex, Vertex]]:
         """All edges, each listed once, ordered by flattened ids."""
@@ -171,18 +141,21 @@ class MultipartiteGraph:
         sizes = [len(sel) for sel in chosen]
         to_sub: dict[Vertex, Vertex] = {}
         from_sub: list[Vertex] = []
+        runs = []   # maximal runs of consecutive kept vertices: old, new, ones
         for c, sel in enumerate(chosen):
             for new_o, old_o in enumerate(sel):
                 to_sub[(c, old_o)] = (c, new_o)
+                if new_o and old_o == sel[new_o - 1] + 1:
+                    runs[-1][2] = runs[-1][2] << 1 | 1
+                else:
+                    runs.append([self._off[c] + old_o, len(from_sub), 1])
                 from_sub.append((c, old_o))
         sub = MultipartiteGraph(sizes)
-        keep_flat = [self.flat(v) for v in from_sub]
-        for new_fu, old_fu in enumerate(keep_flat):
+        for new_fu, (c, old_o) in enumerate(from_sub):
+            row = self._adj[self._off[c] + old_o]
             mask = 0
-            row = self._adj[old_fu]
-            for new_fv, old_fv in enumerate(keep_flat):
-                if row >> old_fv & 1:
-                    mask |= 1 << new_fv
+            for old_at, new_at, ones in runs:
+                mask |= (row >> old_at & ones) << new_at
             sub._adj[new_fu] = mask
         return sub, to_sub, from_sub
 
@@ -275,12 +248,6 @@ class PartitionLabeling:
                     return False
         return True
 
-    def class_of_part(self, p: int) -> int:
-        for c, row in enumerate(self.part_of):
-            if p in row:
-                return c
-        raise ValueError(f"part {p} is empty")
-
 
 def class_labeling(g: MultipartiteGraph) -> PartitionLabeling:
     """The trivial labeling whose parts are the vertex classes themselves."""
@@ -324,8 +291,9 @@ def partite_min_degree(g: MultipartiteGraph) -> int:
 def density(g: MultipartiteGraph, a: Iterable[Vertex], b: Iterable[Vertex]) -> Fraction:
     """Exact edge density e(A,B) / (|A||B|) between sets in two distinct classes.
 
-    Deliberately a plain double loop over has_edge: this is the independent
-    verification path for every density-based search in the package.
+    Deliberately a plain double loop over adjacency bits, with every vertex
+    validated once: this is the independent verification path for every
+    density-based search in the package.
     """
     aa, bb = list(a), list(b)
     if not aa or not bb:
@@ -334,7 +302,8 @@ def density(g: MultipartiteGraph, a: Iterable[Vertex], b: Iterable[Vertex]) -> F
     cb = {v[0] for v in bb}
     if len(ca) != 1 or len(cb) != 1 or ca == cb:
         raise ValueError("sides must each lie in a single, distinct class")
-    edges = sum(1 for u in aa for v in bb if g.has_edge(u, v))
+    fa, fb = [g.flat(u) for u in aa], [g.flat(v) for v in bb]
+    edges = sum(1 for fu in fa for fv in fb if g._adj[fu] >> fv & 1)
     return Fraction(edges, len(aa) * len(bb))
 
 

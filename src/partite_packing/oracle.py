@@ -1,9 +1,13 @@
-"""Ground truth at desk scale: exhaustive packing decision, canonical-form
-isomorphism against the extremal construction, seeded boundary harnesses.
+"""Ground truth at desk scale: exhaustive packing decision, recognition of
+the extremal construction, canonical forms, seeded boundary harnesses.
 
 The packing search uses bitmask adjacency, rebuilt from the graph's edge list
 so that it shares no state with the solver, and every packing it returns is
-re-checked by the plain loops of `CliquePacking.verify`.
+re-checked by the plain loops of `CliquePacking.verify`.  The extremal
+construction is recognised in O(V^2) from its twin classes, and every
+positive answer is an explicit vertex map checked edge by edge;
+`canonical_form` is an independent, exponential library function that `solve`
+never calls.
 """
 
 from __future__ import annotations
@@ -156,7 +160,8 @@ class CanonicalFormBudgetExceeded(RuntimeError):
 def canonical_form(g: MultipartiteGraph, max_nodes: int = 2_000_000):
     """Class-preserving canonical encoding: the lexicographically greatest
     adjacency code over all orderings of equal-size classes and of vertices
-    within classes.
+    within classes.  A library function and the test cross-check for
+    `is_isomorphic_to_gamma`; `solve` never calls it.
 
     Positions are filled round-robin over the class slots so every placed
     vertex immediately discriminates the next class's candidates, with two
@@ -245,21 +250,59 @@ def canonical_form(g: MultipartiteGraph, max_nodes: int = 2_000_000):
 
 def is_isomorphic_to_gamma(g: MultipartiteGraph, n: int, r: int, k: int) -> bool:
     """Class-permuting, in-class-permuting isomorphism test against the
-    extremal construction of the same parameters."""
+    extremal construction of the same parameters, in O(V^2).
+
+    Gamma's subparts are the twin classes (equal neighbourhoods) of each
+    class, and each misses exactly one subpart, its partner, in every other
+    class.  In class 0 the two subparts whose partners in classes 1 and 2 are
+    adjacent get labels 1 and 2 (any two when r = 2), and a partner of label j
+    gets label j, or 3 - j for j <= 2; the choices left free are automorphisms
+    of Gamma.  True only after the vertex map this gives is checked pair by
+    pair against `build_gamma`."""
     if n % k or r < k:
         return False
     if g.r != r or set(g.class_sizes) != {n}:
         return False
+    if n == 0:
+        return True
     target = build_gamma(n, r, k).graph
-    if g.n_edges() != target.n_edges():
+    twins: list[dict[int, list[int]]] = []     # adjacency mask -> members
+    for c in range(r):
+        groups: dict[int, list[int]] = {}
+        for f in range(g._off[c], g._off[c + 1]):
+            groups.setdefault(g._adj[f], []).append(f)
+        if len(groups) != k or any(len(vs) != n // k for vs in groups.values()):
+            return False
+        twins.append(groups)
+    owner = [{sum(1 << f for f in vs): nb for nb, vs in groups.items()}
+             for groups in twins]
+
+    def partner(nb: int, c: int) -> int | None:
+        return owner[c].get(g._class_masks[c] & ~nb)
+
+    # part[c][X]: the twin class of class c matched to class-0 twin class X
+    part = [{nb: nb for nb in twins[0]}]
+    part += [{nb: partner(nb, c) for nb in twins[0]} for c in range(1, r)]
+    if any(None in p.values() or len(set(p.values())) != k for p in part):
         return False
-    mine = sorted(sorted(g.degree_in_class(v, c) for c in range(g.r) if c != v[0])
-                  for v in g.vertices())
-    theirs = sorted(sorted(target.degree_in_class(v, c) for c in range(r) if c != v[0])
-                    for v in target.vertices())
-    if mine != theirs:
-        return False
-    return canonical_form(g) == canonical_form(target)
+    order = list(twins[0])
+    if r >= 3:
+        low = [nb for nb in order if partner(part[1][nb], 2) != part[2][nb]]
+        if len(low) != 2:
+            return False
+        order = low + [nb for nb in order if nb not in low]
+    image = [0] * g.n_vertices
+    for c in range(r):
+        for j, nb in enumerate(order, 1):
+            base = target._off[c] + ((3 - j if c and j <= 2 else j) - 1) * (n // k)
+            for i, f in enumerate(twins[c][part[c][nb]]):
+                image[f] = base + i
+    for fu in range(g.n_vertices):
+        row, trow, cu = g._adj[fu], target._adj[image[fu]], g._class_of[fu]
+        for fv in range(fu + 1, g.n_vertices):
+            if g._class_of[fv] != cu and (row >> fv & 1) != (trow >> image[fv] & 1):
+                return False
+    return True
 
 
 # -- seeded instance generation --------------------------------------------------

@@ -22,8 +22,7 @@ from .graphs import (CliquePacking, MultipartiteGraph, Vertex, index_set,
 from .matching import (Rectangle, exact_balanced_clique_packing,
                        find_transversal, pair_complete_balanced_matching,
                        ObstructionError, regular_bipartite_perfect_matching)
-from .oracle import (CanonicalFormBudgetExceeded, OracleVerdict,
-                     brute_force_packing, is_isomorphic_to_gamma)
+from .oracle import OracleVerdict, brute_force_packing, is_isomorphic_to_gamma
 from .structure import (RowDecomposition, is_pair_complete,
                         iterate_decomposition)
 
@@ -1687,12 +1686,7 @@ def _oracle_route(g: MultipartiteGraph, k: int, params: PipelineParams,
         return SolveResult("diagnosis", None, stages,
                            {"stage": "oracle", "reason": "budget exhausted"})
     parity = (r * n_plus // k) % 2 == 1 and n_plus % k == 0
-    try:
-        extremal = parity and is_isomorphic_to_gamma(g, n_plus, r, k)
-    except CanonicalFormBudgetExceeded as e:
-        return _certification_stopped(stages, "oracle",
-                                      "no packing exists (proven)", e)
-    if extremal:
+    if parity and is_isomorphic_to_gamma(g, n_plus, r, k):
         return SolveResult("extremal", None, stages,
                            {"stage": "oracle",
                             "reason": "no packing; isomorphic to the extremal "
@@ -1734,27 +1728,13 @@ def solve(g: MultipartiteGraph, k: int,
     except CandidateExtremal as e:
         stages.append({"name": e.stage, "failed": e.reason})
         parity = (r * n_plus // k) % 2 == 1 and n_plus % k == 0
-        try:
-            extremal = parity and is_isomorphic_to_gamma(g, n_plus, r, k)
-        except CanonicalFormBudgetExceeded as stop:
-            return _certification_stopped(stages, e.stage, e.reason, stop)
-        if extremal:
+        if parity and is_isomorphic_to_gamma(g, n_plus, r, k):
             return SolveResult("extremal", None, stages,
                                {"stage": e.stage, "reason": e.reason})
         return _fallback(g, k, params, stages, e)
     except StageFailure as e:
         stages.append({"name": e.stage, "failed": e.reason})
         return _fallback(g, k, params, stages, e)
-
-
-def _certification_stopped(stages, stage, reason,
-                           stop: CanonicalFormBudgetExceeded) -> SolveResult:
-    """Diagnosis for an extremal check that ran out of canonical-form nodes:
-    the instance may or may not be the extremal construction."""
-    return SolveResult("diagnosis", None, stages,
-                       {"stage": stage, "reason": reason, "detail": str(stop),
-                        "budget": {"name": "canonical_form.max_nodes",
-                                   "limit": stop.max_nodes}})
 
 
 def _fallback(g, k, params, stages, err) -> SolveResult:

@@ -3,7 +3,8 @@
 import json
 
 from partite_packing.cli import main
-from partite_packing.graphs import graph_from_json
+from partite_packing.graphs import build_gamma, graph_from_json, graph_to_json
+from test_oracle import relabeled_copy
 
 
 def run(argv):
@@ -20,6 +21,16 @@ def test_gen_gamma_and_solve_exit_extremal(tmp_path):
     assert run(["solve", "--input", g_path, "--k", "3", "-o", out]) == 2
     doc = json.loads(open(out).read())
     assert doc["status"] == "extremal"
+
+
+def test_solve_shuffled_gamma_973_exit_extremal(tmp_path):
+    # 63 vertices: certified after the rows stage flags a candidate
+    g_path = tmp_path / "g.json"
+    out = str(tmp_path / "res.json")
+    g_path.write_text(graph_to_json(relabeled_copy(build_gamma(9, 7, 3).graph,
+                                                   "cli")))
+    assert run(["solve", "--input", str(g_path), "--k", "3", "-o", out]) == 2
+    assert json.loads(open(out).read())["status"] == "extremal"
 
 
 def test_gen_complete_solve_verify_round_trip(tmp_path):

@@ -103,12 +103,72 @@ def test_density_examples():
     assert density(g3, b, a) == density(g3, a, b)
 
 
+def test_density_matches_has_edge_loop():
+    rng = random.Random("density")
+    g = build_gamma(6, 3, 3).graph.without_edges([((0, 0), (1, 3))])
+    for _ in range(50):
+        ca, cb = rng.sample(range(3), 2)
+        a = [(ca, o) for o in rng.sample(range(6), rng.randint(1, 6))]
+        b = [(cb, o) for o in rng.sample(range(6), rng.randint(1, 6))]
+        edges = sum(1 for u in a for v in b if g.has_edge(u, v))
+        assert density(g, a, b) == Fraction(edges, len(a) * len(b))
+
+
 def test_density_errors():
     g = complete_multipartite([2, 2])
     with pytest.raises(ValueError):
         density(g, [], [(1, 0)])
     with pytest.raises(ValueError):
         density(g, [(0, 0)], [(0, 1)])
+    with pytest.raises(ValueError):
+        density(g, [(0, 0)], [(1, 2)])
+
+
+# -- induced subgraphs ------------------------------------------------------------
+
+
+def induced_by_pairs(g, keep):
+    """Reference: the induced subgraph's masks from a plain loop over every
+    pair of kept vertices."""
+    from_sub = [(c, o) for c, sel in enumerate(keep) for o in sorted(set(sel))]
+    to_sub = {}
+    for c, sel in enumerate(keep):
+        for new_o, old_o in enumerate(sorted(set(sel))):
+            to_sub[(c, old_o)] = (c, new_o)
+    keep_flat = [g.flat(v) for v in from_sub]
+    masks = []
+    for old_fu in keep_flat:
+        mask = 0
+        for new_fv, old_fv in enumerate(keep_flat):
+            if g._adj[old_fu] >> old_fv & 1:
+                mask |= 1 << new_fv
+        masks.append(mask)
+    return masks, to_sub, from_sub
+
+
+def test_induced_matches_pair_loop():
+    rng = random.Random("induced")
+    g = build_gamma(12, 4, 3).graph
+    g = g.without_edges(rng.sample(g.edges(), 200))
+    selections = [[[]] * 4, [range(12)] * 4, [[5], [], range(12), [0, 11]]]
+    for _ in range(200):
+        # scattered offsets, or a few runs of consecutive ones
+        if rng.random() < 0.5:
+            keep = [rng.sample(range(12), rng.randint(0, 12)) for _ in range(4)]
+        else:
+            keep = []
+            for _ in range(4):
+                width, phase = rng.randint(1, 4), rng.randint(0, 1)
+                keep.append([o for o in range(12) if (o // width + phase) % 2])
+        selections.append(keep)
+    for keep in selections:
+        sub, to_sub, from_sub = g.induced(keep)
+        masks, ref_to, ref_from = induced_by_pairs(g, keep)
+        assert sub._adj == masks
+        assert sub.class_sizes == tuple(len(set(sel)) for sel in keep)
+        assert to_sub == ref_to and from_sub == ref_from
+    with pytest.raises(ValueError):
+        g.induced([[12], [], [], []])
 
 
 # -- blow-ups --------------------------------------------------------------------

@@ -10,9 +10,7 @@ import pytest
 from partite_packing.graphs import (CliquePacking, MultipartiteGraph,
                                     build_gamma, complete_multipartite)
 from partite_packing.matching import exact_balanced_clique_packing
-from partite_packing import pipeline
-from partite_packing.oracle import (CanonicalFormBudgetExceeded,
-                                    brute_force_packing, random_min_degree_graph)
+from partite_packing.oracle import brute_force_packing, random_min_degree_graph
 from partite_packing.pipeline import (BlockAssignment, DeletionLedger,
                                       PipelineParams, RecountFailure,
                                       StageFailure, balance_blocks,
@@ -25,6 +23,7 @@ from partite_packing.pipeline import (BlockAssignment, DeletionLedger,
                                       is_properly_distributed,
                                       prepare_multirow, solve)
 from partite_packing.structure import RowDecomposition
+from test_oracle import relabeled_copy
 
 
 def planted_two_row(r=4, k=3, n=8, seed=None, diag_delete=0.0,
@@ -375,20 +374,15 @@ def test_solve_gamma_extremal():
     assert res.status == "extremal"
 
 
-@pytest.mark.parametrize("n,r,k,stage", [(3, 3, 3, "oracle"), (9, 5, 3, "rows")],
-                         ids=["oracle-route", "pipeline-route"])
-def test_solve_reports_canonical_form_budget_stop(monkeypatch, n, r, k, stage):
-    # Gamma(3,3,3) is certified after the oracle proves it unpackable,
-    # Gamma(9,5,3) after the rows stage flags a candidate extremal instance
-    def out_of_budget(*args):
-        raise CanonicalFormBudgetExceeded(17)
-
-    monkeypatch.setattr(pipeline, "is_isomorphic_to_gamma", out_of_budget)
-    res = solve(build_gamma(n, r, k).graph, k)
-    assert res.status == "diagnosis"
+@pytest.mark.parametrize("n,r,k,stage", [(3, 5, 3, "oracle"), (9, 7, 3, "rows"),
+                                         (15, 5, 3, "rows")])
+def test_solve_certifies_shuffled_gamma(n, r, k, stage):
+    # Gamma(3,5,3) is certified after the oracle proves it unpackable, the
+    # larger two after the rows stage flags a candidate extremal instance
+    g = relabeled_copy(build_gamma(n, r, k).graph, f"solve:{n},{r},{k}")
+    res = solve(g, k)
+    assert res.status == "extremal"
     assert res.diagnosis["stage"] == stage
-    assert res.diagnosis["budget"] == {"name": "canonical_form.max_nodes",
-                                       "limit": 17}
 
 
 def test_solve_agrees_with_oracle_small():
