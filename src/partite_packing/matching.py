@@ -1,7 +1,7 @@
 """Constructive matching subroutines: degree-sequence realization, rectangle
 transversals, bipartite matchings, even-path search, the balanced matching
-builder for two-half rows, the configuration-flip balancer, and the exact
-balanced clique-packing search.
+builder for two-half rows, the configuration-flip balancer, and the balanced
+clique-packing entry point into the oracle's exact-cover search.
 """
 
 from __future__ import annotations
@@ -11,9 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .graphs import (CliquePacking, MultipartiteGraph, Vertex, index_set)
+from .oracle import exact_cover
 
 
 class ObstructionError(ValueError):
@@ -211,7 +213,8 @@ def bipartite_maximum_matching(n_left: int, n_right: int,
 def bipartite_regularity(n_left: int, n_right: int,
                          adj: Sequence[Iterable[int]]) -> int | None:
     """The common degree when the sides have equal size and every vertex on
-    both sides has the same degree >= 1; None otherwise."""
+    both sides has the same degree >= 1; None otherwise.  A library function
+    that `solve` never calls."""
     if n_left != n_right:
         return None
     degrees_l = [len(set(a)) for a in adj]
@@ -246,7 +249,8 @@ def even_path_between_copartners(g: MultipartiteGraph):
     """A class {x, y} together with an even-length path from x to y, found by
     breadth-first search on parity-augmented vertices; None when no class
     admits one.  The returned walk visits each (vertex, parity) state at most
-    once and is re-verified for adjacency and evenness."""
+    once and is re-verified for adjacency and evenness.  A library function
+    that `solve` never calls."""
     if any(s != 2 for s in g.class_sizes):
         raise ValueError("every class must have exactly two vertices")
     for j in range(g.r):
@@ -545,7 +549,8 @@ def find_configurations(g: MultipartiteGraph, p: int,
     """Greedy vertex-disjoint configuration pool: scan apex pairs in
     ascending order, build the two cliques inside their common neighborhood.
     For p = 2, patterns whose apex class a is not class 0 get fake
-    configurations (two disjoint edges) instead of flippable ones."""
+    configurations (two disjoint edges) instead of flippable ones.  A library
+    function that `solve` never calls."""
     used: set[Vertex] = set(forbidden)
     pool: list[Configuration] = []
     for s_set, t in patterns:
@@ -664,7 +669,9 @@ def flip_balance(m: CliquePacking, pool: Sequence[Configuration],
     a flip, other than the one being fixed, comes strictly later; the final
     family is then forced to the common count by the covering identity.  For
     p in {r, r-1} any perfect packing is already balanced and the call is a
-    validity check performing zero flips.
+    validity check performing zero flips.  A library function that `solve`
+    never calls: rows are balanced by `exact_balanced_clique_packing` or
+    `pair_complete_balanced_matching`.
     """
     n_indices = len(list(combinations(range(r), p)))
     total = len(m.cliques)
@@ -744,88 +751,25 @@ class SearchResult:
 def exact_balanced_clique_packing(g: MultipartiteGraph, p: int,
                                   require_balanced: bool = True,
                                   budget: int | None = None) -> SearchResult:
-    """Exhaustive backtracking for a perfect (optionally balanced) p-clique
-    packing: always extend the least uncovered vertex, enumerate its cliques
-    in ascending id order, and prune indices already at their balanced quota.
+    """Perfect (optionally balanced) p-clique packing by the oracle's search,
+    `oracle.exact_cover`, with every index held to its balanced quota of
+    (|V|/p) / C(r, p) cliques when balance is required.
 
     completed=True makes an absent verdict a proof of nonexistence; a budget
     stop is reported as completed=False.
     """
+    if p < 1:
+        raise ValueError("p must be positive")
     total = g.n_vertices
     if total == 0:
         return SearchResult(CliquePacking([]), True, 0)
-    if total % p:
+    if total % p or p > g.r:
         return SearchResult(None, True, 0)
-    n_cliques = total // p
     quota = None
     if require_balanced:
-        n_indices = len(list(combinations(range(g.r), p)))
+        n_cliques, n_indices = total // p, comb(g.r, p)
         if n_cliques % n_indices:
             return SearchResult(None, True, 0)
         quota = n_cliques // n_indices
-    nodes = 0
-    counts: Counter = Counter()
-    chosen: list[tuple[Vertex, ...]] = []
-    full = (1 << total) - 1
-
-    def search(covered: int) -> bool | None:
-        """True found, False exhausted, None budget."""
-        nonlocal nodes
-        if covered == full:
-            return True
-        free = full & ~covered
-        fv = (free & -free).bit_length() - 1
-        v = g.vertex(fv)
-
-        def extend(stack, common, lo):
-            nonlocal nodes
-            if len(stack) == p:
-                idx = index_set(stack)
-                if quota is not None and counts[idx] >= quota:
-                    return False
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    return None
-                counts[idx] += 1
-                chosen.append(tuple(stack))
-                sub = search(covered | sum(1 << g.flat(u) for u in stack))
-                if sub:
-                    return sub
-                chosen.pop()
-                counts[idx] -= 1
-                return sub
-            rest = common >> lo << lo
-            while rest:
-                low = rest & -rest
-                fid = low.bit_length() - 1
-                got = extend(stack + [g.vertex(fid)],
-                             common & g._adj[fid], fid + 1)
-                if got:
-                    return got
-                if got is None:
-                    return None
-                rest ^= low
-            return False
-
-        if p == 1:
-            nodes += 1
-            if budget is not None and nodes > budget:
-                return None
-            counts[index_set([v])] += 1
-            chosen.append((v,))
-            sub = search(covered | (1 << fv))
-            if sub:
-                return sub
-            chosen.pop()
-            counts[index_set([v])] -= 1
-            return sub
-        return extend([v], g._adj[fv] & free, fv + 1)
-
-    got = search(0)
-    if got is True:
-        packing = CliquePacking(list(chosen))
-        problems = packing.verify(g, perfect=True)
-        if problems:
-            raise AssertionError(f"packing failed verification: {problems[:3]}")
-        return SearchResult(packing, True, nodes)
-    return SearchResult(None, got is False, nodes)
+    packing, nodes, completed = exact_cover(g, g._adj, p, budget, quota)
+    return SearchResult(packing, completed, nodes)

@@ -1,9 +1,13 @@
 """Ground truth at desk scale: exhaustive packing decision, recognition of
 the extremal construction, canonical forms, seeded boundary harnesses.
 
-The packing search uses bitmask adjacency, rebuilt from the graph's edge list
-so that it shares no state with the solver, and every packing it returns is
-re-checked by the plain loops of `CliquePacking.verify`.  The extremal
+`exact_cover` is the package's one exact-cover search: the oracle decides
+packings with it, and the solver's balanced row packings
+(`matching.exact_balanced_clique_packing`) run through it too.  The oracle's
+independence therefore comes from `CliquePacking.verify`, whose plain loops
+re-check every packing the search returns, not from separate search code;
+`brute_force_packing` still rebuilds its bitmask adjacency from the graph's
+edge list, so it reads no adjacency state the solver built.  The extremal
 construction is recognised in O(V^2) from its twin classes, and every
 positive answer is an explicit vertex map checked edge by edge;
 `canonical_form` is an independent, exponential library function that `solve`
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from math import ceil
 
 from .graphs import (CliquePacking, MultipartiteGraph, Vertex, build_gamma,
@@ -29,41 +34,65 @@ class OracleVerdict:
     completed: bool
 
 
-def brute_force_packing(g: MultipartiteGraph, k: int,
-                        budget: int | None = None,
-                        memo_cap: int = 4_000_000) -> OracleVerdict:
-    """Exhaustive backtracking over k-cliques, always extending the least
-    uncovered vertex, with three sound prunes: k must divide every connected
-    component of the uncovered subgraph, no class may hold more uncovered
-    vertices than there are cliques left to place, and uncovered states
-    already proven unpackable are never re-explored.  Exact whenever the
-    search completes; the witness is the lexicographically first packing."""
-    if k < 1:
-        raise ValueError("k must be positive")
+MEMO_CAP = 4_000_000   # failed states remembered by one search
+
+
+class _TallyMemo(set):
+    """Failed-state memo under a per-index quota.  Whether the rest of the
+    graph can still be packed depends on how many cliques of each index the
+    branch has placed, so a state is the uncovered mask together with that
+    count vector, which `tally()` reads for the current branch."""
+
+    def __init__(self, tally):
+        super().__init__()
+        self.tally = tally
+
+    def __contains__(self, uncovered) -> bool:
+        return super().__contains__((uncovered, self.tally()))
+
+    def add(self, uncovered) -> None:
+        super().add((uncovered, self.tally()))
+
+
+def exact_cover(g: MultipartiteGraph, adj: list[int], k: int,
+                budget: int | None = None, quota: int | None = None
+                ) -> tuple[CliquePacking | None, int, bool]:
+    """The package's one exact-cover search: a perfect k-clique packing of g
+    over the bitmask adjacency `adj`, as (packing or None, nodes, completed).
+
+    Backtracking over k-cliques, always extending the least uncovered vertex
+    and trying its cliques in ascending id order, with three sound prunes: k
+    must divide every connected component of the uncovered subgraph, no class
+    may hold more uncovered vertices than there are cliques left to place,
+    and uncovered states already proven unpackable are never re-explored.
+    With a quota, a clique whose index (its set of classes) already has
+    `quota` cliques is skipped without counting a node.  Prunes only cut
+    subtrees that hold no packing, so the packing returned is the first one
+    in this order.  completed=False marks a stop after `budget` nodes; a
+    packing is returned only after `CliquePacking.verify` passes."""
     total = g.n_vertices
-    if total % k:
-        raise ValueError(f"k={k} does not divide the vertex count {total}")
-    if total == 0:
-        return OracleVerdict(True, CliquePacking([]), 0, True)
-
-    # adjacency rebuilt locally from the edge list: this search is the ground
-    # truth and shares no state with the solver-side machinery
-    adj = [0] * total
-    for u, v in g.edges():
-        fu, fv = g.flat(u), g.flat(v)
-        adj[fu] |= 1 << fv
-        adj[fv] |= 1 << fu
     class_masks = [g.class_mask(c) for c in range(g.r)]
-
     nodes = 0
     chosen: list[tuple[Vertex, ...]] = []
-    failed: set[int] = set()
-    full = (1 << total) - 1
+    failed: set = set()
+    if quota is not None:
+        slot = {idx: i for i, idx in enumerate(combinations(range(g.r), k))}
+        # tallies[d]: cliques per index among the first d chosen
+        tallies = [(0,) * len(slot)] * (total // k + 1)
+        failed = _TallyMemo(lambda: tallies[len(chosen)])
+
+        def admit(stack: list[int]) -> bool:
+            d = len(chosen)
+            t = tallies[d]
+            i = slot[tuple(g._class_of[f] for f in stack)]
+            if t[i] >= quota:
+                return False
+            tallies[d + 1] = t[:i] + (t[i] + 1,) + t[i + 1:]
+            return True
 
     def prunable(uncovered: int, left: int) -> bool:
-        quota = left
         for cm in class_masks:
-            if (uncovered & cm).bit_count() > quota:
+            if (uncovered & cm).bit_count() > left:
                 return True
         rest = uncovered
         while rest:
@@ -91,7 +120,7 @@ def brute_force_packing(g: MultipartiteGraph, k: int,
         if uncovered in failed:
             return False
         if prunable(uncovered, left):
-            if len(failed) < memo_cap:
+            if len(failed) < MEMO_CAP:
                 failed.add(uncovered)
             return False
         fv = (uncovered & -uncovered).bit_length() - 1
@@ -99,6 +128,8 @@ def brute_force_packing(g: MultipartiteGraph, k: int,
         def extend(stack: list[int], pool: int) -> bool | None:
             nonlocal nodes
             if len(stack) == k:
+                if quota is not None and not admit(stack):
+                    return False
                 nodes += 1
                 if budget is not None and nodes > budget:
                     return None
@@ -121,28 +152,38 @@ def brute_force_packing(g: MultipartiteGraph, k: int,
                 rest ^= low
             return False
 
-        if k == 1:
-            nodes += 1
-            if budget is not None and nodes > budget:
-                return None
-            chosen.append((g.vertex(fv),))
-            got = search(uncovered & ~(1 << fv), left - 1)
-            if not got:
-                chosen.pop()
-            return got
         got = extend([fv], adj[fv] & uncovered)
-        if got is False and len(failed) < memo_cap:
+        if got is False and len(failed) < MEMO_CAP:
             failed.add(uncovered)
         return got
 
-    got = search(full, total // k)
-    if got is True:
-        witness = CliquePacking(list(chosen))
-        problems = witness.verify(g, perfect=True)
-        if problems:
-            raise AssertionError(f"oracle witness failed recheck: {problems[:3]}")
-        return OracleVerdict(True, witness, nodes, True)
-    return OracleVerdict(False, None, nodes, got is False)
+    got = search((1 << total) - 1, total // k)
+    if got is not True:
+        return None, nodes, got is False
+    packing = CliquePacking(list(chosen))
+    problems = packing.verify(g, perfect=True)
+    if problems:
+        raise AssertionError(f"packing failed recheck: {problems[:3]}")
+    return packing, nodes, True
+
+
+def brute_force_packing(g: MultipartiteGraph, k: int,
+                        budget: int | None = None) -> OracleVerdict:
+    """Exhaustive decision of a perfect k-clique packing by `exact_cover`.
+    Exact whenever the search completes; the witness is the
+    lexicographically first packing."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    total = g.n_vertices
+    if total % k:
+        raise ValueError(f"k={k} does not divide the vertex count {total}")
+    adj = [0] * total
+    for u, v in g.edges():
+        fu, fv = g.flat(u), g.flat(v)
+        adj[fu] |= 1 << fv
+        adj[fv] |= 1 << fu
+    packing, nodes, completed = exact_cover(g, adj, k, budget)
+    return OracleVerdict(packing is not None, packing, nodes, completed)
 
 
 # -- canonical forms -----------------------------------------------------------

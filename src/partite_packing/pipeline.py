@@ -23,7 +23,7 @@ from .matching import (Rectangle, exact_balanced_clique_packing,
                        find_transversal, pair_complete_balanced_matching,
                        ObstructionError, regular_bipartite_perfect_matching)
 from .oracle import OracleVerdict, brute_force_packing, is_isomorphic_to_gamma
-from .structure import (RowDecomposition, is_pair_complete,
+from .structure import (EXACT_CLASS_CAP, RowDecomposition, is_pair_complete,
                         iterate_decomposition)
 
 
@@ -42,31 +42,21 @@ class CandidateExtremal(StageFailure):
     forces; the caller should run the isomorphism check."""
 
 
+ORACLE_CUTOFF = 16      # direct oracle at or below this many vertices
+FALLBACK_CUTOFF = 40    # oracle fallback after a stage failure, same measure
+ETA_COUNT = 1           # spare cliques per heavy row pair
+
+
+def ladder(k: int) -> list[Fraction]:
+    """The splitting ladder: k ascending thresholds 1/100, 2/100, 4/100, ..."""
+    return [Fraction(2 ** i, 100) for i in range(k)]
+
+
 @dataclass
 class PipelineParams:
-    thresholds: list[Fraction] | None = None   # splitting ladder, ascending
     pc_threshold: Fraction = Fraction(1, 4)    # pair-completeness slack
-    bad_slack: int | None = None               # per-unit non-neighbor tolerance
-    eta_count: int = 1                         # spare cliques per heavy row pair
-    mu_count: int = 1
-    budget: int = 2_000_000
-    oracle_cutoff: int = 16                    # direct oracle below this size
-    fallback_cutoff: int = 40                  # oracle fallback after stage failure
-    detector_exact_cap: int = 8
+    budget: int = 2_000_000                    # oracle and exact-search nodes
     seed: int = 0
-
-    def ladder(self, k: int) -> list[Fraction]:
-        if self.thresholds is not None:
-            if len(self.thresholds) < k:
-                raise ValueError(f"need at least {k} thresholds")
-            return [Fraction(t) for t in self.thresholds]
-        base = Fraction(1, 100)
-        out = []
-        t = base
-        for _ in range(k):
-            out.append(t)
-            t = t * 2
-        return out
 
 
 # -- block assignment ---------------------------------------------------------
@@ -1719,7 +1709,7 @@ def solve(g: MultipartiteGraph, k: int,
     if k == 1:
         packing = CliquePacking([(v,) for v in g.vertices()])
         return SolveResult("packed", packing, [{"name": "trivial"}])
-    if (g.n_vertices <= params.oracle_cutoff or k == 2 or r <= 3
+    if (g.n_vertices <= ORACLE_CUTOFF or k == 2 or r <= 3
             or n_plus < k * k):
         return _oracle_route(g, k, params, stages)
 
@@ -1738,7 +1728,7 @@ def solve(g: MultipartiteGraph, k: int,
 
 
 def _fallback(g, k, params, stages, err) -> SolveResult:
-    if g.n_vertices <= params.fallback_cutoff:
+    if g.n_vertices <= FALLBACK_CUTOFF:
         return _oracle_route(g, k, params, stages)
     return SolveResult("diagnosis", None, stages,
                        {"stage": err.stage, "reason": err.reason,
@@ -1753,10 +1743,8 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
     total_target = r * n_plus // k
 
     trimmed, _, _ = g.induced([range(k * n)] * r)
-    ladder = params.ladder(k)
-    iteration = iterate_decomposition(trimmed, k, ladder, mode="auto",
-                                      seed=params.seed,
-                                      exact_cap=params.detector_exact_cap)
+    iteration = iterate_decomposition(trimmed, k, ladder(k), mode="auto",
+                                      seed=params.seed)
     decomp = iteration.decomposition
     stages.append({"name": "decompose", "s": decomp.s,
                    "weights": list(decomp.weights),
@@ -1768,15 +1756,13 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
             continue
         selection = [sorted(decomp.rows[i][j]) for j in range(r)]
         sub, _, _ = trimmed.induced(selection)
-        mode = ("exact" if sub.class_sizes[0] <= params.detector_exact_cap
+        mode = ("exact" if sub.class_sizes[0] <= EXACT_CLASS_CAP
                 else "heuristic")
         w = is_pair_complete(sub, params.pc_threshold, mode, seed=params.seed)
         if w is not None:
             pc_halves[i] = [set(selection[j][o] for o in w.halves[j])
                             for j in range(r)]
-    bad_slack = params.bad_slack
-    if bad_slack is None:
-        bad_slack = max(1, (2 * decomp.unit) // 5)
+    bad_slack = max(1, (2 * decomp.unit) // 5)   # per-unit non-neighbours
     asg = classify_bad_vertices(g, decomp, pc_halves, bad_slack)
     stages.append({"name": "classify", "bad": len(asg.bad),
                    "pair_complete_rows": sorted(asg.pc_rows)})
@@ -1792,7 +1778,7 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
                    "recounts": {"rows_left": [len(asg.row_vertices(i)
                                                   - ledger.covered)
                                               for i in range(decomp.s)]}})
-    prepare_multirow(g, asg, ledger, total_target, params.eta_count)
+    prepare_multirow(g, asg, ledger, total_target, ETA_COUNT)
     stages.append({"name": "prepare",
                    "deleted": len(ledger.stage_cliques("prepare"))})
     cover_and_divisibility(g, asg, ledger, total_target)

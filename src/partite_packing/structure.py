@@ -614,8 +614,8 @@ class IterationResult:
 
 def iterate_decomposition(g: MultipartiteGraph, k: int,
                           thresholds: Sequence[Fraction],
-                          mode: str = "auto", *, seed: int = 0,
-                          exact_cap: int = EXACT_CLASS_CAP) -> IterationResult:
+                          mode: str = "auto", *,
+                          seed: int = 0) -> IterationResult:
     """Refine the trivial one-row decomposition by splitting rows while any
     row is splittable at the threshold for the current row count.
 
@@ -644,7 +644,8 @@ def iterate_decomposition(g: MultipartiteGraph, k: int,
             sub, _, _ = g.induced(selection)
             row_mode = mode
             if mode == "auto":
-                row_mode = "exact" if sub.class_sizes[0] <= exact_cap else "heuristic"
+                row_mode = ("exact" if sub.class_sizes[0] <= EXACT_CLASS_CAP
+                            else "heuristic")
             w = is_splittable(sub, weights[i], d_s, row_mode, seed=seed)
             if w is None:
                 continue

@@ -366,6 +366,33 @@ def test_exact_search_budget_distinguished():
     assert res.packing is None and not res.completed
 
 
+def test_exact_search_clique_wider_than_class_count():
+    g = complete_multipartite([2, 2])
+    for balanced in (True, False):
+        res = exact_balanced_clique_packing(g, 4, balanced)
+        assert res.packing is None and res.completed
+    verdict = brute_force_packing(g, 4)
+    assert not verdict.exists and verdict.completed
+
+
+def test_exact_search_rejects_nonpositive_clique_size():
+    g = complete_multipartite([2, 2])
+    for p in (0, -1):
+        with pytest.raises(ValueError):
+            exact_balanced_clique_packing(g, p, True)
+        with pytest.raises(ValueError):
+            brute_force_packing(g, p)
+
+
+def test_exact_search_balanced_singletons_need_equal_classes():
+    # four singletons, quota 2 per class: classes of sizes 1 and 3 cannot
+    # be balanced, even though every vertex is a 1-clique
+    res = exact_balanced_clique_packing(complete_multipartite([1, 3]), 1, True)
+    assert res.packing is None and res.completed
+    res = exact_balanced_clique_packing(complete_multipartite([2, 2]), 1, True)
+    assert res.packing is not None and res.packing.is_balanced()
+
+
 def test_exact_search_agrees_with_oracle():
     for seed in range(40):
         rng = random.Random(f"xs:{seed}")
