@@ -771,5 +771,5 @@ def exact_balanced_clique_packing(g: MultipartiteGraph, p: int,
         if n_cliques % n_indices:
             return SearchResult(None, True, 0)
         quota = n_cliques // n_indices
-    packing, nodes, completed = exact_cover(g, g._adj, p, budget, quota)
+    packing, nodes, completed = exact_cover(g, p, budget, quota)
     return SearchResult(packing, completed, nodes)

@@ -5,11 +5,9 @@ the extremal construction, canonical forms, seeded boundary harnesses.
 packings with it, and the solver's balanced row packings
 (`matching.exact_balanced_clique_packing`) run through it too.  The oracle's
 independence therefore comes from `CliquePacking.verify`, whose plain loops
-re-check every packing the search returns, not from separate search code;
-`brute_force_packing` still rebuilds its bitmask adjacency from the graph's
-edge list, so it reads no adjacency state the solver built.  The extremal
-construction is recognised in O(V^2) from its twin classes, and every
-positive answer is an explicit vertex map checked edge by edge;
+re-check every packing the search returns, not from separate search code.
+The extremal construction is recognised in O(V^2) from its twin classes, and
+every positive answer is an explicit vertex map checked edge by edge;
 `canonical_form` is an independent, exponential library function that `solve`
 never calls.
 """
@@ -54,11 +52,11 @@ class _TallyMemo(set):
         super().add((uncovered, self.tally()))
 
 
-def exact_cover(g: MultipartiteGraph, adj: list[int], k: int,
-                budget: int | None = None, quota: int | None = None
+def exact_cover(g: MultipartiteGraph, k: int, budget: int | None = None,
+                quota: int | None = None
                 ) -> tuple[CliquePacking | None, int, bool]:
-    """The package's one exact-cover search: a perfect k-clique packing of g
-    over the bitmask adjacency `adj`, as (packing or None, nodes, completed).
+    """The package's one exact-cover search: a perfect k-clique packing of g,
+    as (packing or None, nodes, completed).
 
     Backtracking over k-cliques, always extending the least uncovered vertex
     and trying its cliques in ascending id order, with three sound prunes: k
@@ -71,6 +69,7 @@ def exact_cover(g: MultipartiteGraph, adj: list[int], k: int,
     in this order.  completed=False marks a stop after `budget` nodes; a
     packing is returned only after `CliquePacking.verify` passes."""
     total = g.n_vertices
+    adj = g._adj
     class_masks = [g.class_mask(c) for c in range(g.r)]
     nodes = 0
     chosen: list[tuple[Vertex, ...]] = []
@@ -177,12 +176,7 @@ def brute_force_packing(g: MultipartiteGraph, k: int,
     total = g.n_vertices
     if total % k:
         raise ValueError(f"k={k} does not divide the vertex count {total}")
-    adj = [0] * total
-    for u, v in g.edges():
-        fu, fv = g.flat(u), g.flat(v)
-        adj[fu] |= 1 << fv
-        adj[fv] |= 1 << fu
-    packing, nodes, completed = exact_cover(g, adj, k, budget)
+    packing, nodes, completed = exact_cover(g, k, budget)
     return OracleVerdict(packing is not None, packing, nodes, completed)
 
 

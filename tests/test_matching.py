@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+import search_reference
 from partite_packing.graphs import (CliquePacking, MultipartiteGraph,
                                     build_gamma, complete_multipartite)
 from partite_packing.matching import (Configuration, ConfigurationShortfall,
@@ -402,10 +403,14 @@ def test_exact_search_agrees_with_oracle():
         size = p * n if (p * n * r) % p == 0 else p
         base = complete_multipartite([size] * r)
         g = base.without_edges([e for e in base.edges() if rng.random() < 0.35])
-        res = exact_balanced_clique_packing(g, p, False)
+        # the stand-alone search, not the entry point that shares the
+        # oracle's kernel, so the two verdicts come from separate code
+        res = search_reference.exact_balanced_clique_packing(g, p, False)
         oracle = brute_force_packing(g, p)
         assert res.completed and oracle.completed
         assert (res.packing is not None) == oracle.exists
+        # same branching order, so the same first packing
+        assert res.packing == oracle.witness
 
 
 def test_realize_recount_exhaustive_to_24():
