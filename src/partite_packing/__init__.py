@@ -8,10 +8,9 @@ exhaustive oracle for desk-scale ground truth.
 
 from .graphs import (CliquePacking, GammaGraph, MultipartiteGraph,
                      PartitionLabeling, Vertex, blow_up, build_gamma,
-                     class_labeling, clique_complex_edges, complete_multipartite,
-                     density, graph_from_json, graph_to_json, index_set,
-                     index_vector, packing_from_json, packing_to_json,
-                     partite_min_degree)
+                     clique_complex_edges, complete_multipartite, density,
+                     graph_from_json, graph_to_json, index_set, index_vector,
+                     packing_from_json, packing_to_json, partite_min_degree)
 from .structure import (IntegerLattice, IterationResult, PairCompleteWitness,
                         RowDecomposition, SplitWitness, diagnose_barriers,
                         divisibility_barrier_graph, is_complete_wrt,
@@ -20,16 +19,12 @@ from .structure import (IntegerLattice, IterationResult, PairCompleteWitness,
                         robust_edge_lattice, space_barrier_graph,
                         trivial_decomposition, verify_pair_complete_witness,
                         verify_split_witness)
-from .matching import (BalanceError, Configuration, ConfigurationShortfall,
-                       DegreeObstruction, ObstructionError, ParityObstruction,
+from .matching import (DegreeObstruction, ObstructionError, ParityObstruction,
                        Rectangle, SearchResult, SizingObstruction,
                        SupplyObstruction, bipartite_maximum_matching,
-                       bipartite_regularity, configuration_patterns,
-                       even_path_between_copartners,
-                       exact_balanced_clique_packing, find_configurations,
-                       find_transversal, flip_balance, is_multigraphic,
-                       pair_complete_balanced_matching, realize_multigraph,
-                       regular_bipartite_perfect_matching)
+                       exact_balanced_clique_packing, find_transversal,
+                       is_multigraphic, pair_complete_balanced_matching,
+                       realize_multigraph, regular_bipartite_perfect_matching)
 from .oracle import (CanonicalFormBudgetExceeded, OracleVerdict,
                      brute_force_packing, canonical_form,
                      is_isomorphic_to_gamma, random_min_degree_graph,

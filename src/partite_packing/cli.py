@@ -89,12 +89,12 @@ def cmd_detect(args) -> int:
         print("error: classes must have equal size", file=sys.stderr)
         return 1
     size = g.class_sizes[0]
-    p = args.p if args.p is not None else None
+    p = args.p
     if p is None:
         p = 2 if size % 2 == 0 else 1
-    if size % p:
-        print(f"error: weight {p} does not divide the class size {size}",
-              file=sys.stderr)
+    if p < 1 or size % p:
+        print(f"error: weight {p} is not a positive divisor of the class "
+              f"size {size}", file=sys.stderr)
         return 1
     report = diagnose_barriers(g, p, d=args.threshold_d,
                                beta=args.threshold_beta, mode=args.mode,
@@ -141,8 +141,12 @@ def cmd_harness(args) -> int:
         sample = ("exhaustive",)
     else:
         sample = ("random", args.sample, args.seed)
-    report = verify_theorem_boundary(args.r, args.k, args.n, sample,
-                                     budget=args.budget)
+    try:
+        report = verify_theorem_boundary(args.r, args.k, args.n, sample,
+                                         budget=args.budget)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     _write_atomic(args.output, json.dumps(report, sort_keys=True))
     return 0
 

@@ -249,12 +249,6 @@ class PartitionLabeling:
         return True
 
 
-def class_labeling(g: MultipartiteGraph) -> PartitionLabeling:
-    """The trivial labeling whose parts are the vertex classes themselves."""
-    return PartitionLabeling(g.r, tuple(tuple(c for _ in range(s))
-                                        for c, s in enumerate(g.class_sizes)))
-
-
 def index_vector(s: Iterable[Vertex], labeling: PartitionLabeling) -> tuple[int, ...]:
     """Per-part intersection counts of the vertex set s."""
     vec = [0] * labeling.d
@@ -339,10 +333,6 @@ class GammaGraph:
     r: int
     k: int
     parity_blocked: bool
-
-    def subpart(self, v: Vertex) -> int:
-        """1-based subpart superscript of a vertex."""
-        return v[1] // (self.n // self.k) + 1
 
 
 def build_gamma(n: int, r: int, k: int) -> GammaGraph:

@@ -1,12 +1,12 @@
 """Constructive matching subroutines: degree-sequence realization, rectangle
-transversals, bipartite matchings, even-path search, the balanced matching
-builder for two-half rows, the configuration-flip balancer, and the balanced
-clique-packing entry point into the oracle's exact-cover search.
+transversals, bipartite matchings, the balanced matching builder for
+two-half rows, and the balanced clique-packing entry point into the oracle's
+exact-cover search.  The last two are the only ways `solve` balances a row.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .graphs import (CliquePacking, MultipartiteGraph, Vertex, index_set)
+from .graphs import CliquePacking, MultipartiteGraph, Vertex
 from .oracle import exact_cover
 
 
@@ -35,17 +35,6 @@ class DegreeObstruction(ObstructionError):
 
 
 class SupplyObstruction(ObstructionError):
-    pass
-
-
-class ConfigurationShortfall(ObstructionError):
-    def __init__(self, s_set, t, needed, available):
-        self.s_set, self.t, self.needed, self.available = s_set, t, needed, available
-        super().__init__(f"need {needed} unflipped configurations for "
-                         f"(S={sorted(s_set)}, T={t}), only {available} available")
-
-
-class BalanceError(ObstructionError):
     pass
 
 
@@ -210,88 +199,16 @@ def bipartite_maximum_matching(n_left: int, n_right: int,
     return sorted((u, v) for v, u in match_r.items())
 
 
-def bipartite_regularity(n_left: int, n_right: int,
-                         adj: Sequence[Iterable[int]]) -> int | None:
-    """The common degree when the sides have equal size and every vertex on
-    both sides has the same degree >= 1; None otherwise.  A library function
-    that `solve` never calls."""
-    if n_left != n_right:
-        return None
-    degrees_l = [len(set(a)) for a in adj]
-    if not degrees_l or min(degrees_l) < 1 or len(set(degrees_l)) != 1:
-        return None
-    deg_r = Counter()
-    for a in adj:
-        for v in set(a):
-            if not (0 <= v < n_right):
-                raise ValueError(f"right vertex {v} out of range")
-            deg_r[v] += 1
-    if len(deg_r) != n_right or set(deg_r.values()) != {degrees_l[0]}:
-        return None
-    return degrees_l[0]
-
-
 def regular_bipartite_perfect_matching(n_left: int, n_right: int,
                                        adj: Sequence[Iterable[int]]):
-    """Perfect matching by augmenting paths.  For regular inputs (see
-    bipartite_regularity) existence is guaranteed; general inputs are still
-    searched, with None meaning no perfect matching exists."""
+    """Perfect matching by augmenting paths.  For regular bipartite inputs
+    (equal sides, every vertex of the same degree >= 1) existence is
+    guaranteed; general inputs are still searched, with None meaning no
+    perfect matching exists."""
     matching = bipartite_maximum_matching(n_left, n_right, adj)
     if len(matching) != n_left or n_left != n_right:
         return None
     return matching
-
-
-# -- even paths between co-partnered vertices -------------------------------------
-
-
-def even_path_between_copartners(g: MultipartiteGraph):
-    """A class {x, y} together with an even-length path from x to y, found by
-    breadth-first search on parity-augmented vertices; None when no class
-    admits one.  The returned walk visits each (vertex, parity) state at most
-    once and is re-verified for adjacency and evenness.  A library function
-    that `solve` never calls."""
-    if any(s != 2 for s in g.class_sizes):
-        raise ValueError("every class must have exactly two vertices")
-    for j in range(g.r):
-        x, y = (j, 0), (j, 1)
-        fx, fy = g.flat(x), g.flat(y)
-        start = (fx, 0)
-        target = (fy, 0)
-        parents: dict[tuple[int, int], tuple[int, int] | None] = {start: None}
-        queue = deque([start])
-        found = None
-        while queue:
-            state = queue.popleft()
-            if state == target and parents[state] is not None:
-                found = state
-                break
-            fid, parity = state
-            rest = g._adj[fid]
-            while rest:
-                low = rest & -rest
-                nxt = (low.bit_length() - 1, parity ^ 1)
-                rest ^= low
-                if nxt not in parents:
-                    parents[nxt] = state
-                    queue.append(nxt)
-        if found is None:
-            continue
-        path_flat = []
-        state = found
-        while state is not None:
-            path_flat.append(state[0])
-            state = parents[state]
-        path_flat.reverse()
-        path = [g.vertex(f) for f in path_flat]
-        length = len(path) - 1
-        if length % 2 or path[0] != x or path[-1] != y:
-            raise AssertionError("even-path search returned a bad walk")
-        for u, v in zip(path, path[1:]):
-            if not g.has_edge(u, v):
-                raise AssertionError("even-path search returned a non-walk")
-        return j, path
-    return None
 
 
 # -- balanced perfect matchings in two-half rows -----------------------------------
@@ -463,279 +380,6 @@ def _chunked_index_matchings(g: MultipartiteGraph, rest: list[list[int]],
         f"residue of side {side_name} admits no per-index perfect matchings "
         "under any chunk rotation, and the exact balanced residue search "
         f"{'proved none exists' if res.completed else 'ran out of budget'}")
-
-
-# -- configurations and the flip balancer ----------------------------------------
-
-
-@dataclass
-class Configuration:
-    """Two disjoint (p-1)-cliques plus two apex vertices, flippable between
-    two disjoint-pair states with different index sets.
-
-    Pattern (s_set, t) with t = (a, a', b, b'): k1 has index s_set|{b}, k2 has
-    index s_set|{b'}, v is in class a, v_prime in class a'.  Fake
-    configurations (p=2 padding) only guarantee the unflipped pair of edges
-    and must never be flipped.
-    """
-
-    s_set: frozenset
-    t: tuple[int, int, int, int]
-    k1: tuple[Vertex, ...]
-    k2: tuple[Vertex, ...]
-    v: Vertex
-    v_prime: Vertex
-    fake: bool = False
-    state: str = "unflipped"
-
-    def vertices(self) -> tuple[Vertex, ...]:
-        return self.k1 + self.k2 + (self.v, self.v_prime)
-
-    def unflipped_pair(self):
-        return (tuple(sorted(self.k1 + (self.v,))),
-                tuple(sorted(self.k2 + (self.v_prime,))))
-
-    def flipped_pair(self):
-        return (tuple(sorted(self.k1 + (self.v_prime,))),
-                tuple(sorted(self.k2 + (self.v,))))
-
-    def validate(self, g: MultipartiteGraph) -> bool:
-        a, a2, b, b2 = self.t
-        if self.v[0] != a or self.v_prime[0] != a2:
-            return False
-        if index_set(self.k1) != self.s_set | {b}:
-            return False
-        if index_set(self.k2) != self.s_set | {b2}:
-            return False
-        if self.fake:
-            for clique in self.unflipped_pair():
-                for x, y in combinations(clique, 2):
-                    if not g.has_edge(x, y):
-                        return False
-            return True
-        for clique in (self.k1, self.k2):
-            for x, y in combinations(clique, 2):
-                if not g.has_edge(x, y):
-                    return False
-        for apex in (self.v, self.v_prime):
-            for u in self.k1 + self.k2:
-                if not g.has_edge(apex, u):
-                    return False
-        return True
-
-
-def configuration_patterns(r: int, p: int):
-    """All (s_set, t) patterns: s_set of size p-2 and an ordered quadruple of
-    distinct classes outside it."""
-    out = []
-    for s_set in combinations(range(r), p - 2):
-        remaining = [c for c in range(r) if c not in s_set]
-        for quad in combinations(remaining, 4):
-            for a in quad:
-                for a2 in quad:
-                    if a2 == a:
-                        continue
-                    rest = [c for c in quad if c not in (a, a2)]
-                    for b in rest:
-                        b2 = next(c for c in rest if c != b)
-                        out.append((frozenset(s_set), (a, a2, b, b2)))
-    return out
-
-
-def find_configurations(g: MultipartiteGraph, p: int,
-                        patterns: Iterable[tuple[frozenset, tuple]],
-                        per_pattern: int,
-                        forbidden: Iterable[Vertex] = ()) -> list[Configuration]:
-    """Greedy vertex-disjoint configuration pool: scan apex pairs in
-    ascending order, build the two cliques inside their common neighborhood.
-    For p = 2, patterns whose apex class a is not class 0 get fake
-    configurations (two disjoint edges) instead of flippable ones.  A library
-    function that `solve` never calls."""
-    used: set[Vertex] = set(forbidden)
-    pool: list[Configuration] = []
-    for s_set, t in patterns:
-        a, a2, b, b2 = t
-        fake = (p == 2 and a != 0)
-        found = 0
-        for ov in range(g.class_sizes[a]):
-            if found >= per_pattern:
-                break
-            v = (a, ov)
-            if v in used:
-                continue
-            for ov2 in range(g.class_sizes[a2]):
-                if found >= per_pattern:
-                    break
-                v2 = (a2, ov2)
-                if v2 in used:
-                    continue
-                if fake:
-                    k1 = _grow_partite_clique(g, [b], g.adj_mask(v), used)
-                    if k1 is None:
-                        continue
-                    k2 = _grow_partite_clique(g, [b2], g.adj_mask(v2),
-                                              used | set(k1))
-                    if k2 is None:
-                        continue
-                else:
-                    common = g.adj_mask(v) & g.adj_mask(v2)
-                    k1_classes = sorted(s_set | {b})
-                    k2_classes = sorted(s_set | {b2})
-                    k1 = _grow_partite_clique(g, k1_classes, common, used)
-                    if k1 is None:
-                        continue
-                    k2 = _grow_partite_clique(g, k2_classes, common,
-                                              used | set(k1))
-                    if k2 is None:
-                        continue
-                cfg = Configuration(s_set, t, tuple(k1), tuple(k2), v, v2, fake)
-                if not cfg.validate(g):
-                    continue
-                used.update(cfg.vertices())
-                pool.append(cfg)
-                found += 1
-                break  # apex v is consumed
-    return pool
-
-
-def _grow_partite_clique(g: MultipartiteGraph, classes: Sequence[int],
-                         inside_mask: int, used: set[Vertex]):
-    """Least-id clique with one vertex per listed class, drawn from
-    inside_mask, avoiding used vertices."""
-    used_mask = 0
-    for v in used:
-        used_mask |= 1 << g.flat(v)
-
-    def grow(idx, common, acc):
-        if idx == len(classes):
-            return acc
-        c = classes[idx]
-        rest = common & g.class_mask(c) & ~used_mask
-        while rest:
-            low = rest & -rest
-            fid = low.bit_length() - 1
-            got = grow(idx + 1, common & g._adj[fid], acc + [g.vertex(fid)])
-            if got is not None:
-                return got
-            rest ^= low
-        return None
-
-    return grow(0, inside_mask, [])
-
-
-def _index_order(r: int, p: int):
-    """Linear order on p-subsets of range(r): replacing an element by a
-    smaller one moves a set strictly later, and the closed family used for
-    final bookkeeping forms a terminal segment."""
-    terminal = {frozenset(range(p - 1)) | {i} for i in range(p + 1, r)}
-    terminal |= {frozenset(range(p + 1)) - {i} for i in range(p + 1)}
-
-    def key(a: frozenset):
-        return tuple(sorted(a, reverse=True))
-
-    others = sorted((a for a in map(frozenset, combinations(range(r), p))
-                     if a not in terminal), key=key, reverse=True)
-    last = sorted(terminal, key=key, reverse=True)
-    return others, last
-
-
-def _flip_quadruple(a_set: frozenset, r: int, p: int):
-    """x, y in the index set and x', y' outside with x' < x and y' < y, all
-    distinct; for p = 2 the class x' must be 0."""
-    comp = sorted(set(range(r)) - a_set)
-    members = sorted(a_set)
-    for x_p in comp:
-        if p == 2 and x_p != 0:
-            break
-        for x in members:
-            if x <= x_p:
-                continue
-            for y_p in comp:
-                if y_p == x_p:
-                    continue
-                for y in members:
-                    if y == x or y <= y_p:
-                        continue
-                    return x_p, x, y_p, y
-    return None
-
-
-def flip_balance(m: CliquePacking, pool: Sequence[Configuration],
-                 r: int, p: int) -> CliquePacking:
-    """Turn a near-balanced perfect packing into an exactly balanced one by
-    flipping configurations whose unflipped cliques lie in the packing.
-
-    Index sets are processed in an order under which every index affected by
-    a flip, other than the one being fixed, comes strictly later; the final
-    family is then forced to the common count by the covering identity.  For
-    p in {r, r-1} any perfect packing is already balanced and the call is a
-    validity check performing zero flips.  A library function that `solve`
-    never calls: rows are balanced by `exact_balanced_clique_packing` or
-    `pair_complete_balanced_matching`.
-    """
-    n_indices = len(list(combinations(range(r), p)))
-    total = len(m.cliques)
-    if total % n_indices:
-        raise BalanceError(f"{total} cliques cannot split evenly over "
-                           f"{n_indices} index sets")
-    target = total // n_indices
-    counts = Counter(m.index_counts)
-
-    if p in (r, r - 1):
-        if any(counts[frozenset(a)] != target
-               for a in combinations(range(r), p)):
-            raise BalanceError("a perfect packing must already be balanced "
-                               "when p is r or r-1")
-        return CliquePacking(list(m.cliques))
-
-    cliques = {tuple(sorted(c)): True for c in m.cliques}
-    by_pattern: dict[tuple, list[Configuration]] = {}
-    for cfg in pool:
-        by_pattern.setdefault((cfg.s_set, cfg.t), []).append(cfg)
-
-    others, last = _index_order(r, p)
-    for a_set in others:
-        delta = counts[a_set] - target
-        if delta == 0:
-            continue
-        quad = _flip_quadruple(a_set, r, p)
-        if quad is None:
-            raise BalanceError(f"no flip quadruple for index {sorted(a_set)}")
-        x_p, x, y_p, y = quad
-        s_set = a_set - {x, y}
-        if delta > 0:
-            t = (x_p, x, y_p, y)
-        else:
-            t = (x_p, x, y, y_p)
-        need = abs(delta)
-        avail = [cfg for cfg in by_pattern.get((s_set, t), [])
-                 if cfg.state == "unflipped" and not cfg.fake
-                 and all(cl in cliques for cl in cfg.unflipped_pair())]
-        if len(avail) < need:
-            raise ConfigurationShortfall(s_set, t, need, len(avail))
-        for cfg in avail[:need]:
-            assert not cfg.fake, "fake configurations must never be flipped"
-            old1, old2 = cfg.unflipped_pair()
-            new1, new2 = cfg.flipped_pair()
-            del cliques[old1]
-            del cliques[old2]
-            cliques[new1] = True
-            cliques[new2] = True
-            for cl in (old1, old2):
-                counts[index_set(cl)] -= 1
-            for cl in (new1, new2):
-                counts[index_set(cl)] += 1
-            cfg.state = "flipped"
-        if counts[a_set] != target:
-            raise AssertionError("flip step failed to reach the target count")
-
-    result = CliquePacking(sorted(cliques))
-    for a in combinations(range(r), p):
-        if result.index_counts[frozenset(a)] != target:
-            raise AssertionError(
-                f"index {a} missed the common count after all flips; the "
-                "input violated the covering identity")
-    return result
 
 
 # -- exact balanced clique packing search ------------------------------------------

@@ -398,8 +398,13 @@ def verify_theorem_boundary(r: int, k: int, n: int, sample,
     clause explains it.  Instances it does not explain are expected and
     legitimate at small scale; they are logged, never hidden.
 
-    sample: ("exhaustive",) or ("random", count, seed).
+    sample: ("exhaustive",) or ("random", count, seed).  Raises ValueError
+    unless 1 <= k <= r and k divides r*n.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
+    if k > r:
+        raise ValueError("clique size cannot exceed the class count")
     report = {
         "r": r, "k": k, "n": n,
         "instances": 0, "with_packing": 0, "without_packing": 0,

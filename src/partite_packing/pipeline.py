@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import ceil, factorial
+from math import ceil, comb, factorial, gcd
 from typing import Iterable, Sequence
 
 from .graphs import (CliquePacking, MultipartiteGraph, Vertex, index_set,
@@ -693,19 +693,16 @@ def is_ij_distributed(asg: BlockAssignment, clique: Sequence[Vertex],
 
 
 def _row_edge_matching(g: MultipartiteGraph, asg: BlockAssignment, i: int,
-                       size: int, forbidden: set[Vertex], relaxed: bool):
+                       size: int, forbidden: set[Vertex]):
     """Matching of the given size inside row i, every edge holding at least
     one good vertex; grown greedily with one exchange step when stuck."""
     edges: list[tuple[Vertex, Vertex]] = []
     used: set[Vertex] = set(forbidden)
 
-    def good(v):
-        return relaxed or v not in asg.bad
-
     def grow_one() -> bool:
         for j1 in range(asg.r):
             for u in sorted(asg.w[i][j1]):
-                if u in used or not good(u):
+                if u in used or u in asg.bad:
                     continue
                 for j2 in range(asg.r):
                     if j2 == j1:
@@ -719,13 +716,13 @@ def _row_edge_matching(g: MultipartiteGraph, asg: BlockAssignment, i: int,
         # exchange: free good u, v whose neighbors are all matched
         for j1 in range(asg.r):
             for u in sorted(asg.w[i][j1]):
-                if u in used or not good(u):
+                if u in used or u in asg.bad:
                     continue
                 for j2 in range(asg.r):
                     if j2 == j1:
                         continue
                     for v in sorted(asg.w[i][j2]):
-                        if v in used or not good(v):
+                        if v in used or v in asg.bad:
                             continue
                         for idx, (w1, w2) in enumerate(edges):
                             for a, b in ((w1, w2), (w2, w1)):
@@ -754,7 +751,7 @@ def _covered_s_parity(asg: BlockAssignment, ledger: DeletionLedger,
 
 def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
                  ledger: DeletionLedger, total_target: int,
-                 extremal: bool, relaxed: bool = False) -> None:
+                 extremal: bool) -> None:
     """Delete cliques so every row's remainder is proportional to its weight;
     under the extremal row structure also leave the heavy row's half with
     even size."""
@@ -774,8 +771,7 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
     reserved: set[Vertex] = set()
     for i in sorted(set(seq_plus)):
         if asg.weights[i] == 1:
-            m = _row_edge_matching(g, asg, i, a_i[i], ledger.covered | reserved,
-                                   relaxed)
+            m = _row_edge_matching(g, asg, i, a_i[i], ledger.covered | reserved)
             if m is None:
                 raise StageFailure("rows", f"no usable matching of size {a_i[i]} "
                                            f"in row {i}")
@@ -793,11 +789,10 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
         if asg.weights[i_from] == 1:
             e = take_edge(i_from)
             got = building_block(g, asg, "through_edge", rows=(i_from, i_to),
-                                 edge=e, parity=parity, forbidden=forb - set(e),
-                                 relaxed=relaxed)
+                                 edge=e, parity=parity, forbidden=forb - set(e))
         else:
             got = building_block(g, asg, "ij", rows=(i_from, i_to),
-                                 parity=parity, forbidden=forb, relaxed=relaxed)
+                                 parity=parity, forbidden=forb)
         if got is None:
             raise StageFailure("rows", f"no {i_from}->{i_to} distributed clique")
         ledger.add(got, "rows", f"dist:{i_from}->{i_to}")
@@ -821,14 +816,13 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
                 need = _covered_s_parity(asg, ledger, i_star)
                 forb = ledger.covered | reserved
                 got = building_block(g, asg, "ij", rows=(i_star, i_to),
-                                     parity=3 if need else 0, forbidden=forb,
-                                     relaxed=relaxed)
+                                     parity=3 if need else 0, forbidden=forb)
                 if got is None:
                     raise StageFailure("rows", "no parity-correcting clique "
                                                f"{i_star}->{i_to}")
                 ledger.add(got, "rows", f"dist:{i_star}->{i_to}")
     elif extremal and _covered_s_parity(asg, ledger, i_star) == 1:
-        _extremal_zero_excess_fix(g, asg, ledger, i_star, relaxed)
+        _extremal_zero_excess_fix(g, asg, ledger, i_star)
 
     m1 = len(ledger.entries)
     for i in range(s):
@@ -841,10 +835,10 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
         raise RecountFailure("rows", "heavy-row half parity still odd")
 
 
-def _extremal_zero_excess_fix(g, asg, ledger, i_star, relaxed):
+def _extremal_zero_excess_fix(g, asg, ledger, i_star):
     """Zero row excess but odd half size: trade one clique in and one out of
     the heavy row, or use one clique free of the half-parity demand."""
-    for attempt_relaxed in ([False, True] if not relaxed else [True]):
+    for attempt_relaxed in (False, True):
         for i in range(asg.s):
             if i == i_star:
                 continue
@@ -905,8 +899,7 @@ def _extremal_zero_excess_fix(g, asg, ledger, i_star, relaxed):
 
 
 def prepare_multirow(g: MultipartiteGraph, asg: BlockAssignment,
-                     ledger: DeletionLedger, total_target: int,
-                     eta_count: int) -> None:
+                     ledger: DeletionLedger, total_target: int) -> None:
     heavy = [i for i in range(asg.s) if asg.weights[i] >= 2]
     if len(heavy) < 2:
         return
@@ -914,7 +907,7 @@ def prepare_multirow(g: MultipartiteGraph, asg: BlockAssignment,
         for j in heavy:
             if i == j:
                 continue
-            for _ in range(eta_count):
+            for _ in range(ETA_COUNT):
                 got = building_block(g, asg, "ij", rows=(i, j),
                                      forbidden=ledger.covered)
                 if got is None:
@@ -938,8 +931,7 @@ def prepare_multirow(g: MultipartiteGraph, asg: BlockAssignment,
 
 
 def cover_and_divisibility(g: MultipartiteGraph, asg: BlockAssignment,
-                           ledger: DeletionLedger, total_target: int,
-                           relaxed: bool = False) -> None:
+                           ledger: DeletionLedger, total_target: int) -> None:
     r = asg.r
     modulus = r * factorial(r)
     m12 = len(ledger.entries)
@@ -948,7 +940,7 @@ def cover_and_divisibility(g: MultipartiteGraph, asg: BlockAssignment,
         if v in ledger.covered:
             continue
         got = building_block(g, asg, "through_vertex", vertex=v,
-                             forbidden=ledger.covered, relaxed=relaxed)
+                             forbidden=ledger.covered)
         if got is None:
             raise StageFailure("cover", f"bad vertex {v} cannot be covered")
         if not is_properly_distributed(asg, got):
@@ -964,8 +956,7 @@ def cover_and_divisibility(g: MultipartiteGraph, asg: BlockAssignment,
                            f"divisibility filler needs {c_target} cliques, "
                            f"only {total_target - m12} remain")
     while count < c_target:
-        got = building_block(g, asg, "proper", forbidden=ledger.covered,
-                             relaxed=relaxed)
+        got = building_block(g, asg, "proper", forbidden=ledger.covered)
         if got is None:
             raise StageFailure("cover", "proper filler clique unavailable")
         if not is_properly_distributed(asg, got):
@@ -983,8 +974,7 @@ def cover_and_divisibility(g: MultipartiteGraph, asg: BlockAssignment,
 
 
 def balance_columns(g: MultipartiteGraph, asg: BlockAssignment,
-                    ledger: DeletionLedger, total_target: int,
-                    relaxed: bool = False) -> None:
+                    ledger: DeletionLedger, total_target: int) -> None:
     """Equalize the number of deleted vertices per class with index swaps;
     the stage's clique count must stay divisible by r*k*r!."""
     r, k = asg.r, sum(asg.weights)
@@ -1010,9 +1000,9 @@ def balance_columns(g: MultipartiteGraph, asg: BlockAssignment,
         deficit = max(n_primary[a] - n_swapped[a]
                       for a in set(n_primary) | set(n_swapped))
         modulus = r * k * factorial(r)
-        step = modulus // _gcd(modulus, _comb(r, k))
+        step = modulus // gcd(modulus, comb(r, k))
         c_prime = step * ceil(deficit / step) if deficit > 0 else step
-        m4 = c_prime * _comb(r, k)
+        m4 = c_prime * comb(r, k)
         if m123 + m4 > total_target:
             raise StageFailure(
                 "columns", f"swap scheme needs {m4} cliques (deficit "
@@ -1023,7 +1013,7 @@ def balance_columns(g: MultipartiteGraph, asg: BlockAssignment,
             want = c_prime + n_swapped[a_set] - n_primary[a_set]
             for _ in range(want):
                 got = building_block(g, asg, "proper", columns=a_set,
-                                     forbidden=ledger.covered, relaxed=relaxed)
+                                     forbidden=ledger.covered)
                 if got is None:
                     raise StageFailure("columns",
                                        f"no proper clique on columns {sorted(a_set)}")
@@ -1033,19 +1023,6 @@ def balance_columns(g: MultipartiteGraph, asg: BlockAssignment,
     per_class = [sum(1 for v in ledger.covered if v[0] == j) for j in range(r)]
     if len(set(per_class)) > 1:
         raise RecountFailure("columns", f"classes still uneven: {per_class}")
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _comb(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # -- stage 5: balancing blocks --------------------------------------------------------
@@ -1087,8 +1064,7 @@ def decompose_deviations(q: list[list[int]]):
 
 
 def balance_blocks(g: MultipartiteGraph, asg: BlockAssignment,
-                   ledger: DeletionLedger, total_target: int,
-                   relaxed: bool = False):
+                   ledger: DeletionLedger, total_target: int):
     """Final filler stage: every surviving block must end at exactly
     weight * n_prime vertices with r! dividing n_prime.  Returns the final
     row decomposition together with its diagonal degree audit."""
@@ -1131,8 +1107,7 @@ def balance_blocks(g: MultipartiteGraph, asg: BlockAssignment,
                                        detail=q)
                 pattern[i] = tuple(sorted(chosen))
                 taken.update(chosen)
-            got = extend_clique(g, asg, [], pattern, forbidden=ledger.covered,
-                                relaxed=relaxed)
+            got = extend_clique(g, asg, [], pattern, forbidden=ledger.covered)
             if got is None:
                 raise StageFailure("blocks", "filler clique unavailable",
                                    detail=pattern)
@@ -1328,9 +1303,9 @@ def _surplus_row_route(g, asg, ledger, xprime, i, params):
     for c in res.packing.cliques:
         by_index.setdefault(index_set(c), []).append(tuple(sorted(c)))
     min_count = min((len(v) for v in by_index.values()), default=0)
-    if len(by_index) < _comb(r, 2):
+    if len(by_index) < comb(r, 2):
         min_count = 0
-    step = (r * factorial(r)) // _gcd(r * factorial(r), _comb(r, 2))
+    step = (r * factorial(r)) // gcd(r * factorial(r), comb(r, 2))
     t = (min_count // step) * step
     core: list[tuple] = []
     surplus: list[tuple] = []
@@ -1519,7 +1494,7 @@ def glue_rows(g: MultipartiteGraph, xprime: RowDecomposition,
         per_index: dict[frozenset, list] = {}
         for c in packing.cliques:
             per_index.setdefault(index_set(c), []).append(tuple(sorted(c)))
-        want = r * n_prime // _comb(r, weights[i])
+        want = r * n_prime // comb(r, weights[i])
         sig_by_index: dict[frozenset, list] = {}
         for sig in sigmas:
             image = frozenset(sig[x] for x in slots[i])
@@ -1743,8 +1718,7 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
     total_target = r * n_plus // k
 
     trimmed, _, _ = g.induced([range(k * n)] * r)
-    iteration = iterate_decomposition(trimmed, k, ladder(k), mode="auto",
-                                      seed=params.seed)
+    iteration = iterate_decomposition(trimmed, k, ladder(k), seed=params.seed)
     decomp = iteration.decomposition
     stages.append({"name": "decompose", "s": decomp.s,
                    "weights": list(decomp.weights),
@@ -1778,7 +1752,7 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
                    "recounts": {"rows_left": [len(asg.row_vertices(i)
                                                   - ledger.covered)
                                               for i in range(decomp.s)]}})
-    prepare_multirow(g, asg, ledger, total_target, ETA_COUNT)
+    prepare_multirow(g, asg, ledger, total_target)
     stages.append({"name": "prepare",
                    "deleted": len(ledger.stage_cliques("prepare"))})
     cover_and_divisibility(g, asg, ledger, total_target)

@@ -23,7 +23,11 @@ from typing import Iterable, Sequence
 from .graphs import (MultipartiteGraph, PartitionLabeling, Vertex,
                      clique_complex_edges, density, index_vector)
 
-EXACT_CLASS_CAP = 8
+EXACT_CLASS_CAP = 8           # exact detection up to this class size
+HEURISTIC_RESTARTS = 8        # seeded random starts per heuristic search
+HEURISTIC_MAX_STEPS = 60      # climbing steps per start
+SPACE_BUDGET = 200_000        # space-barrier candidates diagnose_barriers tries
+DIVISIBILITY_BUDGET = 20_000  # divisibility-barrier candidates, likewise
 
 
 # -- row decompositions -------------------------------------------------------
@@ -64,9 +68,6 @@ class RowDecomposition:
     @property
     def r(self) -> int:
         return len(self.rows[0])
-
-    def block(self, i: int, j: int) -> frozenset[int]:
-        return self.rows[i][j]
 
     def block_vertices(self, i: int, j: int) -> list[Vertex]:
         return [(j, o) for o in sorted(self.rows[i][j])]
@@ -156,8 +157,7 @@ def verify_split_witness(g: MultipartiteGraph, w: SplitWitness,
 
 
 def is_splittable(g: MultipartiteGraph, p: int, d: Fraction,
-                  mode: str = "exact", *, seed: int = 0, restarts: int = 8,
-                  max_steps: int = 60) -> SplitWitness | None:
+                  mode: str = "exact", *, seed: int = 0) -> SplitWitness | None:
     """Search for an equal-proportion split with all diagonal densities >= 1-d.
 
     In exact mode the search is complete backtracking over per-class subsets
@@ -176,7 +176,7 @@ def is_splittable(g: MultipartiteGraph, p: int, d: Fraction,
     if mode == "exact":
         witness = _split_exact(g, p, n, d)
     elif mode == "heuristic":
-        witness = _split_heuristic(g, p, n, d, seed, restarts, max_steps)
+        witness = _split_heuristic(g, p, n, d, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if witness is not None and not verify_split_witness(g, witness, d):
@@ -284,7 +284,7 @@ def _split_pivot_candidates(g, p, n):
             yield p_prime, sets
 
 
-def _split_heuristic(g, p, n, d, seed, restarts, max_steps):
+def _split_heuristic(g, p, n, d, seed):
     """Pivot candidates first, then seeded hill climbing from random splits.
 
     All sets have p_prime*n offsets, so every density of a split shares the
@@ -313,7 +313,7 @@ def _split_heuristic(g, p, n, d, seed, restarts, max_steps):
         others = [[b for b in range(r) if b != j] for j in range(r)]
         worst = min([full] + [e[a][b] for a, b in pairs])
         total = sum(e[a][b] for a, b in pairs)
-        for _ in range(max_steps):
+        for _ in range(HEURISTIC_MAX_STEPS):
             if feasible(worst, full):
                 break
             # per class j: the least entry outside row j and column j, and
@@ -361,7 +361,7 @@ def _split_heuristic(g, p, n, d, seed, restarts, max_steps):
 
     for p_prime in range(1, p):
         target = p_prime * n
-        for t in range(restarts):
+        for t in range(HEURISTIC_RESTARTS):
             rng = random.Random(f"split:{seed}:{p_prime}:{t}")
             sets = [sorted(rng.sample(range(size), target)) for _ in range(r)]
             sets, ok = climb(sets, rng, target)
@@ -405,8 +405,8 @@ def verify_pair_complete_witness(g: MultipartiteGraph, w: PairCompleteWitness,
 
 
 def is_pair_complete(g: MultipartiteGraph, d: Fraction,
-                     mode: str = "exact", *, seed: int = 0, restarts: int = 8,
-                     max_steps: int = 60) -> PairCompleteWitness | None:
+                     mode: str = "exact", *,
+                     seed: int = 0) -> PairCompleteWitness | None:
     """Search for halves with near-complete intra-half and near-empty
     cross-half densities.  Witnesses are re-verified before return."""
     sizes = set(g.class_sizes)
@@ -419,7 +419,7 @@ def is_pair_complete(g: MultipartiteGraph, d: Fraction,
     if mode == "exact":
         witness = _pc_exact(g, n, d)
     elif mode == "heuristic":
-        witness = _pc_heuristic(g, n, d, seed, restarts, max_steps)
+        witness = _pc_heuristic(g, n, d, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if witness is not None and not verify_pair_complete_witness(g, witness, d):
@@ -501,7 +501,7 @@ def _pc_pivot_candidates(g, n):
             yield halves
 
 
-def _pc_heuristic(g, n, d, seed, restarts, max_steps):
+def _pc_heuristic(g, n, d, seed):
     """Pivot candidates first, then seeded first-improvement climbing.
 
     Every density of a half pair has the denominator n*n, so the score
@@ -540,12 +540,12 @@ def _pc_heuristic(g, n, d, seed, restarts, max_steps):
             return PairCompleteWitness([tuple(h) for h in cand],
                                        Fraction(0), Fraction(0), Fraction(0))
 
-    for t in range(restarts):
+    for t in range(HEURISTIC_RESTARTS):
         rng = random.Random(f"pc:{seed}:{t}")
         halves = [sorted(rng.sample(range(size), n)) for _ in range(r)]
         s_masks, t_masks, ss, tt, st = table(halves)
         lo, hi = extremes(ss, tt, st)
-        for _ in range(max_steps):
+        for _ in range(HEURISTIC_MAX_STEPS):
             if feasible(lo, hi):
                 break
             improved = False
@@ -613,14 +613,15 @@ class IterationResult:
 
 
 def iterate_decomposition(g: MultipartiteGraph, k: int,
-                          thresholds: Sequence[Fraction],
-                          mode: str = "auto", *,
+                          thresholds: Sequence[Fraction], *,
                           seed: int = 0) -> IterationResult:
     """Refine the trivial one-row decomposition by splitting rows while any
     row is splittable at the threshold for the current row count.
 
-    Tie-breaking is deterministic: the lowest-index splittable row splits
-    first, using the lexicographically least witness the searcher finds.
+    A row with classes of at most EXACT_CLASS_CAP vertices is searched
+    exactly, a larger one heuristically.  Tie-breaking is deterministic: the
+    lowest-index splittable row splits first, using the lexicographically
+    least witness the searcher finds.
     """
     thresholds = [Fraction(t) for t in thresholds]
     if any(t2 <= t1 for t1, t2 in zip(thresholds, thresholds[1:])):
@@ -642,10 +643,8 @@ def iterate_decomposition(g: MultipartiteGraph, k: int,
                 continue
             selection = [sorted(rows[i][j]) for j in range(g.r)]
             sub, _, _ = g.induced(selection)
-            row_mode = mode
-            if mode == "auto":
-                row_mode = ("exact" if sub.class_sizes[0] <= EXACT_CLASS_CAP
-                            else "heuristic")
+            row_mode = ("exact" if sub.class_sizes[0] <= EXACT_CLASS_CAP
+                        else "heuristic")
             w = is_splittable(sub, weights[i], d_s, row_mode, seed=seed)
             if w is None:
                 continue
@@ -942,10 +941,7 @@ def _class_bipartitions(size: int, floor: int):
 def diagnose_barriers(g: MultipartiteGraph, p_weight: int, *,
                       d: Fraction, beta: Fraction = Fraction(0),
                       mode: str = "exact", mu_count: int = 1,
-                      floor: int | None = None,
-                      space_budget: int = 200_000,
-                      divisibility_budget: int = 20_000,
-                      seed: int = 0) -> dict:
+                      floor: int | None = None, seed: int = 0) -> dict:
     """Structured report of detected obstructions to a perfect clique packing.
 
     Space candidates are planted sets S (one slice per class) such that at
@@ -993,7 +989,7 @@ def diagnose_barriers(g: MultipartiteGraph, p_weight: int, *,
         target = j * n
         options = list(combinations(range(size), target))
         total = len(options) ** g.r
-        if total > space_budget:
+        if total > SPACE_BUDGET:
             report["space_exhaustive"] = False
             continue
         from itertools import product
@@ -1014,7 +1010,7 @@ def diagnose_barriers(g: MultipartiteGraph, p_weight: int, *,
     # divisibility barriers: per-class bipartitions with parts >= floor
     split_options = list(_class_bipartitions(size, floor))
     total = len(split_options) ** g.r
-    if total > divisibility_budget:
+    if total > DIVISIBILITY_BUDGET:
         report["divisibility_exhaustive"] = False
     else:
         from itertools import product

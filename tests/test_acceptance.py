@@ -4,20 +4,18 @@ PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`."""
 import json
 import random
 from fractions import Fraction
-from itertools import combinations, product
-from math import ceil, factorial
+from itertools import product
+from math import factorial
 
 import pytest
 
 from partite_packing.cli import main as cli_main
 from partite_packing.graphs import (CliquePacking, MultipartiteGraph,
                                     build_gamma, complete_multipartite,
-                                    graph_from_json, packing_from_json,
-                                    packing_to_json, partite_min_degree)
-from partite_packing.matching import (Configuration, ParityObstruction,
-                                      Rectangle, exact_balanced_clique_packing,
-                                      find_transversal, flip_balance,
-                                      is_multigraphic,
+                                    packing_from_json, packing_to_json,
+                                    partite_min_degree)
+from partite_packing.matching import (ParityObstruction, Rectangle,
+                                      find_transversal, is_multigraphic,
                                       pair_complete_balanced_matching,
                                       realize_multigraph)
 from partite_packing.oracle import (brute_force_packing,
@@ -289,89 +287,7 @@ def test_pair_complete_matching_50():
         assert verdict.completed and not verdict.exists
 
 
-# -- 7. configuration-flip balancer -----------------------------------------------------------
-
-
-def _synthetic_flip_instance(r, p, n_per_index, seed):
-    """Perfect near-balanced packing on a complete r-partite graph plus a
-    planted pool whose flips restore exact balance."""
-    rng = random.Random(f"flip:{seed}")
-    indices = [frozenset(c) for c in combinations(range(r), p)]
-    terminal = {frozenset(range(p - 1)) | {i} for i in range(p + 1, r)}
-    terminal |= {frozenset(range(p + 1)) - {i} for i in range(p + 1)}
-    non_terminal = [a for a in indices if a not in terminal]
-    want = {a: n_per_index for a in indices}
-
-    from partite_packing.matching import _flip_quadruple
-    planned = []
-    for _ in range(rng.randint(1, 2)):
-        a_set = rng.choice(non_terminal)
-        x_p, x, y_p, y = _flip_quadruple(a_set, r, p)
-        s_set = a_set - {x, y}
-        t = (x_p, x, y_p, y)
-        unflipped = (s_set | {x_p, y_p}, a_set)
-        flipped = (s_set | {x, y_p}, s_set | {x_p, y})
-        if any(want[f] <= 0 for f in flipped):
-            continue
-        for u in unflipped:
-            want[u] += 1
-        for f in flipped:
-            want[f] -= 1
-        planned.append((s_set, t))
-
-    per_class = {c: sum(v for a, v in want.items() if c in a)
-                 for c in range(r)}
-    size = max(per_class.values())
-    assert all(v == size for v in per_class.values())
-    g = complete_multipartite([size] * r)
-    cursor = {c: 0 for c in range(r)}
-
-    def take(c):
-        o = cursor[c]
-        cursor[c] += 1
-        return (c, o)
-
-    cliques = []
-    pool = []
-    contrib = {a: 0 for a in indices}
-    for s_set, t in planned:
-        a, a2, b, b2 = t
-        k1 = tuple(sorted(take(c) for c in sorted(s_set | {b})))
-        k2 = tuple(sorted(take(c) for c in sorted(s_set | {b2})))
-        cfg = Configuration(s_set, t, k1, k2, take(a), take(a2))
-        assert cfg.validate(g)
-        pool.append(cfg)
-        for cl in cfg.unflipped_pair():
-            cliques.append(cl)
-            contrib[frozenset(v[0] for v in cl)] += 1
-    for a in sorted(indices, key=sorted):
-        for _ in range(want[a] - contrib[a]):
-            cliques.append(tuple(sorted(take(c) for c in sorted(a))))
-    m = CliquePacking(cliques)
-    assert m.verify(g, perfect=True) == []
-    return g, m, pool, n_per_index
-
-
-@criterion("configuration-flip balancer")
-def test_flip_balancer_25():
-    for seed in range(25):
-        r, p = (4, 2) if seed % 2 == 0 else (5, 3)
-        g, m, pool, n_target = _synthetic_flip_instance(r, p, 3, seed)
-        out = flip_balance(m, pool, r, p)
-        assert out.verify(g, perfect=True) == []
-        assert set(out.index_counts.values()) == {n_target}
-        assert len(out.cliques) == len(m.cliques)
-
-    # widest cliques: verified balanced with zero flips
-    for r, p in [(3, 3), (4, 3)]:
-        g = complete_multipartite([p * 2] * r)
-        res = exact_balanced_clique_packing(g, p, False)
-        pool = []
-        out = flip_balance(res.packing, pool, r, p)
-        assert out.is_balanced()
-
-
-# -- 8. detector soundness and completeness -----------------------------------------------------
+# -- 7. detector soundness and completeness -----------------------------------------------------
 
 
 @criterion("detector soundness and completeness at small scale")
@@ -426,7 +342,7 @@ def test_detectors_200(tmp_path):
     assert not complete and pair is not None
 
 
-# -- 9. pipeline stage recounts -------------------------------------------------------------------
+# -- 8. pipeline stage recounts -------------------------------------------------------------------
 
 
 def _dense_pipeline_instance(seed):
@@ -485,7 +401,7 @@ def test_stage_recounts_100():
             assert len(asg.row_vertices(i) - ledger.covered) \
                 == decomp.weights[i] * (total_target - m1)
 
-        prepare_multirow(g, asg, ledger, total_target, 1)
+        prepare_multirow(g, asg, ledger, total_target)
         cover_and_divisibility(g, asg, ledger, total_target)
         assert all(v in ledger.covered for v in asg.bad)
         assert (total_target - len(ledger)) % (r * factorial(r)) == 0
@@ -505,7 +421,7 @@ def test_stage_recounts_100():
         assert ledger.verify() == []
 
 
-# -- 10. gluing -----------------------------------------------------------------------------------
+# -- 9. gluing ------------------------------------------------------------------------------------
 
 
 def _glue_instance(seed):

@@ -104,11 +104,13 @@ def test_detect_flags_generated_barriers(tmp_path):
     assert any(c["violating_cliques"] == 0 for c in doc2["space"])
 
 
-def test_detect_usage_error_on_bad_weight(tmp_path):
+def test_detect_usage_error_on_bad_weight(tmp_path, capsys):
     g_path = str(tmp_path / "g.json")
     run(["gen", "complete", "--n", "3", "--r", "3", "-o", g_path])
-    assert run(["detect", "--input", g_path, "--p", "2", "-o",
-                str(tmp_path / "rep.json")]) == 1
+    for p in ("2", "0", "-1"):
+        assert run(["detect", "--input", g_path, "--p", p, "-o",
+                    str(tmp_path / "rep.json")]) == 1, p
+        assert capsys.readouterr().err.startswith("error: "), p
 
 
 def test_harness_report_file(tmp_path):
@@ -125,6 +127,15 @@ def test_harness_report_file(tmp_path):
     assert doc2["instances"] == 25
     assert doc2["without_packing"] == (doc2["gamma_isomorphic"]
                                        + len(doc2["exceptions"]))
+
+
+def test_harness_usage_error_on_bad_clique_size(tmp_path, capsys):
+    out = str(tmp_path / "h.json")
+    # k > r, k < 1, and k not dividing r*n = 9
+    for r, k in (("2", "3"), ("2", "0"), ("3", "2")):
+        assert run(["harness", "--r", r, "--k", k, "--n", "3",
+                    "--sample", "2", "-o", out]) == 1, (r, k)
+        assert capsys.readouterr().err.startswith("error: "), (r, k)
 
 
 def test_blowup_command(tmp_path):

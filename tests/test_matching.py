@@ -1,24 +1,17 @@
-"""Degree-sequence realization, transversals, bipartite matchings, even
-paths, two-half balanced matchings, configuration flips, and the exact
-balanced packing search."""
+"""Degree-sequence realization, transversals, bipartite matchings, two-half
+balanced matchings, and the exact balanced packing search."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
 import search_reference
-from partite_packing.graphs import (CliquePacking, MultipartiteGraph,
-                                    build_gamma, complete_multipartite)
-from partite_packing.matching import (Configuration, ConfigurationShortfall,
-                                      BalanceError, ParityObstruction,
-                                      Rectangle, bipartite_regularity,
-                                      configuration_patterns,
-                                      even_path_between_copartners,
+from partite_packing.graphs import (MultipartiteGraph, build_gamma,
+                                    complete_multipartite)
+from partite_packing.matching import (ParityObstruction, Rectangle,
                                       exact_balanced_clique_packing,
-                                      find_configurations, find_transversal,
-                                      flip_balance, is_multigraphic,
+                                      find_transversal, is_multigraphic,
                                       pair_complete_balanced_matching,
                                       realize_multigraph,
                                       regular_bipartite_perfect_matching)
@@ -155,42 +148,10 @@ def test_regular_bipartite_examples():
     cycle6 = [[0, 1], [1, 2], [2, 0]]
     got = regular_bipartite_perfect_matching(3, 3, cycle6)
     assert got is not None and len(got) == 3
-    assert bipartite_regularity(3, 3, cycle6) == 2
-    assert bipartite_regularity(3, 3, [[0], [0], [0, 1, 2]]) is None
-    assert bipartite_regularity(2, 3, [[0], [1]]) is None
 
 
 def test_general_bipartite_absence():
     assert regular_bipartite_perfect_matching(2, 2, [[0], [0]]) is None
-
-
-# -- even paths -------------------------------------------------------------------------
-
-
-def test_even_path_four_cycle():
-    g = MultipartiteGraph([2, 2], [((0, 0), (1, 0)), ((1, 0), (0, 1)),
-                                   ((0, 1), (1, 1)), ((1, 1), (0, 0))])
-    got = even_path_between_copartners(g)
-    assert got is not None
-    j, path = got
-    assert path[0][0] == j and path[-1][0] == j and path[0] != path[-1]
-    assert len(path) % 2 == 1  # even number of edges
-    for u, v in zip(path, path[1:]):
-        assert g.has_edge(u, v)
-
-
-def test_even_path_absent_on_parallel_cycles():
-    r = 4
-    edges = []
-    for i in range(r):
-        edges.append(((i, 0), ((i + 1) % r, 0)))
-        edges.append(((i, 1), ((i + 1) % r, 1)))
-    g = MultipartiteGraph([2] * r, edges)
-    assert even_path_between_copartners(g) is None
-
-
-def test_even_path_single_class():
-    assert even_path_between_copartners(MultipartiteGraph([2])) is None
 
 
 # -- two-half balanced matchings -----------------------------------------------------------
@@ -233,109 +194,6 @@ def test_pair_complete_matching_with_deletions_and_excess():
     got = pair_complete_balanced_matching(g, halves, Fraction(1, 3))
     assert got.verify(g, perfect=True) == []
     assert got.is_balanced()
-
-
-# -- configurations and the flip balancer -----------------------------------------------------
-
-
-def _planted_flip_instance():
-    """Near-balanced perfect matching on a complete 4-partite graph with one
-    planted flippable configuration; counts are off by one in four indices."""
-    g = complete_multipartite([6, 6, 6, 6])
-    cfg = Configuration(frozenset(), (0, 1, 2, 3), ((2, 0),), ((3, 0),),
-                        (0, 0), (1, 0))
-    assert cfg.validate(g)
-    edges = list(cfg.unflipped_pair())
-    want = {frozenset({0, 2}): 3, frozenset({1, 3}): 3, frozenset({0, 3}): 1,
-            frozenset({1, 2}): 1, frozenset({0, 1}): 2, frozenset({2, 3}): 2}
-    used = {c: 1 for c in range(4)}
-    have = {frozenset({0, 2}): 1, frozenset({1, 3}): 1}
-    for idx in sorted(want, key=sorted):
-        a, b = sorted(idx)
-        while have.get(idx, 0) < want[idx]:
-            edges.append(((a, used[a]), (b, used[b])))
-            used[a] += 1
-            used[b] += 1
-            have[idx] = have.get(idx, 0) + 1
-    m = CliquePacking(edges)
-    assert m.verify(g, perfect=True) == []
-    return g, m, cfg
-
-
-def test_flip_balance_one_flip():
-    g, m, cfg = _planted_flip_instance()
-    out = flip_balance(m, [cfg], 4, 2)
-    assert out.is_balanced()
-    assert cfg.state == "flipped"
-    assert out.verify(g, perfect=True) == []
-    # only the flipped configuration's cliques changed
-    before = {tuple(sorted(c)) for c in m.cliques}
-    after = {tuple(sorted(c)) for c in out.cliques}
-    assert before - after == set(cfg.unflipped_pair())
-    assert after - before == set(cfg.flipped_pair())
-
-
-def test_flip_balance_already_balanced_no_flips():
-    g = complete_multipartite([6, 6, 6, 6])
-    res = exact_balanced_clique_packing(g, 2, True)
-    cfg = Configuration(frozenset(), (0, 1, 2, 3), ((2, 5),), ((3, 5),),
-                        (0, 5), (1, 5))
-    out = flip_balance(res.packing, [cfg], 4, 2)
-    assert out.is_balanced() and cfg.state == "unflipped"
-
-
-def test_flip_balance_trivial_for_widest_cliques():
-    for r, p in [(3, 3), (4, 3)]:
-        g = complete_multipartite([p * 2] * r)
-        res = exact_balanced_clique_packing(g, p, False)
-        out = flip_balance(res.packing, [], r, p)
-        assert out.is_balanced()
-
-
-def test_flip_balance_shortfall_reported():
-    g, m, cfg = _planted_flip_instance()
-    with pytest.raises(ConfigurationShortfall) as exc:
-        flip_balance(m, [], 4, 2)
-    assert exc.value.needed == 1
-
-
-def test_flip_balance_fake_configurations_never_flip():
-    g, m, cfg = _planted_flip_instance()
-    cfg.fake = True
-    with pytest.raises(ConfigurationShortfall):
-        flip_balance(m, [cfg], 4, 2)
-
-
-def test_flip_balance_rejects_unbalanceable_trivial_case():
-    g = complete_multipartite([4, 4, 4])
-    res = exact_balanced_clique_packing(g, 3, False)
-    skewed = CliquePacking(list(res.packing.cliques))
-    skewed.index_counts[frozenset({0, 1, 2})] += 0  # balanced: fine
-    out = flip_balance(skewed, [], 3, 3)
-    assert out.is_balanced()
-
-
-def test_find_configurations_greedy_pool():
-    g = complete_multipartite([8, 8, 8, 8])
-    patterns = [(frozenset(), (0, 1, 2, 3)), (frozenset(), (1, 0, 2, 3))]
-    pool = find_configurations(g, 2, patterns, per_pattern=2)
-    assert len(pool) == 4
-    genuine = [c for c in pool if not c.fake]
-    fakes = [c for c in pool if c.fake]
-    assert len(genuine) == 2 and len(fakes) == 2  # apex class 0 only
-    seen = set()
-    for cfg in pool:
-        assert cfg.validate(g)
-        for v in cfg.vertices():
-            assert v not in seen
-            seen.add(v)
-
-
-def test_configuration_patterns_shape():
-    pats = configuration_patterns(4, 2)
-    assert len(pats) == 24  # ordered apexes and ordered clique indices
-    pats3 = configuration_patterns(5, 3)
-    assert all(len(s) == 1 and len(set(t)) == 4 for s, t in pats3)
 
 
 # -- exact balanced packing search ----------------------------------------------------------
@@ -436,34 +294,6 @@ def test_realize_recount_exhaustive_to_24():
     assert n_realized > 500
 
 
-def test_find_configurations_with_core_classes():
-    # p = 3: both cliques share one core class and carry their own index class
-    g = complete_multipartite([6] * 5)
-    pattern = (frozenset({4}), (0, 1, 2, 3))
-    pool = find_configurations(g, 3, [pattern], per_pattern=2)
-    assert len(pool) == 2
-    for cfg in pool:
-        assert not cfg.fake
-        assert cfg.validate(g)
-        assert {v[0] for v in cfg.k1} == {2, 4}
-        assert {v[0] for v in cfg.k2} == {3, 4}
-        u1, u2 = cfg.unflipped_pair()
-        assert {v[0] for v in u1} == {0, 2, 4}
-        assert {v[0] for v in u2} == {1, 3, 4}
-
-
-def test_flip_balance_stress_many_flips():
-    import sys
-    sys.path.insert(0, "tests")
-    from test_acceptance import _synthetic_flip_instance
-    for seed in range(40):
-        r, p = (4, 2) if seed % 3 else (5, 3)
-        g, m, pool, n_target = _synthetic_flip_instance(r, p, 4, 1000 + seed)
-        out = flip_balance(m, pool, r, p)
-        assert out.verify(g, perfect=True) == []
-        assert set(out.index_counts.values()) == {n_target}
-
-
 def test_pair_complete_matching_four_classes():
     # r = 4 needs 3 | 2n; halves with mixed excesses over classes of size 12
     rng = random.Random(23)
@@ -485,33 +315,3 @@ def test_pair_complete_matching_four_classes():
     assert got.verify(g, perfect=True) == []
     assert got.is_balanced()
     assert len(got.index_counts) == 6
-
-
-def test_flip_index_order_properties():
-    # the processing order must push every smaller-element replacement
-    # strictly later, keep the closing family terminal, and admit a flip
-    # quadruple for every index processed
-    from partite_packing.matching import _flip_quadruple, _index_order
-    for r in range(4, 8):
-        for p in range(2, r - 1):
-            others, last = _index_order(r, p)
-            order = others + last
-            pos = {a: t for t, a in enumerate(order)}
-            assert len(order) == len(set(order))
-            assert len(last) == r
-            for a in order:
-                for x in a:
-                    for y in range(r):
-                        if y in a or y >= x:
-                            continue
-                        b = frozenset(a - {x} | {y})
-                        assert pos[b] > pos[a], (r, p, sorted(a), x, y)
-            for a in others:
-                quad = _flip_quadruple(a, r, p)
-                assert quad is not None, (r, p, sorted(a))
-                x_p, x, y_p, y = quad
-                assert x_p < x and y_p < y
-                assert x in a and y in a and x_p not in a and y_p not in a
-                assert len({x_p, x, y_p, y}) == 4
-                if p == 2:
-                    assert x_p == 0

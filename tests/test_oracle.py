@@ -131,3 +131,10 @@ def test_harness_small_random_sweep():
 def test_harness_vacuous_empty_classes():
     rep = verify_theorem_boundary(3, 3, 0, ("exhaustive",))
     assert rep["instances"] == 0 and "note" in rep
+
+
+def test_harness_rejects_bad_clique_size():
+    # k > r would log every sampled graph as an exception to the theorem
+    for r, k in ((2, 3), (2, 0), (2, -1), (3, 2)):
+        with pytest.raises(ValueError):
+            verify_theorem_boundary(r, k, 3, ("random", 2, 0))

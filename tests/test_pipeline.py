@@ -2,17 +2,16 @@
 per-row packings, gluing, and the solve orchestrator."""
 
 import random
-from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from partite_packing import pipeline
 from partite_packing.graphs import (CliquePacking, MultipartiteGraph,
                                     build_gamma, complete_multipartite)
 from partite_packing.matching import exact_balanced_clique_packing
 from partite_packing.oracle import brute_force_packing, random_min_degree_graph
-from partite_packing.pipeline import (BlockAssignment, DeletionLedger,
-                                      PipelineParams, RecountFailure,
+from partite_packing.pipeline import (DeletionLedger, PipelineParams,
                                       StageFailure, balance_blocks,
                                       balance_columns, balance_rows,
                                       building_block, classify_bad_vertices,
@@ -182,12 +181,12 @@ def test_building_block_pc_parity_controls():
 # -- stage unit tests ----------------------------------------------------------------------
 
 
-def run_stages(g, decomp, pc=None, extremal=False, eta=1):
+def run_stages(g, decomp, pc=None, extremal=False):
     asg = make_assignment(g, decomp, pc=pc)
     ledger = DeletionLedger(g)
     total_target = g.r * g.class_sizes[0] // sum(decomp.weights)
     balance_rows(g, asg, ledger, total_target, extremal)
-    prepare_multirow(g, asg, ledger, total_target, eta)
+    prepare_multirow(g, asg, ledger, total_target)
     cover_and_divisibility(g, asg, ledger, total_target)
     balance_columns(g, asg, ledger, total_target)
     xprime, audit = balance_blocks(g, asg, ledger, total_target)
@@ -649,7 +648,7 @@ def test_extremal_zero_excess_fix_via_unit_row_edge():
     assert (s_total - covered_s) % 2 == 0
 
 
-def test_prepare_multirow_two_heavy_rows_and_shortfall():
+def test_prepare_multirow_two_heavy_rows_and_shortfall(monkeypatch):
     r, n = 5, 3
     size = 4 * n
     g = complete_multipartite([size] * r)
@@ -659,7 +658,8 @@ def test_prepare_multirow_two_heavy_rows_and_shortfall():
     asg = make_assignment(g, decomp)
     ledger = DeletionLedger(g)
     total_target = r * size // 4
-    prepare_multirow(g, asg, ledger, total_target, 1)
+    assert pipeline.ETA_COUNT == 1
+    prepare_multirow(g, asg, ledger, total_target)
     spares = ledger.stage_cliques("prepare")
     assert len(spares) == 2
     tags = sorted(e.tag for e in spares)
@@ -672,12 +672,14 @@ def test_prepare_multirow_two_heavy_rows_and_shortfall():
     g2, decomp2 = planted_two_row(n=2)
     asg2 = make_assignment(g2, decomp2)
     ledger2 = DeletionLedger(g2)
-    prepare_multirow(g2, asg2, ledger2, g2.r * g2.class_sizes[0] // 3, 5)
+    monkeypatch.setattr(pipeline, "ETA_COUNT", 5)
+    prepare_multirow(g2, asg2, ledger2, g2.r * g2.class_sizes[0] // 3)
     assert len(ledger2) == 0
 
     # demanding more spares than the rows can supply fails loudly
+    monkeypatch.setattr(pipeline, "ETA_COUNT", 50)
     with pytest.raises(StageFailure):
-        prepare_multirow(g, asg, DeletionLedger(g), total_target, 50)
+        prepare_multirow(g, asg, DeletionLedger(g), total_target)
 
 
 def test_balance_columns_infeasible_swap_reported():
