@@ -20,11 +20,11 @@ from .structure import (IntegerLattice, IterationResult, PairCompleteWitness,
                         trivial_decomposition, verify_pair_complete_witness,
                         verify_split_witness)
 from .matching import (DegreeObstruction, ObstructionError, ParityObstruction,
-                       Rectangle, SearchResult, SizingObstruction,
-                       SupplyObstruction, bipartite_maximum_matching,
-                       exact_balanced_clique_packing, find_transversal,
-                       is_multigraphic, pair_complete_balanced_matching,
-                       realize_multigraph, regular_bipartite_perfect_matching)
+                       SearchResult, SizingObstruction, SupplyObstruction,
+                       bipartite_maximum_matching,
+                       exact_balanced_clique_packing, is_multigraphic,
+                       pair_complete_balanced_matching, realize_multigraph,
+                       regular_bipartite_perfect_matching)
 from .oracle import (CanonicalFormBudgetExceeded, OracleVerdict,
                      brute_force_packing, canonical_form,
                      is_isomorphic_to_gamma, random_min_degree_graph,

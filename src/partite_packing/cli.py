@@ -66,6 +66,8 @@ def cmd_gen(args) -> int:
         _write_atomic(args.output,
                       graph_to_json(complete_multipartite([args.n] * args.r)))
     elif args.kind == "blowup":
+        if args.input is None:
+            raise ValueError("gen blowup needs --input")
         g, labels = _read_graph(args.input)
         _write_atomic(args.output, graph_to_json(blow_up(g, args.factor)))
     elif args.kind == "barrier":
@@ -86,16 +88,14 @@ def cmd_detect(args) -> int:
     g, _ = _read_graph(args.input)
     sizes = set(g.class_sizes)
     if len(sizes) != 1:
-        print("error: classes must have equal size", file=sys.stderr)
-        return 1
+        raise ValueError("classes must have equal size")
     size = g.class_sizes[0]
     p = args.p
     if p is None:
         p = 2 if size % 2 == 0 else 1
     if p < 1 or size % p:
-        print(f"error: weight {p} is not a positive divisor of the class "
-              f"size {size}", file=sys.stderr)
-        return 1
+        raise ValueError(f"weight {p} is not a positive divisor of the class "
+                         f"size {size}")
     report = diagnose_barriers(g, p, d=args.threshold_d,
                                beta=args.threshold_beta, mode=args.mode,
                                mu_count=args.mu_count,
@@ -117,11 +117,7 @@ def cmd_solve(args) -> int:
     params = PipelineParams(budget=args.budget, seed=args.seed)
     if args.threshold_d is not None:
         params.pc_threshold = args.threshold_d
-    try:
-        res = solve(g, args.k, params)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    res = solve(g, args.k, params)
     _write_atomic(args.output, _solve_result_json(res))
     return {"packed": 0, "extremal": 2, "diagnosis": 3}[res.status]
 
@@ -141,12 +137,8 @@ def cmd_harness(args) -> int:
         sample = ("exhaustive",)
     else:
         sample = ("random", args.sample, args.seed)
-    try:
-        report = verify_theorem_boundary(args.r, args.k, args.n, sample,
-                                         budget=args.budget)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    report = verify_theorem_boundary(args.r, args.k, args.n, sample,
+                                     budget=args.budget)
     _write_atomic(args.output, json.dumps(report, sort_keys=True))
     return 0
 
@@ -217,8 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A file that cannot be read or written and a value
+    the command rejects end in `error: ...` on stderr and exit status 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

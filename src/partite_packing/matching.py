@@ -1,12 +1,11 @@
-"""Constructive matching subroutines: degree-sequence realization, rectangle
-transversals, bipartite matchings, the balanced matching builder for
-two-half rows, and the balanced clique-packing entry point into the oracle's
-exact-cover search.  The last two are the only ways `solve` balances a row.
+"""Constructive matching subroutines: degree-sequence realization, bipartite
+matchings, the balanced matching builder for two-half rows, and the balanced
+clique-packing entry point into the oracle's exact-cover search.  The last
+two are the only ways `solve` balances a row.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -74,103 +73,6 @@ def realize_multigraph(seq: Sequence[int]) -> list[tuple[int, int]]:
         if d2 + 1 < 0:
             heappush(heap, (d2 + 1, i2))
     return edges
-
-
-# -- rectangles and transversals ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class Rectangle:
-    rows: int
-    cols: int
-    colored: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.rows > self.cols:
-            raise ValueError("rectangles here always have rows <= cols")
-        for (ri, ci) in self.colored:
-            if not (0 <= ri < self.rows and 0 <= ci < self.cols):
-                raise ValueError(f"colored cell {(ri, ci)} out of bounds")
-
-
-def _transversal_preconditions(rect: Rectangle) -> bool:
-    if len(rect.colored) > rect.cols:
-        return False
-    col_counts = Counter(ci for _, ci in rect.colored)
-    if any(c > 1 for c in col_counts.values()):
-        return False
-    row_counts = Counter(ri for ri, _ in rect.colored)
-    return all(c <= rect.cols - 1 for c in row_counts.values())
-
-
-def _transversal_inductive(rows: list[int], cols: list[int], colored: set):
-    if not rows:
-        return []
-    counts = {ri: 0 for ri in rows}
-    live = {(ri, ci) for (ri, ci) in colored if ri in counts and ci in set(cols)}
-    for ri, _ in live:
-        counts[ri] += 1
-    pick_row = max(rows, key=lambda ri: (counts[ri], -ri))
-    cell_col = None
-    for ci in cols:
-        if (pick_row, ci) not in live:
-            cell_col = ci
-            break
-    if cell_col is None:
-        return None
-    rest = _transversal_inductive([ri for ri in rows if ri != pick_row],
-                                  [ci for ci in cols if ci != cell_col],
-                                  live)
-    if rest is None:
-        return None
-    return [(pick_row, cell_col)] + rest
-
-
-def _transversal_exhaustive(rect: Rectangle):
-    match_of_row: dict[int, int] = {}
-    match_of_col: dict[int, int] = {}
-
-    def augment(ri, visited):
-        for ci in range(rect.cols):
-            if (ri, ci) in rect.colored or ci in visited:
-                continue
-            visited.add(ci)
-            if ci not in match_of_col or augment(match_of_col[ci], visited):
-                match_of_col[ci] = ri
-                match_of_row[ri] = ci
-                return True
-        return False
-
-    for ri in range(rect.rows):
-        if not augment(ri, set()):
-            return None
-    return sorted(match_of_row.items())
-
-
-def find_transversal(rect: Rectangle):
-    """Cells, one per row with all columns distinct, avoiding colored cells.
-
-    When the coloring satisfies the guaranteed-existence hypotheses (at most
-    `cols` colored cells, at most one per column, at most cols-1 per row) the
-    inductive max-colored-row strategy is used; otherwise an exhaustive
-    matching search runs and may report absence.
-    """
-    result = None
-    if _transversal_preconditions(rect):
-        result = _transversal_inductive(list(range(rect.rows)),
-                                        list(range(rect.cols)),
-                                        set(rect.colored))
-    if result is None:
-        result = _transversal_exhaustive(rect)
-    if result is None:
-        return None
-    rows_seen = {ri for ri, _ in result}
-    cols_seen = {ci for _, ci in result}
-    if (len(result) != rect.rows or len(rows_seen) != rect.rows
-            or len(cols_seen) != rect.rows
-            or any(cell in rect.colored for cell in result)):
-        raise AssertionError("transversal failed re-verification")
-    return sorted(result)
 
 
 # -- bipartite matchings --------------------------------------------------------

@@ -3,7 +3,8 @@ the extremal construction, canonical forms, seeded boundary harnesses.
 
 `exact_cover` is the package's one exact-cover search: the oracle decides
 packings with it, and the solver's balanced row packings
-(`matching.exact_balanced_clique_packing`) run through it too.  The oracle's
+(`matching.exact_balanced_clique_packing`) and its gluing step
+(`pipeline.glue_rows`) run through it too.  The oracle's
 independence therefore comes from `CliquePacking.verify`, whose plain loops
 re-check every packing the search returns, not from separate search code.
 The extremal construction is recognised in O(V^2) from its twin classes, and
@@ -348,6 +349,8 @@ def random_min_degree_graph(r: int, n: int, k: int, seed,
     """Start from the complete r-partite graph on classes of size n and delete
     cross edges in seeded random order whenever the partite minimum degree
     stays at or above ceil((k-1)n/k); biased toward the threshold boundary."""
+    if k < 1:
+        raise ValueError("k must be positive")
     rng = random.Random(f"mindeg:{seed}")
     threshold = ceil((k - 1) * n / k)
     g = complete_multipartite([n] * r)

@@ -6,6 +6,12 @@ Every stage ends with an exact recount of its postcondition; a stage that
 cannot meet it raises StageFailure rather than passing silently, and the
 orchestrator falls back to the exhaustive oracle or reports a structured
 diagnosis.
+
+Branches marked "Unreached" run on no perfbench instance.  A trace of `solve`
+over all of them (seeds 1 and 9001) and 60 seeded threshold graphs found,
+wherever the stages ran: no bad vertex, zero row excesses, at most one heavy
+row, and at rowpack with unit > 0 a heavy row that is a two-half row with an
+even half.  The test named beside each is in tests/test_pipeline.py.
 """
 
 from __future__ import annotations
@@ -19,10 +25,12 @@ from typing import Iterable, Sequence
 
 from .graphs import (CliquePacking, MultipartiteGraph, Vertex, index_set,
                      partite_min_degree)
-from .matching import (Rectangle, exact_balanced_clique_packing,
-                       find_transversal, pair_complete_balanced_matching,
-                       ObstructionError, regular_bipartite_perfect_matching)
-from .oracle import OracleVerdict, brute_force_packing, is_isomorphic_to_gamma
+from .matching import (bipartite_maximum_matching,
+                       exact_balanced_clique_packing,
+                       pair_complete_balanced_matching, ObstructionError,
+                       regular_bipartite_perfect_matching)
+from .oracle import (OracleVerdict, brute_force_packing, exact_cover,
+                     is_isomorphic_to_gamma)
 from .structure import (EXACT_CLASS_CAP, RowDecomposition, is_pair_complete,
                         iterate_decomposition)
 
@@ -416,18 +424,16 @@ def _greedy_pattern(asg: BlockAssignment, covered: set[Vertex],
 
 def _transversal_anchors(asg: BlockAssignment, v: Vertex,
                          skip_rows: Iterable[int], skip_cols: Iterable[int]):
-    """One good-for-v block per remaining row, no two in one column."""
+    """One good-for-v block per remaining row, no two in one column, from a
+    maximum matching of rows to allowed columns; None if a row is left out.
+    Unreached: only non-"proper" building blocks call it.  Driven by
+    test_building_block_through_vertex_and_ij."""
     rows = [i for i in range(asg.s) if i not in set(skip_rows)]
     cols = [j for j in range(asg.r) if j not in set(skip_cols)]
-    if len(rows) > len(cols):
-        return None
-    colored = set()
-    for ri, i in enumerate(rows):
-        for ci, j in enumerate(cols):
-            if asg.is_block_bad_for(v, i, j):
-                colored.add((ri, ci))
-    t = find_transversal(Rectangle(len(rows), len(cols), frozenset(colored)))
-    if t is None:
+    allowed = [[ci for ci, j in enumerate(cols)
+                if not asg.is_block_bad_for(v, i, j)] for i in rows]
+    t = bipartite_maximum_matching(len(rows), len(cols), allowed)
+    if len(t) < len(rows):
         return None
     return {rows[ri]: (cols[ci],) for ri, ci in t}
 
@@ -449,6 +455,13 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
     vertices), "through_edge" (ij for a weight-1 row i through the given
     edge), "outside_row" (proper but with no half-parity demand on the edge's
     own two-half row).
+
+    Unreached kinds: all but "proper".  "through_vertex" covers bad
+    vertices; "ij" and "through_edge" serve rows with excess and pairs of
+    heavy rows; and `_extremal_zero_excess_fix`, reached by shuffled
+    Gamma(9,5,3), finds no edge to start any kind from.  Driven by
+    test_building_block_through_vertex_and_ij and
+    test_balance_rows_extremal_parity_fix_via_mixed_edge ("outside_row").
     """
     forbidden = set(forbidden)
     covered = forbidden
@@ -566,7 +579,10 @@ def _seed_clique(g: MultipartiteGraph, asg: BlockAssignment, i: int,
                  relaxed: bool):
     """Least clique of the given size inside row i's good vertices, one
     vertex per column; for two-half rows an explicit half-count target of 0
-    or `size` keeps the seed inside one half."""
+    or `size` keeps the seed inside one half.
+
+    Unreached: only the "ij" block calls it.  Driven by
+    test_building_block_pc_parity_controls."""
     pools = []
     for j in range(asg.r):
         pool = asg.w[i][j] if relaxed else asg.y[i][j]
@@ -695,7 +711,10 @@ def is_ij_distributed(asg: BlockAssignment, clique: Sequence[Vertex],
 def _row_edge_matching(g: MultipartiteGraph, asg: BlockAssignment, i: int,
                        size: int, forbidden: set[Vertex]):
     """Matching of the given size inside row i, every edge holding at least
-    one good vertex; grown greedily with one exchange step when stuck."""
+    one good vertex; grown greedily with one exchange step when stuck.
+
+    Unreached: only rows with positive excess need it.  Driven by
+    test_stage_rows_corrects_one_moved_vertex."""
     edges: list[tuple[Vertex, Vertex]] = []
     used: set[Vertex] = set(forbidden)
 
@@ -1195,7 +1214,10 @@ def _pair_complete_row_packing(g, asg, xprime, i) -> CliquePacking:
 
 def _repair_half_parity(g, asg, ledger, xprime_rows, i) -> bool:
     """Swap one spare-clique vertex for a row vertex across the half split so
-    the surviving half gets even size."""
+    the surviving half gets even size.
+
+    Unreached: it needs an odd half and a second heavy row.  Driven by
+    test_repair_half_parity_direct."""
     for entry in ledger.entries:
         if entry.stage != "prepare" or not entry.tag.endswith(f",{i}"):
             continue
@@ -1223,7 +1245,10 @@ def _fake_edge_route(g, asg, ledger, xprime, i, params):
     """Balanced perfect matching for a weight-2 row that resists direct
     search: borrow spare cliques from another heavy row, add one placeholder
     edge per borrowed clique, match, then substitute every placeholder by a
-    real edge and trade the borrowed clique's row vertex."""
+    real edge and trade the borrowed clique's row vertex.
+
+    Unreached: it needs a second heavy row and one that is not two-half.
+    Driven by test_fake_edge_route_with_second_heavy_row."""
     spares = [e for e in ledger.entries if e.stage == "prepare"
               and e.tag.endswith(f",{i}")]
     if not spares:
@@ -1289,7 +1314,10 @@ def _fake_edge_route(g, asg, ledger, xprime, i, params):
 def _surplus_row_route(g, asg, ledger, xprime, i, params):
     """Single heavy row: find any perfect matching, keep its balanced core,
     and absorb the surplus edges into full cliques spread evenly over the
-    other rows via a regular bipartite assignment."""
+    other rows via a regular bipartite assignment.
+
+    Unreached: it needs a heavy row that is not two-half.  Driven by
+    test_surplus_route_single_heavy_row."""
     r = xprime.r
     n_prime = xprime.unit
     sub, to_sub, _ = _induced_row(g, xprime, i)
@@ -1467,7 +1495,11 @@ def glue_rows(g: MultipartiteGraph, xprime: RowDecomposition,
     """Combine balanced perfect per-row packings into one packing of the
     surviving graph: split each row packing into groups of size N, one per
     injection of slot positions into classes, and perfectly match each
-    group family's compatibility hypergraph."""
+    group family's compatibility hypergraph.
+
+    Two groups of different rows are compatible when completely joined, so
+    each family's matching is a perfect s-clique packing of an s-partite
+    graph, found by the package's one exact-cover search."""
     s, r, n_prime = xprime.s, xprime.r, xprime.unit
     if sum(xprime.weights) != k:
         raise ValueError("row weights must sum to k")
@@ -1515,17 +1547,13 @@ def glue_rows(g: MultipartiteGraph, xprime: RowDecomposition,
         classes = [groups[sig][i] for i in range(s)]
         common = [[_common_mask(g, c) for c in cls] for cls in classes]
         masks = [[g.mask_of(c) for c in cls] for cls in classes]
-
-        def compatible(i1, t1, i2, t2):
-            return masks[i2][t2] & ~common[i1][t1] == 0
-
-        degree_min = None
-        for i1 in range(s):
-            for t1 in range(n_group):
-                deg = _count_tuples(s, n_group, compatible, i1, t1)
-                degree_min = deg if degree_min is None else min(degree_min, deg)
-
-        matching = _s_partite_perfect_matching(s, n_group, compatible)
+        compat = MultipartiteGraph([n_group] * s, (
+            ((i1, t1), (i2, t2))
+            for i1, i2 in combinations(range(s), 2)
+            for t1 in range(n_group) for t2 in range(n_group)
+            if masks[i2][t2] & ~common[i1][t1] == 0))
+        degree_min = _min_clique_degree(compat)
+        matching, _, _ = exact_cover(compat, s)
         sigma_log.append({"sigma": list(sig), "n": n_group,
                           "min_degree": degree_min,
                           "matched": matching is not None})
@@ -1533,9 +1561,9 @@ def glue_rows(g: MultipartiteGraph, xprime: RowDecomposition,
             raise StageFailure("glue", f"no perfect matching for one group "
                                        f"family (min degree {degree_min})",
                                detail={"sigma": list(sig)})
-        for combo in matching:
+        for combo in matching.cliques:
             union: list[Vertex] = []
-            for i, t in enumerate(combo):
+            for i, t in combo:
                 union.extend(classes[i][t])
             union = tuple(sorted(union))
             for a, b in combinations(union, 2):
@@ -1556,53 +1584,20 @@ def _common_mask(g: MultipartiteGraph, clique) -> int:
     return m
 
 
-def _count_tuples(s, n, compatible, i1, t1) -> int:
-    def rec(i, chosen):
-        if i == s:
-            return 1
-        if i == i1:
-            return rec(i + 1, chosen)
-        total = 0
-        for t in range(n):
-            if all(compatible(i2, t2, i, t) for i2, t2 in chosen + [(i1, t1)]):
-                total += rec(i + 1, chosen + [(i, t)])
-        return total
-    return rec(0, [])
+def _min_clique_degree(h: MultipartiteGraph) -> int:
+    """Least number of h.r-cliques through a vertex of the h.r-partite graph
+    h: neighbourhood masks are intersected along the classes before the last,
+    whose candidates are counted by their bits."""
 
+    def count(classes, common: int) -> int:
+        pool = common & h.class_mask(classes[0])
+        if len(classes) == 1:
+            return pool.bit_count()
+        return sum(count(classes[1:], common & h.adj_mask(u))
+                   for u in h.vertices_of_mask(pool))
 
-def _s_partite_perfect_matching(s, n, compatible):
-    if n == 0:
-        return []
-    used = [[False] * n for _ in range(s)]
-    out: list[tuple[int, ...]] = []
-
-    def rec(t1):
-        if t1 == n:
-            return True
-        combo = [t1]
-
-        def pick(i):
-            if i == s:
-                out.append(tuple(combo))
-                if rec(t1 + 1):
-                    return True
-                out.pop()
-                return False
-            for t in range(n):
-                if used[i][t]:
-                    continue
-                if all(compatible(i2, combo[i2], i, t) for i2 in range(i)):
-                    used[i][t] = True
-                    combo.append(t)
-                    if pick(i + 1):
-                        return True
-                    combo.pop()
-                    used[i][t] = False
-            return False
-
-        return pick(1)
-
-    return out if rec(0) else None
+    return min(count([c for c in range(h.r) if c != v[0]], h.adj_mask(v))
+               for v in h.vertices())
 
 
 # -- orchestration ------------------------------------------------------------------

@@ -14,8 +14,9 @@ from partite_packing.graphs import (CliquePacking, MultipartiteGraph,
                                     build_gamma, complete_multipartite,
                                     packing_from_json, packing_to_json,
                                     partite_min_degree)
-from partite_packing.matching import (ParityObstruction, Rectangle,
-                                      find_transversal, is_multigraphic,
+from partite_packing.matching import (ParityObstruction,
+                                      bipartite_maximum_matching,
+                                      is_multigraphic,
                                       pair_complete_balanced_matching,
                                       realize_multigraph)
 from partite_packing.oracle import (brute_force_packing,
@@ -224,15 +225,17 @@ def test_transversal_exhaustive():
                     rows[ri] = rows.get(ri, 0) + 1
                 if any(c > r - 1 for c in rows.values()):
                     continue
-                rect = Rectangle(s, r, colored)
-                got = find_transversal(rect)
-                assert got is not None, rect
-                assert len(got) == s
+                allowed = [[ci for ci in range(r) if (ri, ci) not in colored]
+                           for ri in range(s)]
+                got = bipartite_maximum_matching(s, r, allowed)
+                assert len(got) == s, (s, r, colored)
                 assert len({ri for ri, _ in got}) == s
                 assert len({ci for _, ci in got}) == s
                 assert not any(cell in colored for cell in got)
                 total += 1
     assert total > 10000
+    # and the fully colored single row has none
+    assert bipartite_maximum_matching(1, 2, [[]]) == []
 
 
 # -- 6. two-half balanced matchings ---------------------------------------------------------

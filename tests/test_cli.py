@@ -113,6 +113,30 @@ def test_detect_usage_error_on_bad_weight(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), p
 
 
+def test_bad_input_prints_error(tmp_path, capsys):
+    # each fails before any output is written: exit 1, `error:` on stderr
+    g_path = str(tmp_path / "g.json")
+    run(["gen", "complete", "--n", "2", "--r", "2", "-o", g_path])
+    missing = str(tmp_path / "missing.json")
+    not_json = tmp_path / "bad.json"
+    not_json.write_text("not json")
+    cases = [
+        ["solve", "--input", missing, "--k", "2"],
+        ["detect", "--input", missing],
+        ["verify", "--graph", missing, "--packing", g_path],
+        ["verify", "--graph", g_path, "--packing", missing],
+        ["solve", "--input", str(not_json), "--k", "2"],
+        ["solve", "--input", g_path, "--k", "2",
+         "-o", str(tmp_path / "no-such-dir" / "r.json")],
+        ["gen", "random", "--n", "3", "--r", "3", "--k", "0"],
+        ["gen", "gamma", "--n", "3", "--r", "3", "--k", "5"],
+        ["gen", "blowup"],
+    ]
+    for argv in cases:
+        assert run(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
 def test_harness_report_file(tmp_path):
     out = str(tmp_path / "h.json")
     assert run(["harness", "--r", "2", "--k", "2", "--n", "2",

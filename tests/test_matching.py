@@ -3,15 +3,17 @@ balanced matchings, and the exact balanced packing search."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import search_reference
 from partite_packing.graphs import (MultipartiteGraph, build_gamma,
                                     complete_multipartite)
-from partite_packing.matching import (ParityObstruction, Rectangle,
+from partite_packing.matching import (ParityObstruction,
+                                      bipartite_maximum_matching,
                                       exact_balanced_clique_packing,
-                                      find_transversal, is_multigraphic,
+                                      is_multigraphic,
                                       pair_complete_balanced_matching,
                                       realize_multigraph,
                                       regular_bipartite_perfect_matching)
@@ -92,30 +94,35 @@ def test_realize_degree_recount():
 
 
 # -- transversals -------------------------------------------------------------------
+# A transversal of a rows x cols rectangle picks one cell per row, all in
+# distinct columns and none colored: a maximum matching on the uncolored
+# cells that covers every row.
 
 
-def _valid_transversal(rect, cells):
-    rows = {ri for ri, _ in cells}
-    cols = {ci for _, ci in cells}
-    return (len(cells) == rect.rows and len(rows) == rect.rows
-            and len(cols) == rect.rows
-            and not any(c in rect.colored for c in cells))
+def _transversal(rows, cols, colored):
+    allowed = [[ci for ci in range(cols) if (ri, ci) not in colored]
+               for ri in range(rows)]
+    cells = bipartite_maximum_matching(rows, cols, allowed)
+    return cells if len(cells) == rows else None
+
+
+def _valid_transversal(rows, colored, cells):
+    return (len(cells) == rows and len({ri for ri, _ in cells}) == rows
+            and len({ci for _, ci in cells}) == rows
+            and not any(c in colored for c in cells))
 
 
 def test_transversal_examples():
-    assert find_transversal(Rectangle(1, 1)) == [(0, 0)]
-    assert find_transversal(Rectangle(0, 3)) == []
-    rect = Rectangle(2, 3, frozenset({(1, 1), (1, 2), (0, 0)}))
-    got = find_transversal(rect)
-    assert _valid_transversal(rect, got)
+    assert _transversal(1, 1, set()) == [(0, 0)]
+    assert _transversal(0, 3, set()) == []
+    colored = {(1, 1), (1, 2), (0, 0)}
+    assert _valid_transversal(2, colored, _transversal(2, 3, colored))
 
 
 def test_transversal_exhaustive_small_rectangles():
     # every coloring with <= 1 per column and <= cols-1 per row always works
     for s in range(0, 4):
         for r in range(max(s, 1), 5):
-            per_column = [(None, *range(s))] * r
-            from itertools import product
             for pick in product(*[range(-1, s) for _ in range(r)]):
                 colored = frozenset((ri, ci) for ci, ri in enumerate(pick)
                                     if ri >= 0)
@@ -124,15 +131,14 @@ def test_transversal_exhaustive_small_rectangles():
                     row_counts[ri] = row_counts.get(ri, 0) + 1
                 if any(c > r - 1 for c in row_counts.values()):
                     continue
-                rect = Rectangle(s, r, colored)
-                got = find_transversal(rect)
-                assert got is not None and _valid_transversal(rect, got), rect
+                got = _transversal(s, r, colored)
+                assert got is not None, (s, r, colored)
+                assert _valid_transversal(s, colored, got), (s, r, colored)
 
 
 def test_transversal_fallback_reports_absence():
     # fully colored single row: hypotheses fail and no transversal exists
-    rect = Rectangle(1, 2, frozenset({(0, 0), (0, 1)}))
-    assert find_transversal(rect) is None
+    assert _transversal(1, 2, {(0, 0), (0, 1)}) is None
 
 
 # -- bipartite matchings ----------------------------------------------------------------
