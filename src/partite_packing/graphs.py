@@ -484,29 +484,44 @@ def graph_to_json(g: MultipartiteGraph,
     return json.dumps(doc, sort_keys=True)
 
 
-def graph_from_json(text: str):
+def _json_object(text: str, what: str, keys: Sequence[str]) -> dict:
     doc = json.loads(text)
-    sizes = doc["class_sizes"]
-    if doc.get("r") != len(sizes):
-        raise ValueError("r does not match class_sizes")
-    g = MultipartiteGraph(sizes)
-    for e in doc["edges"]:
-        (cu, ou), (cv, ov) = e
-        if not (0 <= cu < g.r and 0 <= ou < sizes[cu]
-                and 0 <= cv < g.r and 0 <= ov < sizes[cv]):
-            raise ValueError(f"edge {e} references an out-of-range vertex")
-        if cu == cv:
-            raise ValueError(f"edge {e} joins two vertices of class {cu}")
-        fu, fv = g.flat((cu, ou)), g.flat((cv, ov))
-        g._adj[fu] |= 1 << fv
-        g._adj[fv] |= 1 << fu
-    labeling = None
-    if doc.get("labels"):
-        labeling = PartitionLabeling(
-            doc["labels"]["d"],
-            tuple(tuple(row) for row in doc["labels"]["part_of"]))
-        if [len(row) for row in labeling.part_of] != list(g.class_sizes):
-            raise ValueError("labels do not cover the vertex set")
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(missing)}")
+    return doc
+
+
+def graph_from_json(text: str):
+    """Parse `graph_to_json` output.  Any malformed document, including one
+    of the wrong shape, raises ValueError."""
+    doc = _json_object(text, "graph document", ("class_sizes", "edges"))
+    try:
+        sizes = doc["class_sizes"]
+        if doc.get("r") != len(sizes):
+            raise ValueError("r does not match class_sizes")
+        g = MultipartiteGraph(sizes)
+        for e in doc["edges"]:
+            (cu, ou), (cv, ov) = e
+            if not (0 <= cu < g.r and 0 <= ou < sizes[cu]
+                    and 0 <= cv < g.r and 0 <= ov < sizes[cv]):
+                raise ValueError(f"edge {e} references an out-of-range vertex")
+            if cu == cv:
+                raise ValueError(f"edge {e} joins two vertices of class {cu}")
+            fu, fv = g.flat((cu, ou)), g.flat((cv, ov))
+            g._adj[fu] |= 1 << fv
+            g._adj[fv] |= 1 << fu
+        labeling = None
+        if doc.get("labels"):
+            labeling = PartitionLabeling(
+                doc["labels"]["d"],
+                tuple(tuple(row) for row in doc["labels"]["part_of"]))
+            if [len(row) for row in labeling.part_of] != list(g.class_sizes):
+                raise ValueError("labels do not cover the vertex set")
+    except (TypeError, KeyError) as e:
+        raise ValueError(f"malformed graph document: {e}") from e
     return g, labeling
 
 
@@ -521,10 +536,20 @@ def packing_to_json(p: CliquePacking) -> str:
 
 
 def packing_from_json(text: str) -> CliquePacking:
-    doc = json.loads(text)
-    cliques = [tuple((c, o) for c, o in cl) for cl in doc["cliques"]]
-    declared = Counter({frozenset(json.loads(k)): v
-                        for k, v in doc.get("index_counts", {}).items()})
+    """Parse `packing_to_json` output.  Any malformed document, including one
+    of the wrong shape, raises ValueError."""
+    doc = _json_object(text, "packing document", ("cliques",))
+    counts = doc.get("index_counts", {})
+    if not isinstance(counts, dict):
+        raise ValueError("index_counts must be a JSON object")
+    try:
+        cliques = [tuple((c, o) for c, o in cl) for cl in doc["cliques"]]
+        declared = Counter({frozenset(json.loads(k)): v
+                            for k, v in counts.items()})
+    except TypeError as e:
+        raise ValueError(f"malformed packing document: {e}") from e
+    if not all(type(x) is int for cl in cliques for v in cl for x in v):
+        raise ValueError("packing vertices must be [class, offset] integer pairs")
     if declared:
         # kept as declared so that verify() can report any inconsistency
         return CliquePacking(cliques, declared)

@@ -31,8 +31,8 @@ from .matching import (bipartite_maximum_matching,
                        regular_bipartite_perfect_matching)
 from .oracle import (OracleVerdict, brute_force_packing, exact_cover,
                      is_isomorphic_to_gamma)
-from .structure import (EXACT_CLASS_CAP, RowDecomposition, is_pair_complete,
-                        iterate_decomposition)
+from .structure import (EXACT_CLASS_CAP, RowDecomposition, block_masks,
+                        is_pair_complete, iterate_decomposition)
 
 
 class StageFailure(RuntimeError):
@@ -85,8 +85,7 @@ class BlockAssignment:
     move_log: list[tuple[Vertex, tuple, tuple]] = field(default_factory=list)
 
     def __post_init__(self):
-        self._x_masks = [[self.g.mask_of(self.decomp.block_vertices(i, j))
-                          for j in range(self.r)] for i in range(self.s)]
+        self._x_masks = block_masks(self.g, self.decomp)
         self._bad_cache: dict[Vertex, frozenset] = {}
         self.v_block: dict[Vertex, tuple[int, int]] = {}
         for i in range(self.s):
@@ -148,8 +147,7 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
     forward using the majority-neighborhood rule."""
     s, r, n = decomp.s, decomp.r, decomp.unit
     weights = decomp.weights
-    x_masks = [[g.mask_of(decomp.block_vertices(i, j)) for j in range(r)]
-               for i in range(s)]
+    x_masks = block_masks(g, decomp)
     t_masks = {i: [g.mask_of([(j, o) for o in sorted(pc_halves[i][j])])
                    for j in range(r)] for i in pc_halves}
 
@@ -1086,7 +1084,10 @@ def balance_blocks(g: MultipartiteGraph, asg: BlockAssignment,
                    ledger: DeletionLedger, total_target: int):
     """Final filler stage: every surviving block must end at exactly
     weight * n_prime vertices with r! dividing n_prime.  Returns the final
-    row decomposition together with its diagonal degree audit."""
+    row decomposition together with its diagonal degree audit: the minimum,
+    over surviving vertices v in X'^i_j and blocks X'^i2_j2 with i2 != i and
+    j2 != j, of the number of neighbours of v in X'^i2_j2 (None when there
+    is one row or nothing survives)."""
     r, s = asg.r, asg.s
     m_rem = total_target - len(ledger.entries)
     if m_rem % (r * factorial(r)):
@@ -1157,8 +1158,9 @@ def balance_blocks(g: MultipartiteGraph, asg: BlockAssignment,
     xprime = RowDecomposition(asg.weights, n_prime, tuple(rows))
     audit = None
     if s > 1 and n_prime > 0:
+        masks = block_masks(g, xprime)
         audit = min(
-            (g.adj_mask((j, o)) & g.mask_of(xprime.block_vertices(i2, j2))).bit_count()
+            (g.adj_mask((j, o)) & masks[i2][j2]).bit_count()
             for i in range(s) for j in range(r) for o in xprime.rows[i][j]
             for i2 in range(s) if i2 != i for j2 in range(r) if j2 != j)
     return xprime, audit
@@ -1587,14 +1589,20 @@ def _common_mask(g: MultipartiteGraph, clique) -> int:
 def _min_clique_degree(h: MultipartiteGraph) -> int:
     """Least number of h.r-cliques through a vertex of the h.r-partite graph
     h: neighbourhood masks are intersected along the classes before the last,
-    whose candidates are counted by their bits."""
+    whose candidates are counted by their bits.  The walk is on flat ids, so
+    no candidate is turned into a vertex tuple and range-checked again."""
+    adj, class_masks = h._adj, h._class_masks
 
     def count(classes, common: int) -> int:
-        pool = common & h.class_mask(classes[0])
+        pool = common & class_masks[classes[0]]
         if len(classes) == 1:
             return pool.bit_count()
-        return sum(count(classes[1:], common & h.adj_mask(u))
-                   for u in h.vertices_of_mask(pool))
+        rest, total = classes[1:], 0
+        while pool:
+            low = pool & -pool
+            total += count(rest, common & adj[low.bit_length() - 1])
+            pool ^= low
+        return total
 
     return min(count([c for c in range(h.r) if c != v[0]], h.adj_mask(v))
                for v in h.vertices())

@@ -96,13 +96,19 @@ def trivial_decomposition(g: MultipartiteGraph, k: int) -> RowDecomposition:
         (tuple(frozenset(range(g.class_sizes[0])) for _ in range(g.r)),))
 
 
+def block_masks(g: MultipartiteGraph, decomp: RowDecomposition) -> list[list[int]]:
+    """masks[i][j]: the vertex mask of block X^i_j.  The one place that builds
+    a decomposition's block masks; callers build them once per decomposition."""
+    return [[g.mask_of(decomp.block_vertices(i, j)) for j in range(decomp.r)]
+            for i in range(decomp.s)]
+
+
 def min_diagonal_density(g: MultipartiteGraph, decomp: RowDecomposition) -> Fraction:
     """Minimum density between blocks in different rows and columns; 1 when
     the decomposition has a single row."""
     if decomp.s == 1:
         return Fraction(1)
-    masks = [[g.mask_of(decomp.block_vertices(i, j)) for j in range(decomp.r)]
-             for i in range(decomp.s)]
+    masks = block_masks(g, decomp)
     sizes = [w * decomp.unit for w in decomp.weights]
     best_e, best_den = 1, 1
     for i in range(decomp.s):

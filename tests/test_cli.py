@@ -137,6 +137,25 @@ def test_bad_input_prints_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), argv
 
 
+def test_wrong_shape_json_prints_error(tmp_path, capsys):
+    # valid JSON of the wrong shape: exit 1 and `error:`, not a traceback
+    g_path = str(tmp_path / "g.json")
+    run(["gen", "complete", "--n", "2", "--r", "2", "-o", g_path])
+    docs = {"list": [], "no-edges": {"r": 2},
+            "flat-edge": {"r": 2, "class_sizes": [2, 2], "edges": [[0, 1]]},
+            "text-vertex": {"cliques": [[["a", 0], [1, 0]]]}}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    cases = [["solve", "--input", str(tmp_path / f"{name}.json"), "--k", "2"]
+             for name in ("list", "no-edges", "flat-edge")]
+    cases += [["verify", "--graph", g_path,
+               "--packing", str(tmp_path / f"{name}.json")]
+              for name in ("list", "text-vertex")]
+    for argv in cases:
+        assert run(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
 def test_harness_report_file(tmp_path):
     out = str(tmp_path / "h.json")
     assert run(["harness", "--r", "2", "--k", "2", "--n", "2",

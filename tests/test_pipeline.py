@@ -194,6 +194,16 @@ def run_stages(g, decomp, pc=None, extremal=False):
     return asg, ledger, xprime, audit
 
 
+def recount_audit(g, xprime):
+    """Plain-loop diagonal degree: least number of neighbours a vertex of
+    X'^i_j has in a block X'^i2_j2 with i2 != i and j2 != j."""
+    return min(sum(1 for u in xprime.block_vertices(i2, j2) if g.has_edge(v, u))
+               for i in range(xprime.s) for j in range(xprime.r)
+               for v in xprime.block_vertices(i, j)
+               for i2 in range(xprime.s) if i2 != i
+               for j2 in range(xprime.r) if j2 != j)
+
+
 def test_stage_rows_zero_excess_is_noop():
     g, decomp = planted_two_row(n=2)
     asg = make_assignment(g, decomp)
@@ -228,6 +238,7 @@ def test_stage_cover_divisibility_and_columns():
     assert len(set(per_class)) == 1
     assert xprime.unit % factorial(r) == 0
     assert xprime.unit >= 8
+    assert audit == recount_audit(g, xprime)
 
 
 def test_stage_blocks_recount_against_planted_bad():
@@ -239,6 +250,7 @@ def test_stage_blocks_recount_against_planted_bad():
         for i in range(xprime.s):
             for j in range(xprime.r):
                 assert len(xprime.rows[i][j]) == xprime.weights[i] * xprime.unit
+        assert audit == recount_audit(g, xprime)
 
 
 def test_stage_columns_swap_path():
