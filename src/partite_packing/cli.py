@@ -208,11 +208,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# (option, least, greatest or None) for the options whose domain argparse
+# does not check; a command without the option skips its entry
+_RANGES = (("threshold_d", 0, 1), ("threshold_beta", 0, 1),
+           ("delete_prob", 0, 1), ("budget", 1, None))
+
+
+def _check_ranges(args) -> None:
+    for name, lo, hi in _RANGES:
+        value = getattr(args, name, None)
+        if value is not None and (value < lo or hi is not None and value > hi):
+            domain = f"in [{lo}, {hi}]" if hi is not None else f"at least {lo}"
+            raise ValueError(f"--{name.replace('_', '-')} must be {domain}, "
+                             f"got {value}")
+
+
 def main(argv=None) -> int:
-    """Run one command.  A file that cannot be read or written and a value
-    the command rejects end in `error: ...` on stderr and exit status 1."""
+    """Run one command.  A file that cannot be read or written, an option
+    outside its domain and a value the command rejects end in `error: ...`
+    on stderr and exit status 1."""
     args = build_parser().parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -8,7 +8,9 @@ candidates with integer edge counts over bitmasks (the heuristics update
 them incrementally per swap), never with `Fraction`s.  Any returned witness
 is re-checked once, by `is_splittable` / `is_pair_complete`, through the
 independent `graphs.density` path before it is handed back, so witnesses are
-always exact and only *absence* is mode-qualified.
+always exact and only *absence* is mode-qualified: the exact search certifies
+it, and in either mode so does the non-edge component rule that
+`is_splittable` tries before any split search (`_split_refuted`).
 """
 
 from __future__ import annotations
@@ -166,9 +168,12 @@ def is_splittable(g: MultipartiteGraph, p: int, d: Fraction,
                   mode: str = "exact", *, seed: int = 0) -> SplitWitness | None:
     """Search for an equal-proportion split with all diagonal densities >= 1-d.
 
-    In exact mode the search is complete backtracking over per-class subsets
-    (lexicographic, so the first witness found is the least); in heuristic
-    mode it is seeded hill climbing and absence is not certified.
+    First the non-edge component rule (`_split_refuted`) may refute every
+    weight; None is then certified absence in either mode, and no search
+    runs.  Otherwise, in exact mode the search is complete backtracking over
+    per-class subsets (lexicographic, so the first witness found is the
+    least); in heuristic mode it is seeded hill climbing and absence is not
+    certified.
     """
     sizes = set(g.class_sizes)
     if len(sizes) != 1:
@@ -178,16 +183,59 @@ def is_splittable(g: MultipartiteGraph, p: int, d: Fraction,
         raise ValueError(f"class size {size} is not divisible by weight {p}")
     if p == 1:
         return None
+    if mode not in ("exact", "heuristic"):
+        raise ValueError(f"unknown mode {mode!r}")
     n = size // p
+    if _split_refuted(g, p, n, d):
+        return None
     if mode == "exact":
         witness = _split_exact(g, p, n, d)
-    elif mode == "heuristic":
-        witness = _split_heuristic(g, p, n, d, seed)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        witness = _split_heuristic(g, p, n, d, seed)
     if witness is not None and not verify_split_witness(g, witness, d):
         raise AssertionError("searcher returned a witness that fails verification")
     return witness
+
+
+def _split_refuted(g, p, n, d):
+    """True when the cross-class non-edges alone rule out a split for every
+    p_prime in 1..p-1.
+
+    A witness for p_prime has t = p_prime*n offsets per class in S and
+    c = size - t outside, and allows at most d*t*c non-edges from S_a to
+    V_b minus S_b.  When d*t*c < 1 it allows none, so each connected
+    component of the cross-class non-edge graph (u, w in different classes,
+    not adjacent) lies wholly in S or wholly outside it.  A component with
+    more than t vertices in some class and more than c in some class fits
+    on neither side.  The rule applies only when d*t*c < 1 for every
+    p_prime; it never rejects a graph that has a split.
+    """
+    size = p * n
+    targets = [q * n for q in range(1, p)]
+    if any(d * t * (size - t) >= 1 for t in targets):
+        return False
+    adj, class_of = g._adj, g._class_of
+    class_masks = [g.class_mask(j) for j in range(g.r)]
+    unseen = (1 << g.n_vertices) - 1
+    cross = [unseen & ~m for m in class_masks]
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                u = low.bit_length() - 1
+                grow |= cross[class_of[u]] & ~adj[u]
+                frontier ^= low
+            frontier = grow & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        # misfitting only grows with `most`, so the component with the
+        # largest class count misfits every p_prime that any component does
+        most = max((comp & m).bit_count() for m in class_masks)
+        if all(most > t and most > size - t for t in targets):
+            return True
+    return False
 
 
 def _split_exact(g, p, n, d):
@@ -312,7 +360,8 @@ def _split_heuristic(g, p, n, d, seed):
     def climb(sets, rng, target):
         free = size - target
         full = target * free
-        comps = [[o for o in range(size) if o not in set(s)] for s in sets]
+        comps = [[o for o in range(size) if o not in members]
+                 for members in map(set, sets)]
         masks, comp_masks = _class_masks(g, sets)
         e = _pair_counts(g, masks, comp_masks)
         pairs = [(a, b) for a in range(r) for b in range(r) if a != b]

@@ -156,6 +156,41 @@ def test_wrong_shape_json_prints_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), argv
 
 
+def test_out_of_range_options_print_error(tmp_path, capsys):
+    # values outside their domain: exit 1 and `error:`, before any output
+    g_path = str(tmp_path / "g.json")
+    run(["gen", "complete", "--n", "2", "--r", "2", "-o", g_path])
+    out = tmp_path / "out.json"
+    solve = ["solve", "--input", g_path, "--k", "2", "-o", str(out)]
+    detect = ["detect", "--input", g_path, "-o", str(out)]
+    harness = ["harness", "--r", "2", "--k", "2", "--n", "2", "--sample", "1",
+               "-o", str(out)]
+    cases = [
+        solve + ["--threshold-d", "5/3"],
+        solve + ["--threshold-d=-1/2"],
+        solve + ["--budget", "-5"],
+        solve + ["--budget", "0"],
+        detect + ["--threshold-d", "-1"],
+        detect + ["--threshold-d", "2"],
+        detect + ["--threshold-beta=-1/4"],
+        detect + ["--threshold-beta", "3/2"],
+        harness + ["--budget", "0"],
+        ["gen", "random", "--n", "3", "--r", "3", "--k", "2",
+         "--delete-prob", "2", "-o", str(out)],
+        ["gen", "random", "--n", "3", "--r", "3", "--k", "2",
+         "--delete-prob", "-0.5", "-o", str(out)],
+    ]
+    for argv in cases:
+        assert run(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+        assert not out.exists(), argv
+    # the ends of each domain are accepted (one node may stop the search)
+    assert run(solve + ["--threshold-d", "1", "--budget", "1"]) in (0, 3)
+    assert run(detect + ["--threshold-d", "0", "--threshold-beta", "1"]) == 0
+    assert run(["gen", "random", "--n", "3", "--r", "3", "--k", "2",
+                "--delete-prob", "0", "-o", str(out)]) == 0
+
+
 def test_harness_report_file(tmp_path):
     out = str(tmp_path / "h.json")
     assert run(["harness", "--r", "2", "--k", "2", "--n", "2",

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from partite_packing import structure
 from partite_packing.graphs import (MultipartiteGraph, build_gamma,
                                     complete_multipartite, PartitionLabeling,
                                     clique_complex_edges)
@@ -19,7 +20,9 @@ from partite_packing.structure import (IntegerLattice, RowDecomposition,
                                        space_barrier_graph,
                                        verify_pair_complete_witness,
                                        verify_split_witness)
+from partite_packing.oracle import random_min_degree_graph
 from detection_reference import naive_is_pair_complete, naive_is_splittable
+from test_detection_differential import planted_split_graph
 
 
 def two_row_graph(r: int, n: int, row_internal: bool = False):
@@ -127,6 +130,49 @@ def test_split_robust_under_small_perturbation():
                  for (cu, ou), (cv, ov) in g.edges()]
         remapped = remapped.with_edges(edges)
         assert is_splittable(remapped, 2, Fraction(1, 50)) is None
+
+
+# (r, class size, p): small enough for the plain enumerator to refute
+REFUTE_SHAPES = ((2, 4, 2), (2, 6, 2), (2, 6, 3), (2, 8, 2), (2, 8, 4),
+                 (3, 4, 2), (3, 6, 2), (3, 6, 3), (4, 4, 2))
+REFUTE_THRESHOLDS = (Fraction(0), Fraction(1, 100), Fraction(1, 10))
+
+
+def test_split_refutation_is_sound():
+    # wherever the non-edge component rule refutes, the plain enumerator
+    # finds no split for any p'; it never refutes a planted split
+    cases = fired = 0
+    for r, size, p in REFUTE_SHAPES:
+        n = size // p
+        for d in REFUTE_THRESHOLDS:
+            graphs = [(random_min_degree_graph(r, size, p, s), None)
+                      for s in range(3)]
+            graphs += [(planted_split_graph(r, p, n, p_prime, noise, seed),
+                        noise)
+                       for seed, p_prime in enumerate(range(1, p))
+                       for noise in (0.0, 0.05)]
+            for g, noise in graphs:
+                cases += 1
+                if not structure._split_refuted(g, p, n, d):
+                    continue
+                assert noise != 0.0, (r, size, p, d)
+                assert not naive_is_splittable(g, p, d), (r, size, p, d)
+                fired += noise is None
+    assert cases >= 150
+    assert fired >= 30
+
+
+@pytest.mark.parametrize("r,size,k", [(5, 12, 3), (4, 12, 3), (5, 9, 3),
+                                      (5, 16, 4), (6, 12, 3)])
+def test_threshold_graphs_refuted_without_split_search(monkeypatch, r, size, k):
+    # the sweep shapes never reach the split heuristic: the component rule
+    # refutes them (class sizes divide by k, so each graph is its own core)
+    def no_search(*args):
+        raise AssertionError("split heuristic reached")
+    monkeypatch.setattr(structure, "_split_heuristic", no_search)
+    for seed in (1, 2, 3):
+        g = random_min_degree_graph(r, size, k, seed)
+        assert is_splittable(g, k, Fraction(1, 100), "heuristic") is None
 
 
 # -- pair-completeness ----------------------------------------------------------------
