@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 # (option, least, greatest or None) for the options whose domain argparse
 # does not check; a command without the option skips its entry
 _RANGES = (("threshold_d", 0, 1), ("threshold_beta", 0, 1),
-           ("delete_prob", 0, 1), ("budget", 1, None))
+           ("delete_prob", 0, 1), ("budget", 1, None), ("sample", 1, None))
 
 
 def _check_ranges(args) -> None:

@@ -151,11 +151,15 @@ class MultipartiteGraph:
                     runs.append([self._off[c] + old_o, len(from_sub), 1])
                 from_sub.append((c, old_o))
         sub = MultipartiteGraph(sizes)
+        gathered: dict[int, int] = {}   # twins share a row: gather it once
         for new_fu, (c, old_o) in enumerate(from_sub):
             row = self._adj[self._off[c] + old_o]
-            mask = 0
-            for old_at, new_at, ones in runs:
-                mask |= (row >> old_at & ones) << new_at
+            mask = gathered.get(row)
+            if mask is None:
+                mask = 0
+                for old_at, new_at, ones in runs:
+                    mask |= (row >> old_at & ones) << new_at
+                gathered[row] = mask
             sub._adj[new_fu] = mask
         return sub, to_sub, from_sub
 

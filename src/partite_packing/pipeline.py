@@ -156,34 +156,42 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
         for j in range(r):
             in_x.update(decomp.block_vertices(i, j))
 
+    def weak(i, j, inside, nv):
+        """Whether a vertex of block X^i_j with neighbourhood nv has a weak
+        diagonal block or, in a two-half row, a weak half (`inside`: the
+        vertex lies in the row's half T^i_j)."""
+        for i2 in range(s):
+            if i2 == i:
+                continue
+            for j2 in range(r):
+                if (j2 != j and (x_masks[i2][j2] & ~nv).bit_count()
+                        > bad_slack * weights[i2]):
+                    return True
+        if i not in pc_halves:
+            return False
+        for j2 in range(r):
+            if j2 == j:
+                continue
+            ref = (t_masks[i][j2] if inside
+                   else x_masks[i][j2] & ~t_masks[i][j2])
+            if (ref & ~nv).bit_count() > bad_slack:
+                return True
+        return False
+
     bad: set[Vertex] = {v for v in g.vertices() if v not in in_x}
+    verdicts: dict[tuple, bool] = {}   # twins in one block share a verdict
     for i in range(s):
+        if s == 1 and i not in pc_halves:
+            continue    # a single row without halves has nothing to audit
         for j in range(r):
+            half = pc_halves[i][j] if i in pc_halves else ()
             for v in decomp.block_vertices(i, j):
-                fv = g.flat(v)
-                for i2 in range(s):
-                    if i2 == i:
-                        continue
-                    for j2 in range(r):
-                        if j2 == j:
-                            continue
-                        nn = (x_masks[i2][j2] & ~g.adj_mask(v)).bit_count()
-                        if nn > bad_slack * weights[i2]:
-                            bad.add(v)
-            if i in pc_halves:
-                t_j = {(j, o) for o in pc_halves[i][j]}
-                for v in decomp.block_vertices(i, j):
-                    inside = v in t_j
-                    for j2 in range(r):
-                        if j2 == j:
-                            continue
-                        if inside:
-                            ref = t_masks[i][j2]
-                        else:
-                            ref = x_masks[i][j2] & ~t_masks[i][j2]
-                        nn = (ref & ~g.adj_mask(v)).bit_count()
-                        if nn > bad_slack:
-                            bad.add(v)
+                key = (i, j, v[1] in half, g.adj_mask(v))
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    verdict = verdicts[key] = weak(*key)
+                if verdict:
+                    bad.add(v)
 
     w = [[set() for _ in range(r)] for _ in range(s)]
     y = [[set() for _ in range(r)] for _ in range(s)]
@@ -1590,8 +1598,10 @@ def _min_clique_degree(h: MultipartiteGraph) -> int:
     """Least number of h.r-cliques through a vertex of the h.r-partite graph
     h: neighbourhood masks are intersected along the classes before the last,
     whose candidates are counted by their bits.  The walk is on flat ids, so
-    no candidate is turned into a vertex tuple and range-checked again."""
-    adj, class_masks = h._adj, h._class_masks
+    no candidate is turned into a vertex tuple and range-checked again.  The
+    count depends only on a vertex's class and neighbourhood, so twins are
+    counted once."""
+    adj, class_masks, class_of = h._adj, h._class_masks, h._class_of
 
     def count(classes, common: int) -> int:
         pool = common & class_masks[classes[0]]
@@ -1604,8 +1614,12 @@ def _min_clique_degree(h: MultipartiteGraph) -> int:
             pool ^= low
         return total
 
-    return min(count([c for c in range(h.r) if c != v[0]], h.adj_mask(v))
-               for v in h.vertices())
+    counts: dict[tuple[int, int], int] = {}
+    for fv, nv in enumerate(adj):
+        key = (class_of[fv], nv)
+        if key not in counts:
+            counts[key] = count([c for c in range(h.r) if c != key[0]], nv)
+    return min(counts.values())
 
 
 # -- orchestration ------------------------------------------------------------------

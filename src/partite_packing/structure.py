@@ -143,14 +143,20 @@ class SplitWitness:
 
 def verify_split_witness(g: MultipartiteGraph, w: SplitWitness,
                          d: Fraction) -> bool:
-    """Recheck a split witness through the plain density path."""
+    """Recheck a split witness through the plain density path.  The sets
+    must be r sets of distinct in-range offsets with one common size t,
+    0 < t < class size."""
     r = g.r
     size = g.class_sizes[0]
     achieved = Fraction(1)
     members = [set(s) for s in w.sets]
-    for j in range(r):
-        if len(members[j]) != len(w.sets[j]):
-            return False
+    if len(members) != r:
+        return False
+    t = len(members[0])
+    if (not 0 < t < size
+            or any(len(m) != t or len(s) != t for m, s in zip(members, w.sets))
+            or any(not 0 <= o < size for m in members for o in m)):
+        return False
     comps = [[(j, o) for o in range(size) if o not in members[j]]
              for j in range(r)]
     for j in range(r):
@@ -192,7 +198,8 @@ def is_splittable(g: MultipartiteGraph, p: int, d: Fraction,
         witness = _split_exact(g, p, n, d)
     else:
         witness = _split_heuristic(g, p, n, d, seed)
-    if witness is not None and not verify_split_witness(g, witness, d):
+    if witness is not None and (not verify_split_witness(g, witness, d)
+                                or len(witness.sets[0]) != witness.p_prime * n):
         raise AssertionError("searcher returned a witness that fails verification")
     return witness
 
@@ -307,15 +314,16 @@ def _neighborhoods(g, size):
     return [[g.adj_mask((j, o)) for o in range(size)] for j in range(g.r)]
 
 
-def _split_pivot_candidates(g, p, n):
+def _split_pivot_candidates(g, p, n, nbrs):
     """Deterministic seed splits derived from single vertices: outside the
     pivot's class take its non-neighbors, inside take the vertices with the
-    most similar neighborhoods.  Exact for blow-up-shaped instances."""
+    most similar neighborhoods.  Exact for blow-up-shaped instances.
+
+    A candidate depends only on the pivot's class and neighbourhood, so each
+    distinct neighbourhood of a class is tried once, at its first vertex."""
     size = p * n
-    nbrs = _neighborhoods(g, size)
     for c in range(g.r):
-        for o in range(size):
-            nv = nbrs[c][o]
+        for nv in dict.fromkeys(nbrs[c]):
             non_counts = [(g.class_mask(j) & ~nv).bit_count()
                           for j in range(g.r) if j != c]
             if not non_counts:
@@ -377,12 +385,10 @@ def _split_heuristic(g, p, n, d, seed):
                                   if j not in (a, b)]) for j in range(r)]
             inside = [sum(e[j]) + sum(e[a][j] for a in range(r))
                       for j in range(r)]
-            # shuffling the move indices draws from rng exactly as shuffling
-            # the list of moves (j, out, in), nested in that order, would
-            order = list(range(r * full))
-            rng.shuffle(order)
+            # up to 80 distinct indices into the list of moves (j, out, in),
+            # nested in that order, drawn without building that list
             improved = False
-            for idx in order[:80]:
+            for idx in rng.sample(range(r * full), min(80, r * full)):
                 j, rem = divmod(idx, full)
                 out_v = sets[j][rem // free]
                 in_v = comps[j][rem % free]
@@ -407,7 +413,7 @@ def _split_heuristic(g, p, n, d, seed):
                 break
         return sets, feasible(worst, full)
 
-    for p_prime, sets in _split_pivot_candidates(g, p, n):
+    for p_prime, sets in _split_pivot_candidates(g, p, n, nbrs):
         target = p_prime * n
         e = _pair_counts(g, *_class_masks(g, sets))
         if feasible(min(e[a][b] for a in range(r) for b in range(r) if a != b),

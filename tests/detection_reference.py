@@ -3,8 +3,11 @@
 - `naive_is_splittable` / `naive_is_pair_complete`: full enumeration through
   `graphs.density`, with no pruning; ground truth for the exact searches.
 - The Fraction-scored heuristics as they were before the integer,
-  incremental rewrite in `partite_packing.structure`, kept verbatim: the
-  differential tests assert that the rewrite returns the same witnesses.
+  incremental rewrite in `partite_packing.structure`, kept verbatim but for
+  the move draw: the split climb takes its 80 trial moves by `rng.sample`
+  over indices into its move list, as the rewrite does, where it once
+  shuffled the whole list.  The differential tests assert that the rewrite
+  returns the same witnesses.
 
 Not collected by pytest (no test_ prefix).
 """
@@ -134,8 +137,8 @@ def _split_heuristic(g, p, n, d, seed, restarts, max_steps):
                      for j in range(g.r)
                      for out_v in sets[j]
                      for in_v in range(size) if in_v not in set(sets[j])]
-            rng.shuffle(moves)
-            for j, out_v, in_v in moves[:80]:
+            for idx in rng.sample(range(len(moves)), min(80, len(moves))):
+                j, out_v, in_v = moves[idx]
                 trial = list(sets)
                 trial[j] = sorted((set(sets[j]) - {out_v}) | {in_v})
                 val = objective(trial)

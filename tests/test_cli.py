@@ -175,6 +175,8 @@ def test_out_of_range_options_print_error(tmp_path, capsys):
         detect + ["--threshold-beta=-1/4"],
         detect + ["--threshold-beta", "3/2"],
         harness + ["--budget", "0"],
+        harness + ["--sample", "0"],
+        harness + ["--sample", "-3"],
         ["gen", "random", "--n", "3", "--r", "3", "--k", "2",
          "--delete-prob", "2", "-o", str(out)],
         ["gen", "random", "--n", "3", "--r", "3", "--k", "2",
@@ -187,6 +189,7 @@ def test_out_of_range_options_print_error(tmp_path, capsys):
     # the ends of each domain are accepted (one node may stop the search)
     assert run(solve + ["--threshold-d", "1", "--budget", "1"]) in (0, 3)
     assert run(detect + ["--threshold-d", "0", "--threshold-beta", "1"]) == 0
+    assert run(harness + ["--budget", "1"]) == 0
     assert run(["gen", "random", "--n", "3", "--r", "3", "--k", "2",
                 "--delete-prob", "0", "-o", str(out)]) == 0
 

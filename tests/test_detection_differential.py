@@ -11,8 +11,9 @@ import pytest
 
 import detection_reference as ref
 from partite_packing import structure
-from partite_packing.graphs import MultipartiteGraph
+from partite_packing.graphs import MultipartiteGraph, blow_up, build_gamma
 from partite_packing.oracle import random_min_degree_graph
+from test_oracle import relabeled_copy
 
 THRESHOLDS = (Fraction(1, 100), Fraction(1, 10), Fraction(1, 4))
 
@@ -81,6 +82,25 @@ def split_cases():
                 g = random_min_degree_graph(r, size, k, s)
                 cases.append((f"threshold r={r} size={size} k={k} seed={s} d={d}",
                               g, k, d, s))
+    # twin-heavy rows like pipeline-scale's: shuffled blow-ups of Gamma, whose
+    # vertices share a few neighbourhoods, and pair-complete rows (complete
+    # within each half, empty across), which have no split once r >= 3 and
+    # send the climb through every restart when d*t*c >= 1
+    # (some with more than 80 moves, so the climb samples a part of them)
+    for (n, r, k), factor in (((3, 4, 3), 2), ((3, 4, 3), 4), ((3, 4, 3), 6),
+                              ((2, 3, 2), 3), ((4, 4, 4), 2)):
+        for d in THRESHOLDS:
+            seed = len(cases)
+            g = relabeled_copy(blow_up(build_gamma(n, r, k).graph, factor), seed)
+            cases.append((f"gamma blow-up ({n},{r},{k})x{factor} d={d}",
+                          g, k, d, seed % 5))
+    for r in (3, 4):
+        for n in (3, 5, 9):
+            for d in THRESHOLDS:
+                seed = len(cases)
+                g = planted_halves_graph(r, n, 0.0, seed)
+                cases.append((f"pair-complete r={r} n={n} d={d}", g, 2, d,
+                              seed % 5))
     return cases
 
 

@@ -13,6 +13,7 @@ from partite_packing.graphs import (CliquePacking, MultipartiteGraph,
                                     index_vector, packing_from_json,
                                     packing_to_json, partite_min_degree)
 from partite_packing.oracle import canonical_form
+from test_oracle import relabeled_copy
 
 
 def test_rejects_same_class_edge():
@@ -169,6 +170,39 @@ def test_induced_matches_pair_loop():
         assert to_sub == ref_to and from_sub == ref_from
     with pytest.raises(ValueError):
         g.induced([[12], [], [], []])
+
+
+def test_induced_on_twins_matches_edge_list():
+    """`induced` gathers each distinct adjacency row once; on graphs full of
+    twins (equal rows) and on a random one it must equal the graph rebuilt
+    from `g.edges()`, filtered to the selection and relabelled."""
+    rng = random.Random("induced-twins")
+    random_edges = [((a, o1), (b, o2)) for a in range(3) for b in range(a + 1, 3)
+                    for o1 in range(12) for o2 in range(12) if rng.random() < 0.5]
+    graphs = [relabeled_copy(blow_up(build_gamma(3, 4, 3).graph, 4), 5),
+              complete_multipartite([12] * 4),
+              MultipartiteGraph([12] * 3, random_edges)]
+    twin_picks = 0
+    for g in graphs:
+        for _ in range(60):
+            # scattered offsets, some picked twice
+            keep = [[rng.randrange(size) for _ in range(rng.randint(0, size))]
+                    for size in g.class_sizes]
+            chosen = [sorted(set(sel)) for sel in keep]
+            relabel = {(c, o): (c, new) for c, sel in enumerate(chosen)
+                       for new, o in enumerate(sel)}
+            want = MultipartiteGraph(
+                [len(sel) for sel in chosen],
+                [(relabel[u], relabel[v]) for u, v in g.edges()
+                 if u in relabel and v in relabel])
+            sub, to_sub, from_sub = g.induced(keep)
+            assert sub == want, keep
+            assert to_sub == relabel
+            assert from_sub == sorted(relabel)
+            rows = [g.adj_mask(v) for v in relabel]
+            twin_picks += len(set(rows)) < len(rows)
+    # most selections hold twins, so the once-per-row path is exercised
+    assert twin_picks >= 100
 
 
 # -- blow-ups --------------------------------------------------------------------

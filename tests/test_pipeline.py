@@ -118,6 +118,71 @@ def test_bad_block_table_at_most_one_per_column():
             assert all(c <= 1 for c in per_col.values())
 
 
+def recount_bad(g, decomp, pc, bad_slack):
+    """Plain-loop bad set: a vertex outside every block; one with more than
+    bad_slack * p_i2 non-neighbours in a block X^i2_j2, i2 != i and j2 != j;
+    or, in a two-half row, one with more than bad_slack non-neighbours on
+    its own side (half or rest of the row's block) of another class."""
+    placed = {v for i in range(decomp.s) for j in range(decomp.r)
+              for v in decomp.block_vertices(i, j)}
+    bad = {v for v in g.vertices() if v not in placed}
+    for i in range(decomp.s):
+        for j in range(decomp.r):
+            for v in decomp.block_vertices(i, j):
+                for i2 in range(decomp.s):
+                    for j2 in range(decomp.r):
+                        misses = sum(1 for u in decomp.block_vertices(i2, j2)
+                                     if not g.has_edge(v, u))
+                        if (i2 != i and j2 != j
+                                and misses > bad_slack * decomp.weights[i2]):
+                            bad.add(v)
+                if i not in pc:
+                    continue
+                inside = v[1] in pc[i][j]
+                for j2 in range(decomp.r):
+                    side = [u for u in decomp.block_vertices(i, j2)
+                            if (u[1] in pc[i][j2]) == inside]
+                    misses = sum(1 for u in side if not g.has_edge(v, u))
+                    if j2 != j and misses > bad_slack:
+                        bad.add(v)
+    return bad
+
+
+def test_classify_bad_set_matches_recount():
+    """`classify_bad_vertices` decides once per block and neighbourhood; on
+    twin-heavy two-row graphs with planted bad twins, weak halves and noise,
+    its bad set equals a `has_edge` recount."""
+    n, r = 4, 4
+    sizes = []
+    for seed in range(6):
+        g, decomp = planted_two_row(r=r, n=n, seed=seed, pc_row=True,
+                                    diag_delete=0.04 * (seed % 2))
+        pc = {0: [set(range(n)) for _ in range(r)]}
+        # two twins of row 0 lose their edges into the block X^1_1
+        drop = [((0, o), (1, o2)) for o in (seed, seed + 1)
+                for o2 in range(2 * n, 3 * n)]
+        # a vertex outside the half of class 2 trades its side for the half
+        v = (2, n + seed % n)
+        drop += [(v, (j, o)) for j in (0, 1, 3) for o in range(n, 2 * n)]
+        add = [(v, (j, o)) for j in (0, 1, 3) for o in range(n)]
+        g = g.without_edges(drop).with_edges(add)
+        # row 0 alone: no diagonal blocks, so only its halves can be weak
+        row, _, _ = g.induced([range(2 * n)] * r)
+        one = RowDecomposition((2,), n, (tuple(frozenset(range(2 * n))
+                                               for _ in range(r)),))
+        for bad_slack in (1, 2):
+            want = recount_bad(g, decomp, pc, bad_slack)
+            assert classify_bad_vertices(g, decomp, pc, bad_slack).bad == want
+            assert {(0, seed), (0, seed + 1), v} <= want
+            sizes.append(len(want))
+            want = recount_bad(row, one, pc, bad_slack)
+            assert classify_bad_vertices(row, one, pc, bad_slack).bad == want
+            assert v in want
+            assert classify_bad_vertices(row, one, {}, bad_slack).bad == set()
+    # the planted vertices are not all: noise and slack 1 add more
+    assert max(sizes) > 3 and min(sizes) < g.n_vertices
+
+
 # -- building blocks ------------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from partite_packing.graphs import (MultipartiteGraph, build_gamma,
                                     complete_multipartite, PartitionLabeling,
                                     clique_complex_edges)
 from partite_packing.structure import (IntegerLattice, RowDecomposition,
+                                       SplitWitness,
                                        diagnose_barriers,
                                        divisibility_barrier_graph,
                                        is_complete_wrt, is_pair_complete,
@@ -105,6 +106,43 @@ def test_split_heuristic_witnesses_are_verified():
     w = is_splittable(g, 2, Fraction(1, 100), mode="heuristic", seed=3)
     assert w is not None
     assert verify_split_witness(g, w, Fraction(1, 100))
+
+
+def test_split_witness_checker_rejects_bogus_sets():
+    # on a complete graph every cross density is 1, so only the shape of the
+    # sets can make the checker say no
+    g = complete_multipartite([6, 6, 6])
+    d = Fraction(1, 100)
+    assert verify_split_witness(
+        g, SplitWitness(1, [(0, 1, 2), (1, 3, 5), (2, 4, 5)], Fraction(0)), d)
+    bogus = [
+        [(0, 1, 2, 3), (0,), (0, 1, 2)],          # unequal sizes
+        [(0, 1, 2), (0, 1, 2), (0, 1, 2, 3)],
+        [(), (), ()],                             # t = 0
+        [tuple(range(6))] * 3,                    # t = class size
+        [(0, 1, 2), (0, 1, 2)],                   # one set per class missing
+        [(0, 1, 2)] * 4,
+        [(0, 0, 1), (0, 1, 2), (0, 1, 2)],        # a repeated offset
+        [(0, 1, 6), (0, 1, 2), (0, 1, 2)],        # offsets out of range
+        [(-1, 0, 1), (0, 1, 2), (0, 1, 2)],
+    ]
+    for sets in bogus:
+        assert not verify_split_witness(g, SplitWitness(1, sets, Fraction(0)),
+                                        d), sets
+
+
+def test_split_witness_size_must_match_weight(monkeypatch):
+    g = complete_multipartite([12, 12, 12])
+    d = Fraction(1, 100)
+    w = is_splittable(g, 3, d, "heuristic", seed=1)
+    assert w is not None and all(len(s) == w.p_prime * 4 for s in w.sets)
+    # a searcher answering p_prime = 1 with sets of 2n offsets: the sets
+    # pass the density check, the size check in is_splittable stops them
+    wrong = SplitWitness(1, [tuple(range(8))] * 3, Fraction(0))
+    assert verify_split_witness(g, wrong, d)
+    monkeypatch.setattr(structure, "_split_heuristic", lambda *args: wrong)
+    with pytest.raises(AssertionError):
+        is_splittable(g, 3, d, "heuristic", seed=1)
 
 
 def test_split_rejects_uneven_classes():
