@@ -26,9 +26,9 @@ from .matching import (DegreeObstruction, ObstructionError, ParityObstruction,
                        pair_complete_balanced_matching, realize_multigraph,
                        regular_bipartite_perfect_matching)
 from .oracle import (CanonicalFormBudgetExceeded, OracleVerdict,
-                     brute_force_packing, canonical_form,
-                     is_isomorphic_to_gamma, random_min_degree_graph,
-                     verify_theorem_boundary)
+                     brute_force_packing, canonical_form, check_barrier,
+                     gamma_barrier, is_isomorphic_to_gamma,
+                     random_min_degree_graph, verify_theorem_boundary)
 from .pipeline import (BlockAssignment, CandidateExtremal, DeletionLedger,
                        GlueResult, PipelineParams, RecountFailure, SolveResult,
                        StageFailure, balance_blocks, balance_columns,

@@ -346,7 +346,9 @@ def build_gamma(n: int, r: int, k: int) -> GammaGraph:
     is adjacent to every other-class vertex except those of subpart j; a
     vertex of subpart j in {1, 2} is adjacent to every other-class vertex
     except those of subpart 3-j.  Partite minimum degree is exactly
-    (k-1)n/k, and when rn/k is odd no perfect k-clique packing exists.
+    (k-1)n/k, and when rn/k is odd no perfect k-clique packing exists:
+    `oracle.gamma_barrier` gives the divisibility barrier that proves it, on
+    the subpart labels returned here.
     """
     if k < 2:
         raise ValueError("k must be at least 2")

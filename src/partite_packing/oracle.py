@@ -1,5 +1,6 @@
 """Ground truth at desk scale: exhaustive packing decision, recognition of
-the extremal construction, canonical forms, seeded boundary harnesses.
+the extremal construction and its barrier certificate, canonical forms,
+seeded boundary harnesses.
 
 `exact_cover` is the package's one exact-cover search: the oracle decides
 packings with it, and the solver's balanced row packings
@@ -8,9 +9,12 @@ packings with it, and the solver's balanced row packings
 independence therefore comes from `CliquePacking.verify`, whose plain loops
 re-check every packing the search returns, not from separate search code.
 The extremal construction is recognised in O(V^2) from its twin classes, and
-every positive answer is an explicit vertex map checked edge by edge;
-`canonical_form` is an independent, exponential library function that `solve`
-never calls.
+every positive answer is an explicit vertex map checked edge by edge.  That
+Γ(n, r, k) with rn/k odd has no perfect packing is proven by a divisibility
+barrier (`gamma_barrier`), integer weights on its subparts that
+`check_barrier` verifies with plain loops, so `solve` answers a recognised Γ
+without any search.  `canonical_form` is an independent, exponential library
+function that `solve` never calls.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
 
-from .graphs import (CliquePacking, MultipartiteGraph, Vertex, build_gamma,
-                     complete_multipartite, graph_to_json)
+from .graphs import (CliquePacking, MultipartiteGraph, PartitionLabeling,
+                     Vertex, build_gamma, complete_multipartite, graph_to_json)
 
 
 @dataclass
@@ -301,7 +305,6 @@ def is_isomorphic_to_gamma(g: MultipartiteGraph, n: int, r: int, k: int) -> bool
         return False
     if n == 0:
         return True
-    target = build_gamma(n, r, k).graph
     twins: list[dict[int, list[int]]] = []     # adjacency mask -> members
     for c in range(r):
         groups: dict[int, list[int]] = {}
@@ -327,6 +330,7 @@ def is_isomorphic_to_gamma(g: MultipartiteGraph, n: int, r: int, k: int) -> bool
         if len(low) != 2:
             return False
         order = low + [nb for nb in order if nb not in low]
+    target = build_gamma(n, r, k).graph
     image = [0] * g.n_vertices
     for c in range(r):
         for j, nb in enumerate(order, 1):
@@ -340,6 +344,89 @@ def is_isomorphic_to_gamma(g: MultipartiteGraph, n: int, r: int, k: int) -> bool
                 return False
     return True
 
+
+# -- the divisibility barrier of the extremal construction ------------------------
+
+
+def gamma_barrier(n: int, r: int, k: int) -> dict:
+    """Γ(n, r, k)'s divisibility barrier, as integer weights on the subparts
+    of `build_gamma(n, r, k).subparts` (subpart j of class c is part
+    c*k + j - 1).  y is 1 on subparts 3..k and 0 on subparts 1 and 2, read
+    over `scale` = k - 2 (so y = 1/(k-2)); the parity functional p is 1 on
+    subpart 1.  For k = 2 the scale is 0, every type is tight, and p alone is
+    the odd-component argument.  Raises ValueError when rn/k is even (Γ then
+    packs); the barrier is returned only after `check_barrier` passes on Γ."""
+    if (r * n // k) % 2 == 0:
+        raise ValueError(f"rn/k = {r * n // k} is even: no barrier refutes Γ")
+    barrier = {"gamma": [n, r, k], "scale": k - 2,
+               "y": ([0, 0] + [1] * (k - 2)) * r,
+               "p": ([1] + [0] * (k - 1)) * r}
+    gamma = build_gamma(n, r, k)
+    problems = check_barrier(gamma.graph, gamma.subparts, barrier)
+    if problems:
+        raise AssertionError(f"barrier failed its check: {problems[:3]}")
+    return barrier
+
+
+def check_barrier(g: MultipartiteGraph, subparts: PartitionLabeling,
+                  barrier: dict) -> list[str]:
+    """All the reasons the barrier fails to refute a perfect k-clique packing
+    of g (an empty list: g has none), k being the barrier's `gamma[2]`.
+
+    Between any two subparts the edges must be all present or all missing, so
+    every clique lies on a type: k pairwise-complete subparts in distinct
+    classes.  If y(T) <= scale on every type and y.sizes = scale * V/k, the
+    V/k cliques of a perfect packing would all lie on tight types
+    (y(T) = scale); if p is even on every tight type but p.sizes is odd, they
+    cannot.  Plain loops over vertex pairs and subpart sets, like
+    `CliquePacking.verify`."""
+    k, scale, y, p = barrier["gamma"][2], barrier["scale"], barrier["y"], barrier["p"]
+    d = subparts.d
+    if [len(row) for row in subparts.part_of] != list(g.class_sizes):
+        return ["the subparts do not label the graph's vertices"]
+    if len(y) != d or len(p) != d:
+        return [f"y and p need one weight for each of the {d} subparts"]
+    problems = []
+    members = subparts.parts()
+    for a, vs in enumerate(members):
+        if len({c for c, _ in vs}) != 1:
+            problems.append(f"subpart {a} spans more than one class")
+    complete = [[False] * d for _ in range(d)]
+    for a in range(d):
+        for b in range(a + 1, d):
+            if members[a][0][0] == members[b][0][0]:
+                continue
+            edges = sum(1 for u in members[a] for v in members[b]
+                        if g.has_edge(u, v))
+            pairs = len(members[a]) * len(members[b])
+            if 0 < edges < pairs:
+                problems.append(f"subparts {a} and {b} are not all-or-nothing: "
+                                f"{edges} of {pairs} edges")
+            complete[a][b] = complete[b][a] = edges == pairs
+
+    def extend(chosen: list[int], weight: int, parity: int,
+               candidates: list[int]) -> None:
+        # candidates: the later subparts complete to every chosen one
+        if len(chosen) == k:
+            if weight > scale:
+                problems.append(f"type {chosen} has y(T) = {weight}/{scale} > 1")
+            elif weight == scale and parity % 2:
+                problems.append(f"tight type {chosen} has odd p(T) = {parity}")
+            return
+        for i, b in enumerate(candidates):
+            extend(chosen + [b], weight + y[b], parity + p[b],
+                   [c for c in candidates[i + 1:] if complete[b][c]])
+
+    extend([], 0, 0, list(range(d)))
+    total = g.n_vertices
+    if total % k:
+        problems.append(f"k = {k} does not divide the {total} vertices")
+    elif sum(w * len(vs) for w, vs in zip(y, members)) != scale * (total // k):
+        problems.append(f"y.sizes is not the {total // k} cliques of a perfect "
+                        "packing")
+    if sum(w * len(vs) for w, vs in zip(p, members)) % 2 == 0:
+        problems.append("p.sizes is even")
+    return problems
 
 # -- seeded instance generation --------------------------------------------------
 

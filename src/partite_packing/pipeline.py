@@ -29,7 +29,7 @@ from .matching import (bipartite_maximum_matching,
                        exact_balanced_clique_packing,
                        pair_complete_balanced_matching, ObstructionError,
                        regular_bipartite_perfect_matching)
-from .oracle import (OracleVerdict, brute_force_packing, exact_cover,
+from .oracle import (brute_force_packing, exact_cover, gamma_barrier,
                      is_isomorphic_to_gamma)
 from .structure import (EXACT_CLASS_CAP, RowDecomposition, block_masks,
                         is_pair_complete, iterate_decomposition)
@@ -1633,50 +1633,53 @@ class SolveResult:
     diagnosis: dict | None = None
 
 
-def _components(g: MultipartiteGraph):
-    seen: set[Vertex] = set()
-    for v in g.vertices():
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        yield comp
+def _has_odd_component(g: MultipartiteGraph) -> bool:
+    rest = (1 << g.n_vertices) - 1
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            grow = g._adj[low.bit_length() - 1] & ~comp
+            comp, frontier = comp | grow, (frontier ^ low) | grow
+        if comp.bit_count() % 2:
+            return True
+        rest &= ~comp
+    return False
+
+
+def _extremal(g: MultipartiteGraph, k: int, stages: list[dict], stage="oracle",
+              reason="no packing; isomorphic to the extremal construction"):
+    """`extremal`, with Γ's checked barrier certificate, when rn/k is odd and
+    the recogniser maps g onto Γ(n, r, k); None otherwise."""
+    n_plus, r = g.class_sizes[0], g.r
+    if (r * n_plus // k) % 2 == 0 or not is_isomorphic_to_gamma(g, n_plus, r, k):
+        return None
+    return SolveResult("extremal", None, stages, {"stage": stage, "reason": reason,
+                                                  "barrier": gamma_barrier(n_plus, r, k)})
 
 
 def _oracle_route(g: MultipartiteGraph, k: int, params: PipelineParams,
                   stages: list[dict]) -> SolveResult:
-    n_plus = g.class_sizes[0]
-    r = g.r
-    if k == 2 and any(len(c) % 2 for c in _components(g)):
-        verdict = OracleVerdict(False, None, 0, True)
+    """Refute by odd components (k = 2) or Γ's barrier (k >= 3), else search."""
+    if k == 2 and _has_odd_component(g):
         stages.append({"name": "oracle", "note": "odd component"})
+    elif k >= 3 and (res := _extremal(g, k, stages)):
+        stages.append({"name": "oracle", "note": "barrier"})
+        return res
     else:
         verdict = brute_force_packing(g, k, params.budget)
         stages.append({"name": "oracle", "nodes": verdict.nodes_explored,
                        "completed": verdict.completed})
-    if verdict.exists:
-        return SolveResult("packed", verdict.witness, stages)
-    if not verdict.completed:
-        return SolveResult("diagnosis", None, stages,
-                           {"stage": "oracle", "reason": "budget exhausted"})
-    parity = (r * n_plus // k) % 2 == 1 and n_plus % k == 0
-    if parity and is_isomorphic_to_gamma(g, n_plus, r, k):
-        return SolveResult("extremal", None, stages,
-                           {"stage": "oracle",
-                            "reason": "no packing; isomorphic to the extremal "
-                                      "construction"})
-    return SolveResult("diagnosis", None, stages,
-                       {"stage": "oracle",
-                        "reason": "no packing exists (proven)",
-                        "parity_clause": parity})
+        if verdict.exists:
+            return SolveResult("packed", verdict.witness, stages)
+        if not verdict.completed:
+            return SolveResult("diagnosis", None, stages,
+                               {"stage": "oracle", "reason": "budget exhausted"})
+    parity = (g.n_vertices // k) % 2 == 1 and g.class_sizes[0] % k == 0
+    return ((k == 2 and _extremal(g, k, stages))
+            or SolveResult("diagnosis", None, stages,
+                           {"stage": "oracle", "reason": "no packing exists (proven)",
+                            "parity_clause": parity}))
 
 
 def solve(g: MultipartiteGraph, k: int,
@@ -1709,11 +1712,8 @@ def solve(g: MultipartiteGraph, k: int,
         return _pipeline_route(g, k, params, stages)
     except CandidateExtremal as e:
         stages.append({"name": e.stage, "failed": e.reason})
-        parity = (r * n_plus // k) % 2 == 1 and n_plus % k == 0
-        if parity and is_isomorphic_to_gamma(g, n_plus, r, k):
-            return SolveResult("extremal", None, stages,
-                               {"stage": e.stage, "reason": e.reason})
-        return _fallback(g, k, params, stages, e)
+        return (_extremal(g, k, stages, e.stage, e.reason)
+                or _fallback(g, k, params, stages, e))
     except StageFailure as e:
         stages.append({"name": e.stage, "failed": e.reason})
         return _fallback(g, k, params, stages, e)
@@ -1734,7 +1734,7 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
     n = n_plus // k
     total_target = r * n_plus // k
 
-    trimmed, _, _ = g.induced([range(k * n)] * r)
+    trimmed = g if k * n == n_plus else g.induced([range(k * n)] * r)[0]
     iteration = iterate_decomposition(trimmed, k, ladder(k), seed=params.seed)
     decomp = iteration.decomposition
     stages.append({"name": "decompose", "s": decomp.s,

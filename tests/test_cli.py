@@ -4,6 +4,7 @@ import json
 
 from partite_packing.cli import main
 from partite_packing.graphs import build_gamma, graph_from_json, graph_to_json
+from partite_packing.oracle import check_barrier
 from test_oracle import relabeled_copy
 
 
@@ -21,6 +22,18 @@ def test_gen_gamma_and_solve_exit_extremal(tmp_path):
     assert run(["solve", "--input", g_path, "--k", "3", "-o", out]) == 2
     doc = json.loads(open(out).read())
     assert doc["status"] == "extremal"
+
+
+def test_solve_gamma_writes_a_checkable_barrier(tmp_path):
+    g_path = str(tmp_path / "g.json")
+    out = str(tmp_path / "res.json")
+    assert run(["gen", "gamma", "--n", "3", "--r", "5", "--k", "3",
+                "-o", g_path]) == 0
+    assert run(["solve", "--input", g_path, "--k", "3", "-o", out]) == 2
+    barrier = json.loads(open(out).read())["diagnosis"]["barrier"]
+    assert barrier["gamma"] == [3, 5, 3]
+    gam = build_gamma(3, 5, 3)
+    assert check_barrier(gam.graph, gam.subparts, barrier) == []
 
 
 def test_solve_shuffled_gamma_973_exit_extremal(tmp_path):

@@ -1,12 +1,14 @@
-"""Ground-truth search, canonical forms, and the boundary harness."""
+"""Ground-truth search, canonical forms, Γ's barrier certificate, and the
+boundary harness."""
 
 import random
 
 import pytest
 
-from partite_packing.graphs import (MultipartiteGraph, build_gamma,
-                                    complete_multipartite)
+from partite_packing.graphs import (MultipartiteGraph, PartitionLabeling,
+                                    build_gamma, complete_multipartite)
 from partite_packing.oracle import (brute_force_packing, canonical_form,
+                                    check_barrier, gamma_barrier,
                                     is_isomorphic_to_gamma,
                                     random_min_degree_graph,
                                     verify_theorem_boundary)
@@ -100,6 +102,101 @@ def test_canonical_form_class_sizes_guard():
     b = complete_multipartite([3, 2])
     assert canonical_form(a) == canonical_form(b)
 
+
+
+# -- Γ's barrier certificate ---------------------------------------------------------
+
+
+def gamma_weights(n, r, k):
+    """The barrier written out by hand: y = 1/(k-2) on subparts 3..k, read
+    over the scale k-2, and p = 1 on subpart 1, subpart j of class c being
+    part c*k + j - 1."""
+    return {"gamma": [n, r, k], "scale": k - 2,
+            "y": [int(j >= 3) for c in range(r) for j in range(1, k + 1)],
+            "p": [int(j == 1) for c in range(r) for j in range(1, k + 1)]}
+
+
+@pytest.mark.parametrize("n,r,k", [(3, 3, 3), (3, 5, 3), (4, 5, 4), (5, 5, 5),
+                                   (9, 3, 3), (9, 7, 3), (15, 5, 3), (12, 5, 4),
+                                   (2, 3, 2), (6, 3, 2)])
+def test_barrier_accepted_on_gamma(n, r, k):
+    gam = build_gamma(n, r, k)
+    assert gamma_barrier(n, r, k) == gamma_weights(n, r, k)
+    assert check_barrier(gam.graph, gam.subparts, gamma_weights(n, r, k)) == []
+
+
+def moved(labels, v, part):
+    rows = [list(row) for row in labels.part_of]
+    rows[v[0]][v[1]] = part
+    return PartitionLabeling(labels.d, tuple(map(tuple, rows)))
+
+
+def test_barrier_mutants_rejected():
+    gam = build_gamma(3, 5, 3)                # subparts of one vertex
+    big = build_gamma(9, 3, 3)                # subparts of three vertices
+    base = gamma_weights(3, 5, 3)
+
+    def problems(barrier=None, g=gam.graph, labels=gam.subparts, **change):
+        barrier = dict(barrier or base)
+        for key, (part, value) in change.items():
+            barrier[key] = list(barrier[key])
+            barrier[key][part] = value
+        return check_barrier(g, labels, barrier)
+
+    # (0,0) of subpart 1 joins subpart 3 of its class: not all-or-nothing
+    found = problems(gamma_weights(9, 3, 3), big.graph,
+                     moved(big.subparts, (0, 0), 2))
+    assert any("not all-or-nothing" in p for p in found)
+    # y on a subpart 1: a type with it and a subpart 3 has y(T) = 2 > 1
+    assert any("> 1" in p for p in problems(y=(0, 1)))
+    # y off a subpart 3: every type stays within 1, but the total falls short
+    assert problems(y=(2, 0)) == ["y.sizes is not the 5 cliques of a perfect "
+                                  "packing"]
+    # p on a subpart 2: the tight type {2, 2, 3} of three classes is odd
+    assert any("tight type" in p for p in problems(p=(1, 1)))
+    # rn/k = 8: p.sizes is even, and Gamma(6,4,3) packs
+    even = build_gamma(6, 4, 3)
+    assert problems(gamma_weights(6, 4, 3), even.graph,
+                    even.subparts) == ["p.sizes is even"]
+    with pytest.raises(ValueError):
+        gamma_barrier(6, 4, 3)
+    # one edge more: between subparts of three vertices it breaks
+    # all-or-nothing; between single vertices it makes {1, 2, 3} a tight type
+    plus = big.graph.with_edges([((0, 0), (1, 3))])
+    assert any("not all-or-nothing" in p
+               for p in problems(gamma_weights(9, 3, 3), plus, big.subparts))
+    plus = gam.graph.with_edges([((0, 0), (1, 1))])
+    assert any("tight type" in p for p in problems(g=plus))
+
+
+def test_barrier_accepted_only_without_packing():
+    """On Γ of at most 24 vertices (rn/k odd or even), and on Γ with every
+    edge between two subparts toggled for a seeded sample of subpart pairs,
+    no graph the checker accepts has a perfect packing."""
+    accepted = 0
+    for k in (2, 3, 4):
+        for r in range(k, 24 // k + 1):
+            for n in range(k, 24 // r + 1, k):
+                gam = build_gamma(n, r, k)
+                parts = gam.subparts.parts()
+                pairs = [(a, b) for a in range(len(parts))
+                         for b in range(a + 1, len(parts))
+                         if parts[a][0][0] != parts[b][0][0]]
+                rng = random.Random(f"barrier:{n},{r},{k}")
+                graphs = [gam.graph]
+                sample = min(len(pairs), 6) if r * n <= 20 else 0
+                for a, b in rng.sample(pairs, sample):
+                    cross = [(u, v) for u in parts[a] for v in parts[b]]
+                    graphs.append(gam.graph.without_edges(cross)
+                                  if gam.graph.has_edge(*cross[0])
+                                  else gam.graph.with_edges(cross))
+                for g in graphs:
+                    if check_barrier(g, gam.subparts, gamma_weights(n, r, k)):
+                        continue
+                    accepted += 1
+                    verdict = brute_force_packing(g, k)
+                    assert verdict.completed and not verdict.exists
+    assert accepted >= 30
 
 # -- instance generation and the harness ------------------------------------------------
 

@@ -10,7 +10,8 @@ from partite_packing import pipeline
 from partite_packing.graphs import (CliquePacking, MultipartiteGraph,
                                     build_gamma, complete_multipartite)
 from partite_packing.matching import exact_balanced_clique_packing
-from partite_packing.oracle import brute_force_packing, random_min_degree_graph
+from partite_packing.oracle import (brute_force_packing, check_barrier,
+                                    gamma_barrier, random_min_degree_graph)
 from partite_packing.pipeline import (DeletionLedger, PipelineParams,
                                       StageFailure, balance_blocks,
                                       balance_columns, balance_rows,
@@ -459,6 +460,42 @@ def test_solve_certifies_shuffled_gamma(n, r, k, stage):
     res = solve(g, k)
     assert res.status == "extremal"
     assert res.diagnosis["stage"] == stage
+
+
+@pytest.mark.parametrize("n,r,k", [(3, 5, 3), (4, 5, 4), (5, 5, 5), (9, 3, 3)])
+def test_oracle_route_answers_gamma_by_its_barrier(monkeypatch, n, r, k):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the oracle searched a recognised Gamma")
+
+    monkeypatch.setattr(pipeline, "brute_force_packing", no_search)
+    res = solve(relabeled_copy(build_gamma(n, r, k).graph, f"barrier:{n}"), k)
+    assert res.status == "extremal"
+    assert res.stages == [{"name": "oracle", "note": "barrier"}]
+    assert res.diagnosis["stage"] == "oracle"
+    barrier = res.diagnosis["barrier"]
+    assert barrier == gamma_barrier(n, r, k)
+    gam = build_gamma(*barrier["gamma"])
+    assert check_barrier(gam.graph, gam.subparts, barrier) == []
+
+
+def test_oracle_route_searches_what_it_does_not_recognise():
+    # rn/k even: not refuted, and Gamma(6,4,3) packs; one edge more than
+    # Gamma(3,5,3) is no longer Gamma
+    plus = build_gamma(3, 5, 3).graph.with_edges([((0, 0), (1, 1))])
+    for g in (relabeled_copy(build_gamma(6, 4, 3).graph, "even"), plus):
+        res = solve(g, 3)
+        verdict = brute_force_packing(g, 3)
+        assert [s["name"] for s in res.stages] == ["oracle"]
+        assert res.stages[0]["nodes"] == verdict.nodes_explored
+        assert (res.status == "packed") == verdict.exists
+        assert res.status != "extremal"
+
+
+def test_k2_gamma_is_refuted_by_its_odd_components():
+    res = solve(relabeled_copy(build_gamma(2, 3, 2).graph, "k2"), 2)
+    assert res.status == "extremal"
+    assert res.stages == [{"name": "oracle", "note": "odd component"}]
+    assert res.diagnosis["barrier"] == gamma_barrier(2, 3, 2)
 
 
 def test_solve_agrees_with_oracle_small():
