@@ -31,7 +31,7 @@ from .matching import (bipartite_maximum_matching,
                        regular_bipartite_perfect_matching)
 from .oracle import (brute_force_packing, exact_cover, gamma_barrier,
                      is_isomorphic_to_gamma)
-from .structure import (EXACT_CLASS_CAP, RowDecomposition, block_masks,
+from .structure import (RowDecomposition, block_masks, detection_mode,
                         is_pair_complete, iterate_decomposition)
 
 
@@ -50,8 +50,7 @@ class CandidateExtremal(StageFailure):
     forces; the caller should run the isomorphism check."""
 
 
-ORACLE_CUTOFF = 16      # direct oracle at or below this many vertices
-FALLBACK_CUTOFF = 40    # oracle fallback after a stage failure, same measure
+FALLBACK_CUTOFF = 40    # oracle fallback after a stage failure, in vertices
 ETA_COUNT = 1           # spare cliques per heavy row pair
 
 
@@ -212,9 +211,7 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
                   for i in range(s)]
         target = max(range(s), key=lambda i: (counts[i], -i))
         w[target][j].add(v)
-        origin = None
-        if v in in_x:
-            origin = (decomp.row_of(v), j)
+        origin = (decomp.row_of(v), j) if v in in_x else None
         move_log.append((v, origin, (target, j)))
 
     s_half: dict[int, list[set[Vertex]]] = {}
@@ -234,9 +231,8 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
                             break
             s_half[i].append(half)
 
-    asg = BlockAssignment(g, decomp, w, y, set(bad), set(pc_halves), s_half,
-                          move_log)
-    return asg
+    return BlockAssignment(g, decomp, w, y, set(bad), set(pc_halves), s_half,
+                           move_log)
 
 
 # -- greedy clique extension -----------------------------------------------------
@@ -300,11 +296,7 @@ def extend_clique(g: MultipartiteGraph, asg: BlockAssignment,
         if i not in asg.pc_rows or len(cols_needed.get(i, ())) != 1:
             raise ValueError(f"half target given for inapplicable row {i}")
 
-    forbid_mask = 0
-    for v in forbidden:
-        forbid_mask |= 1 << g.flat(v)
-    for v in base:
-        forbid_mask |= 1 << g.flat(v)
+    forbid_mask = g.mask_of(forbidden) | g.mask_of(base)
 
     need_mask = (1 << g.n_vertices) - 1
     for v in base:
@@ -643,6 +635,8 @@ class DeletionLedger:
         self.covered.update(clique)
 
     def replace(self, old: Sequence[Vertex], new: Sequence[Vertex]) -> None:
+        """Unreached: only the rowpack repairs for a second heavy row call it.
+        Driven by test_repair_half_parity_direct."""
         old, new = tuple(sorted(old)), tuple(sorted(new))
         for e in self.entries:
             if e.clique == old:
@@ -697,6 +691,8 @@ def is_properly_distributed(asg: BlockAssignment, clique: Sequence[Vertex]) -> b
 
 def is_ij_distributed(asg: BlockAssignment, clique: Sequence[Vertex],
                       i: int, j: int) -> bool:
+    """Unreached: only `prepare_multirow`'s spare cliques are checked with it.
+    Driven by test_building_block_through_vertex_and_ij."""
     prof = _clique_row_profile(asg, clique)
     for l in range(asg.s):
         want = asg.weights[l] + (1 if l == i else 0) - (1 if l == j else 0)
@@ -779,7 +775,8 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
                  extremal: bool) -> None:
     """Delete cliques so every row's remainder is proportional to its weight;
     under the extremal row structure also leave the heavy row's half with
-    even size."""
+    even size.  Unreached: the positive-excess path (a > 0).  Driven by
+    test_stage_rows_corrects_one_moved_vertex."""
     s = asg.s
     a_i = [len(asg.row_vertices(i)) - asg.weights[i] * total_target
            for i in range(s)]
@@ -925,6 +922,9 @@ def _extremal_zero_excess_fix(g, asg, ledger, i_star):
 
 def prepare_multirow(g: MultipartiteGraph, asg: BlockAssignment,
                      ledger: DeletionLedger, total_target: int) -> None:
+    """Spare (i, j)-distributed cliques for every ordered pair of heavy rows.
+    Unreached: it needs two heavy rows.  Driven by
+    test_prepare_multirow_two_heavy_rows_and_shortfall."""
     heavy = [i for i in range(asg.s) if asg.weights[i] >= 2]
     if len(heavy) < 2:
         return
@@ -1686,7 +1686,9 @@ def solve(g: MultipartiteGraph, k: int,
           params: PipelineParams | None = None) -> SolveResult:
     """Perfect k-clique packing, certified extremal instance, or a structured
     diagnosis naming the stage that failed.  Never returns an unverified
-    packing; on small instances the verdict is exactly the oracle's."""
+    packing.  The pipeline runs only when k >= 3, r >= 4 and the class size
+    is at least k*k, so on every graph below 36 vertices the verdict is
+    exactly the oracle's."""
     params = params or PipelineParams()
     r = g.r
     if len(set(g.class_sizes)) != 1:
@@ -1696,16 +1698,15 @@ def solve(g: MultipartiteGraph, k: int,
         raise ValueError("k must divide the vertex count r*n")
     if k > r:
         raise ValueError("clique size cannot exceed the class count")
+    if k == 1:
+        packing = CliquePacking([(v,) for v in g.vertices()])
+        return SolveResult("packed", packing, [{"name": "trivial"}])
     need = ceil((k - 1) * n_plus / k)
     if n_plus and partite_min_degree(g) < need:
         raise ValueError(f"partite minimum degree below {need}")
 
     stages: list[dict] = []
-    if k == 1:
-        packing = CliquePacking([(v,) for v in g.vertices()])
-        return SolveResult("packed", packing, [{"name": "trivial"}])
-    if (g.n_vertices <= ORACLE_CUTOFF or k == 2 or r <= 3
-            or n_plus < k * k):
+    if k == 2 or r <= 3 or n_plus < k * k:
         return _oracle_route(g, k, params, stages)
 
     try:
@@ -1747,9 +1748,8 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
             continue
         selection = [sorted(decomp.rows[i][j]) for j in range(r)]
         sub, _, _ = trimmed.induced(selection)
-        mode = ("exact" if sub.class_sizes[0] <= EXACT_CLASS_CAP
-                else "heuristic")
-        w = is_pair_complete(sub, params.pc_threshold, mode, seed=params.seed)
+        w = is_pair_complete(sub, params.pc_threshold, detection_mode(sub),
+                             seed=params.seed)
         if w is not None:
             pc_halves[i] = [set(selection[j][o] for o in w.halves[j])
                             for j in range(r)]

@@ -19,7 +19,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .graphs import (MultipartiteGraph, PartitionLabeling, Vertex,
@@ -126,6 +126,12 @@ def min_diagonal_density(g: MultipartiteGraph, decomp: RowDecomposition) -> Frac
                     if e * best_den < best_e * den:
                         best_e, best_den = e, den
     return Fraction(best_e, best_den)
+
+
+def detection_mode(g: MultipartiteGraph) -> str:
+    """The search mode for split and two-half detection on g: "exact" for
+    classes of at most EXACT_CLASS_CAP vertices, "heuristic" above."""
+    return "exact" if g.class_sizes[0] <= EXACT_CLASS_CAP else "heuristic"
 
 
 # -- splittability ------------------------------------------------------------
@@ -245,53 +251,52 @@ def _split_refuted(g, p, n, d):
     return False
 
 
+def _exact_choice(g, options, pair_ok):
+    """Lexicographically least choice of one offset tuple per class, from
+    options[j] for class j, with pair_ok(s_a, t_a, s_b, t_b) true for every
+    pair of classes b < a (s: chosen offsets' mask, t: the rest of the
+    class); None if there is none.  Each option's masks are built once."""
+    table = []
+    for j, opts in enumerate(options):
+        whole = g.class_mask(j)
+        masks = [g.mask_of((j, o) for o in combo) for combo in opts]
+        table.append([(combo, m, whole & ~m) for combo, m in zip(opts, masks)])
+    chosen = []
+
+    def backtrack(a):
+        if a == len(table):
+            return True
+        for option in table[a]:
+            _, s_a, t_a = option
+            if all(pair_ok(s_a, t_a, s_b, t_b) for _, s_b, t_b in chosen):
+                chosen.append(option)
+                if backtrack(a + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return [combo for combo, _, _ in chosen] if backtrack(0) else None
+
+
 def _split_exact(g, p, n, d):
+    """Least split for the least p_prime: every e(S_a, V_b minus S_b) at
+    least (1-d)*t*c, with t = p_prime*n and c = size - t."""
     size = p * n
     bound = 1 - Fraction(d)
     num, den = bound.numerator, bound.denominator
-
-    def comp_mask(j, mask):
-        return g.class_mask(j) & ~mask
-
+    count = g.edge_count_between
     for p_prime in range(1, p):
         target = p_prime * n
-        s_size = target
-        c_size = size - target
-        per_class = [
-            [(combo, sum(1 << (g.flat((j, o))) for o in combo))
-             for combo in combinations(range(size), target)]
-            for j in range(g.r)
-        ]
-        masks: list[int] = []
-        comps: list[int] = []
-        chosen: list[tuple[int, ...]] = []
+        least = num * target * (size - target)
 
-        def backtrack(j):
-            if j == g.r:
-                return True
-            for combo, mask in per_class[j]:
-                masks.append(mask)
-                comps.append(comp_mask(j, mask))
-                ok = True
-                a = j
-                for b in range(j):
-                    e1 = g.edge_count_between(masks[a], comps[b])
-                    e2 = g.edge_count_between(masks[b], comps[a])
-                    if (e1 * den < num * s_size * c_size
-                            or e2 * den < num * s_size * c_size):
-                        ok = False
-                        break
-                if ok:
-                    chosen.append(combo)
-                    if backtrack(j + 1):
-                        return True
-                    chosen.pop()
-                masks.pop()
-                comps.pop()
-            return False
+        def pair_ok(s_a, t_a, s_b, t_b):
+            return (count(s_a, t_b) * den >= least
+                    and count(s_b, t_a) * den >= least)
 
-        if backtrack(0):
-            return SplitWitness(p_prime, list(chosen), Fraction(0))
+        sets = _exact_choice(
+            g, [list(combinations(range(size), target))] * g.r, pair_ok)
+        if sets is not None:
+            return SplitWitness(p_prime, sets, Fraction(0))
     return None
 
 
@@ -314,6 +319,26 @@ def _neighborhoods(g, size):
     return [[g.adj_mask((j, o)) for o in range(size)] for j in range(g.r)]
 
 
+def _pivot_seed(g, nbrs, c, nv, target, side):
+    """Sets of `target` offsets per class seeded by a pivot in class c with
+    neighbourhood nv: in class c the neighbourhoods nearest nv in Hamming
+    distance, in every other class the offsets with bit `side` in nv first
+    (1: neighbours, 0: non-neighbours), ties to the lower offset."""
+    size = len(nbrs[c])
+    sets = []
+    for j in range(g.r):
+        if j == c:
+            ranked = sorted(range(size),
+                            key=lambda o: ((nbrs[c][o] ^ nv).bit_count(), o))
+        else:
+            bits = nv >> g._off[j]
+            ranked = [o for o in range(size) if (bits >> o & 1) == side]
+            if len(ranked) < target:
+                ranked += [o for o in range(size) if (bits >> o & 1) != side]
+        sets.append(tuple(sorted(ranked[:target])))
+    return sets
+
+
 def _split_pivot_candidates(g, p, n, nbrs):
     """Deterministic seed splits derived from single vertices: outside the
     pivot's class take its non-neighbors, inside take the vertices with the
@@ -321,7 +346,6 @@ def _split_pivot_candidates(g, p, n, nbrs):
 
     A candidate depends only on the pivot's class and neighbourhood, so each
     distinct neighbourhood of a class is tried once, at its first vertex."""
-    size = p * n
     for c in range(g.r):
         for nv in dict.fromkeys(nbrs[c]):
             non_counts = [(g.class_mask(j) & ~nv).bit_count()
@@ -329,21 +353,8 @@ def _split_pivot_candidates(g, p, n, nbrs):
             if not non_counts:
                 continue
             p_prime = round(sum(non_counts) / len(non_counts) / n)
-            if not (1 <= p_prime <= p - 1):
-                continue
-            target = p_prime * n
-            sets = []
-            for j in range(g.r):
-                if j == c:
-                    ranked = sorted(
-                        range(size),
-                        key=lambda o2: ((nbrs[j][o2] ^ nv).bit_count(), o2))
-                else:
-                    ranked = sorted(
-                        range(size),
-                        key=lambda o2: (bool(nv >> g.flat((j, o2)) & 1), o2))
-                sets.append(tuple(sorted(ranked[:target])))
-            yield p_prime, sets
+            if 1 <= p_prime <= p - 1:
+                yield p_prime, _pivot_seed(g, nbrs, c, nv, p_prime * n, 0)
 
 
 def _split_heuristic(g, p, n, d, seed):
@@ -488,78 +499,35 @@ def is_pair_complete(g: MultipartiteGraph, d: Fraction,
     return witness
 
 
-def _pc_pair_ok(g, size, n, d, mask_a, mask_b, comp_a, comp_b):
-    lo = (1 - Fraction(d))
-    hi = Fraction(d)
-    e_ss = g.edge_count_between(mask_a, mask_b)
-    if e_ss * lo.denominator < lo.numerator * n * n:
-        return False
-    e_tt = g.edge_count_between(comp_a, comp_b)
-    if e_tt * lo.denominator < lo.numerator * n * n:
-        return False
-    e_st = g.edge_count_between(mask_a, comp_b)
-    e_ts = g.edge_count_between(mask_b, comp_a)
-    if e_st * hi.denominator > hi.numerator * n * n:
-        return False
-    if e_ts * hi.denominator > hi.numerator * n * n:
-        return False
-    return True
-
-
 def _pc_exact(g, n, d):
-    size = 2 * n
+    """Least halves with e(S_a, S_b) and e(T_a, T_b) at least (1-d)*n*n and
+    e(S_a, T_b) at most d*n*n for every pair of classes."""
+    lo, hi = 1 - Fraction(d), Fraction(d)
+    least, most = lo.numerator * n * n, hi.numerator * n * n
+    count = g.edge_count_between
+
+    def pair_ok(s_a, t_a, s_b, t_b):
+        return (count(s_b, s_a) * lo.denominator >= least
+                and count(t_b, t_a) * lo.denominator >= least
+                and count(s_b, t_a) * hi.denominator <= most
+                and count(s_a, t_b) * hi.denominator <= most)
+
+    halves = list(combinations(range(2 * n), n))
     # Global half-swap symmetry: restrict class 0 to halves containing offset 0.
-    first = [c for c in combinations(range(size), n) if 0 in c]
-    rest = list(combinations(range(size), n))
-    masks: list[int] = []
-    comps: list[int] = []
-    chosen: list[tuple[int, ...]] = []
-
-    def backtrack(j):
-        if j == g.r:
-            return True
-        options = first if j == 0 else rest
-        for combo in options:
-            mask = sum(1 << g.flat((j, o)) for o in combo)
-            comp = g.class_mask(j) & ~mask
-            ok = all(_pc_pair_ok(g, size, n, d, masks[b], mask, comps[b], comp)
-                     for b in range(j))
-            if ok:
-                masks.append(mask)
-                comps.append(comp)
-                chosen.append(combo)
-                if backtrack(j + 1):
-                    return True
-                chosen.pop()
-                masks.pop()
-                comps.pop()
-        return False
-
-    if backtrack(0):
-        return PairCompleteWitness(list(chosen), Fraction(0), Fraction(0), Fraction(0))
-    return None
+    first = [h for h in halves if 0 in h]
+    chosen = _exact_choice(g, [first] + [halves] * (g.r - 1), pair_ok)
+    if chosen is None:
+        return None
+    return PairCompleteWitness(chosen, Fraction(0), Fraction(0), Fraction(0))
 
 
-def _pc_pivot_candidates(g, n):
+def _pc_pivot_candidates(g, n, nbrs):
     """Deterministic seed halves from single vertices: outside the pivot's
-    class its neighbors, inside the most similar neighborhoods."""
-    size = 2 * n
-    nbrs = _neighborhoods(g, size)
+    class its neighbors, inside the most similar neighborhoods.  Each
+    distinct neighbourhood of a class is tried once."""
     for c in range(g.r):
-        for o in range(size):
-            nv = nbrs[c][o]
-            halves = []
-            for j in range(g.r):
-                if j == c:
-                    ranked = sorted(
-                        range(size),
-                        key=lambda o2: ((nbrs[j][o2] ^ nv).bit_count(), o2))
-                else:
-                    ranked = sorted(
-                        range(size),
-                        key=lambda o2: (not (nv >> g.flat((j, o2)) & 1), o2))
-                halves.append(tuple(sorted(ranked[:n])))
-            yield halves
+        for nv in dict.fromkeys(nbrs[c]):
+            yield _pivot_seed(g, nbrs, c, nv, n, 1)
 
 
 def _pc_heuristic(g, n, d, seed):
@@ -595,7 +563,7 @@ def _pc_heuristic(g, n, d, seed):
         return (lo * lo_bound.denominator >= lo_bound.numerator * full
                 and hi * hi_bound.denominator <= hi_bound.numerator * full)
 
-    for cand in _pc_pivot_candidates(g, n):
+    for cand in _pc_pivot_candidates(g, n, nbrs):
         _, _, ss, tt, st = table(cand)
         if feasible(*extremes(ss, tt, st)):
             return PairCompleteWitness([tuple(h) for h in cand],
@@ -679,10 +647,9 @@ def iterate_decomposition(g: MultipartiteGraph, k: int,
     """Refine the trivial one-row decomposition by splitting rows while any
     row is splittable at the threshold for the current row count.
 
-    A row with classes of at most EXACT_CLASS_CAP vertices is searched
-    exactly, a larger one heuristically.  Tie-breaking is deterministic: the
-    lowest-index splittable row splits first, using the lexicographically
-    least witness the searcher finds.
+    Each row is searched in its `detection_mode`.  Tie-breaking is
+    deterministic: the lowest-index splittable row splits first, using the
+    lexicographically least witness the searcher finds.
     """
     thresholds = [Fraction(t) for t in thresholds]
     if any(t2 <= t1 for t1, t2 in zip(thresholds, thresholds[1:])):
@@ -704,9 +671,8 @@ def iterate_decomposition(g: MultipartiteGraph, k: int,
                 continue
             selection = [sorted(rows[i][j]) for j in range(g.r)]
             sub, _, _ = g.induced(selection)
-            row_mode = ("exact" if sub.class_sizes[0] <= EXACT_CLASS_CAP
-                        else "heuristic")
-            w = is_splittable(sub, weights[i], d_s, row_mode, seed=seed)
+            w = is_splittable(sub, weights[i], d_s, detection_mode(sub),
+                              seed=seed)
             if w is None:
                 continue
             new_first = []
@@ -1053,7 +1019,6 @@ def diagnose_barriers(g: MultipartiteGraph, p_weight: int, *,
         if total > SPACE_BUDGET:
             report["space_exhaustive"] = False
             continue
-        from itertools import product
         for pick in product(options, repeat=g.r):
             s_mask = 0
             for c, offs in enumerate(pick):
@@ -1074,7 +1039,6 @@ def diagnose_barriers(g: MultipartiteGraph, p_weight: int, *,
     if total > DIVISIBILITY_BUDGET:
         report["divisibility_exhaustive"] = False
     else:
-        from itertools import product
         seen_keys = set()
         for pick in product(split_options, repeat=g.r):
             if all(s is None for s in pick):

@@ -86,6 +86,16 @@ def test_random_generation_is_byte_deterministic(tmp_path):
     assert open(a).read() == open(b).read()
 
 
+def test_one_class_graph_packs_by_singletons(tmp_path):
+    g_path = str(tmp_path / "g.json")
+    out = str(tmp_path / "res.json")
+    assert run(["gen", "complete", "--n", "3", "--r", "1", "-o", g_path]) == 0
+    assert run(["solve", "--input", g_path, "--k", "1", "-o", out]) == 0
+    doc = json.loads(open(out).read())
+    assert doc["status"] == "packed"
+    assert doc["packing"]["cliques"] == [[[0, 0]], [[0, 1]], [[0, 2]]]
+
+
 def test_solve_precondition_exit_code(tmp_path):
     g_path = str(tmp_path / "g.json")
     run(["gen", "random", "--n", "3", "--r", "3", "--k", "3",

@@ -1,8 +1,10 @@
 """Every module of the package and of the test suite uses every name it
 imports.  The package's `__init__.py` is left out: its imports are the
-public re-exports."""
+public re-exports.  The package imports nothing outside the standard library
+(networkx and scipy serve only as test-side cross-checks)."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,28 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def absolute_imports(source: str) -> set[str]:
+    """Top-level names of the modules that `source` imports absolutely."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_absolute_imports_are_found():
+    source = ("import os.path, json\nfrom networkx.algorithms import x\n"
+              "from .graphs import y\nfrom . import z\n")
+    assert absolute_imports(source) == {"os", "json", "networkx"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "partite_packing").glob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_only_the_standard_library(path):
+    outside = absolute_imports(path.read_text()) - sys.stdlib_module_names
+    assert outside == set()

@@ -524,9 +524,56 @@ def test_solve_precondition_errors():
         solve(complete_multipartite([5, 5, 5, 5]), 3)  # k does not divide rn
 
 
+def test_graphs_below_36_vertices_take_the_oracle_route():
+    # the pipeline needs k >= 3, r >= 4 and a class size of at least k*k
+    for r in range(1, 36):
+        for size in range(1, 35 // r + 1):
+            for k in range(1, r + 1):
+                if (r * size) % k == 0:
+                    res = solve(complete_multipartite([size] * r), k)
+                    assert res.status == "packed", (r, size, k)
+                    assert ([s["name"] for s in res.stages]
+                            == ["trivial" if k == 1 else "oracle"]), (r, size, k)
+    res = solve(complete_multipartite([9] * 4), 3)
+    assert res.status == "packed" and res.stages[0]["name"] == "decompose"
+
+
+def test_random_graphs_pack_through_the_balanced_row_search(monkeypatch):
+    # no split is found on these 288-vertex graphs, so rowpack's balanced
+    # exact search packs the one row that is left after the earlier stages
+    searches = []
+
+    def spy(*args, **kwargs):
+        searches.append(exact_balanced_clique_packing(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(pipeline, "exact_balanced_clique_packing", spy)
+    for seed in (1, 2, 3):
+        searches.clear()
+        g = random_min_degree_graph(4, 72, 3, seed)
+        res = solve(g, 3)
+        assert res.status == "packed"
+        assert [s["unit"] for s in res.stages if s["name"] == "rowpack"] == [24]
+        assert len(searches) == 1
+        assert searches[0].completed and searches[0].packing is not None
+        edges = {frozenset(e) for e in g.edges()}
+        covered = []
+        for clique in res.packing.cliques:
+            assert len(clique) == 3
+            for a in range(3):
+                for b in range(a + 1, 3):
+                    assert frozenset((clique[a], clique[b])) in edges
+            covered.extend(clique)
+        assert sorted(covered) == sorted(g.vertices())
+
+
 def test_solve_k1_and_k2():
     g = complete_multipartite([3, 3])
     assert solve(g, 1).status == "packed"
+    # one class: the degree condition is void, and singletons pack it
+    res = solve(MultipartiteGraph([3]), 1)
+    assert res.status == "packed"
+    assert sorted(res.packing.cliques) == [((0, 0),), ((0, 1),), ((0, 2),)]
     res = solve(g, 2)
     assert res.status == "packed"
     gam = build_gamma(2, 3, 2)   # rn/k = 3 odd: two odd components

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from partite_packing import structure
-from partite_packing.graphs import (MultipartiteGraph, build_gamma,
+from partite_packing.graphs import (MultipartiteGraph, blow_up, build_gamma,
                                     complete_multipartite, PartitionLabeling,
                                     clique_complex_edges)
 from partite_packing.structure import (IntegerLattice, RowDecomposition,
@@ -22,8 +22,10 @@ from partite_packing.structure import (IntegerLattice, RowDecomposition,
                                        verify_pair_complete_witness,
                                        verify_split_witness)
 from partite_packing.oracle import random_min_degree_graph
+import detection_reference as ref
 from detection_reference import naive_is_pair_complete, naive_is_splittable
 from test_detection_differential import planted_split_graph
+from test_oracle import relabeled_copy
 
 
 def two_row_graph(r: int, n: int, row_internal: bool = False):
@@ -253,6 +255,46 @@ def test_pair_complete_agrees_with_naive():
 def test_pair_complete_rejects_odd_classes():
     with pytest.raises(ValueError):
         is_pair_complete(MultipartiteGraph([3, 3]), Fraction(0))
+
+
+# -- pivot seeds ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("g,k", [
+    (relabeled_copy(blow_up(build_gamma(3, 4, 3).graph, 4), 5), 3),
+    (random_min_degree_graph(4, 12, 3, 1), 3),
+    (random_min_degree_graph(3, 8, 2, 2), 2),
+    (random_min_degree_graph(5, 16, 4, 3), 4),
+    (complete_multipartite([6] * 3), 3),   # no pivot gives a split weight
+], ids=["gamma-blow-up", "threshold-4x12", "threshold-3x8", "threshold-5x16",
+        "complete"])
+def test_pivot_seeds_match_the_reference_once_per_neighbourhood(g, k):
+    # the reference tries every vertex; the seeds depend only on the pivot's
+    # class and neighbourhood, so the package's generators must yield the
+    # reference's seed of the first vertex of each (class, neighbourhood)
+    size = g.class_sizes[0]
+    pivots = [(c, o) for c in range(g.r) for o in range(size)]
+    first = {}
+    for v in pivots:
+        first.setdefault((v[0], g.adj_mask(v)), v)
+    nbrs = structure._neighborhoods(g, size)
+    n = size // 2
+    want = [seed for v, seed in zip(pivots, ref._pc_pivot_candidates(g, n))
+            if first[(v[0], g.adj_mask(v))] == v]
+    assert list(structure._pc_pivot_candidates(g, n, nbrs)) == want
+
+    # the reference yields a split seed only for a pivot whose non-neighbour
+    # count per other class rounds to a weight in 1..k-1
+    n = size // k
+    tried = [v for v in pivots
+             if 1 <= round(sum((g.class_mask(j) & ~g.adj_mask(v)).bit_count()
+                               for j in range(g.r) if j != v[0])
+                           / (g.r - 1) / n) <= k - 1]
+    seeds = list(ref._split_pivot_candidates(g, k, n))
+    assert len(seeds) == len(tried)
+    want = [seed for v, seed in zip(tried, seeds)
+            if first[(v[0], g.adj_mask(v))] == v]
+    assert list(structure._split_pivot_candidates(g, k, n, nbrs)) == want
 
 
 # -- iterative refinement ----------------------------------------------------------------
