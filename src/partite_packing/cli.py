@@ -97,8 +97,7 @@ def cmd_detect(args) -> int:
         raise ValueError(f"weight {p} is not a positive divisor of the class "
                          f"size {size}")
     report = diagnose_barriers(g, p, d=args.threshold_d,
-                               beta=args.threshold_beta, mode=args.mode,
-                               mu_count=args.mu_count,
+                               beta=args.threshold_beta, mu_count=args.mu_count,
                                floor=args.floor, seed=args.seed)
     _write_atomic(args.output, json.dumps(report, sort_keys=True))
     return 0
@@ -173,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="allowed fraction of cliques violating a space set")
     det.add_argument("--mu-count", type=int, default=1)
     det.add_argument("--floor", type=int, default=None)
-    det.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
     det.add_argument("--seed", type=int, default=0)
     det.add_argument("--output", "-o", default="-")
     det.set_defaults(func=cmd_detect)

@@ -389,34 +389,57 @@ def build_gamma(n: int, r: int, k: int) -> GammaGraph:
     return GammaGraph(g, labeling, n, r, k, blocked)
 
 
-# -- clique enumeration -------------------------------------------------------
+# -- clique enumeration and components -----------------------------------------
+
+
+def k_cliques(adj: Sequence[int], pool: int, k: int,
+              stack: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """The k-cliques that extend the clique `stack` by vertices of `pool`, as
+    flat-id tuples in ascending lexicographic order; adj[f] is vertex f's
+    neighbourhood mask.  `pool` must lie in the common neighbourhood of
+    `stack` and above its last id.  The package's one clique enumerator: the
+    exact-cover search's first packing depends on this order."""
+    if len(stack) + 1 < k:
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            f = low.bit_length() - 1
+            yield from k_cliques(adj, pool & adj[f], k, stack + (f,))
+    elif len(stack) < k:
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            yield stack + (low.bit_length() - 1,)
+    else:
+        yield stack
+
+
+def components(mask: int, nbrs: Sequence[int]) -> Iterator[int]:
+    """The connected components, as masks, of the graph on the vertices of
+    `mask` whose edges are given by the neighbourhood masks nbrs[f], starting
+    with the component of the least id.  The package's one component walker."""
+    while mask:
+        comp = frontier = mask & -mask
+        mask ^= comp
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= nbrs[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & mask
+            mask ^= frontier
+            comp |= frontier
+        yield comp
 
 
 def clique_complex_edges(g: MultipartiteGraph, p: int) -> list[tuple[Vertex, ...]]:
-    """All p-vertex cliques with at most one vertex per class.
-
-    Enumerated by common-neighborhood bitmask intersection in ascending
-    flattened-id order; output is duplicate-free and order-stable.
-    """
+    """All p-vertex cliques with at most one vertex per class, in ascending
+    lexicographic order of flattened ids, by `k_cliques`."""
     if not (1 <= p <= g.r):
         raise ValueError("need 1 <= p <= r")
-    out: list[tuple[Vertex, ...]] = []
-    n = g.n_vertices
-
-    def grow(stack: list[int], common: int, lo: int):
-        if len(stack) == p:
-            out.append(tuple(g.vertex(f) for f in stack))
-            return
-        rest = common >> lo << lo
-        while rest:
-            low = rest & -rest
-            fv = low.bit_length() - 1
-            grow(stack + [fv], common & g._adj[fv], fv + 1)
-            rest ^= low
-
-    full = (1 << n) - 1
-    grow([], full, 0)
-    return out
+    return [tuple(g.vertex(f) for f in clique)
+            for clique in k_cliques(g._adj, (1 << g.n_vertices) - 1, p)]
 
 
 # -- packings -----------------------------------------------------------------

@@ -5,9 +5,12 @@ seeded boundary harnesses.
 `exact_cover` is the package's one exact-cover search: the oracle decides
 packings with it, and the solver's balanced row packings
 (`matching.exact_balanced_clique_packing`) and its gluing step
-(`pipeline.glue_rows`) run through it too.  The oracle's
-independence therefore comes from `CliquePacking.verify`, whose plain loops
-re-check every packing the search returns, not from separate search code.
+(`pipeline.glue_rows`) run through it too.  It draws its cliques from
+`graphs.k_cliques` and its component prune from `graphs.components`, and it
+keeps its own stack, so a packing of any depth fits in memory rather than in
+the recursion limit.  The oracle's independence therefore comes from
+`CliquePacking.verify`, whose plain loops re-check every packing the search
+returns, not from separate search code.
 The extremal construction is recognised in O(V^2) from its twin classes, and
 every positive answer is an explicit vertex map checked edge by edge.  That
 Γ(n, r, k) with rn/k odd has no perfect packing is proven by a divisibility
@@ -26,7 +29,8 @@ from itertools import combinations
 from math import ceil
 
 from .graphs import (CliquePacking, MultipartiteGraph, PartitionLabeling,
-                     Vertex, build_gamma, complete_multipartite, graph_to_json)
+                     build_gamma, complete_multipartite, components,
+                     graph_to_json, k_cliques)
 
 
 @dataclass
@@ -64,20 +68,23 @@ def exact_cover(g: MultipartiteGraph, k: int, budget: int | None = None,
     as (packing or None, nodes, completed).
 
     Backtracking over k-cliques, always extending the least uncovered vertex
-    and trying its cliques in ascending id order, with three sound prunes: k
-    must divide every connected component of the uncovered subgraph, no class
-    may hold more uncovered vertices than there are cliques left to place,
-    and uncovered states already proven unpackable are never re-explored.
-    With a quota, a clique whose index (its set of classes) already has
-    `quota` cliques is skipped without counting a node.  Prunes only cut
-    subtrees that hold no packing, so the packing returned is the first one
-    in this order.  completed=False marks a stop after `budget` nodes; a
-    packing is returned only after `CliquePacking.verify` passes."""
+    and trying its cliques in ascending id order (`k_cliques`), with three
+    sound prunes: k must divide every connected component of the uncovered
+    subgraph, no class may hold more uncovered vertices than there are
+    cliques left to place, and uncovered states already proven unpackable
+    are never re-explored.  With a quota, a clique whose index (its set of
+    classes) already has `quota` cliques is skipped without counting a node.
+    Prunes only cut subtrees that hold no packing, so the packing returned is
+    the first one in this order.  The search keeps its own stack, one frame
+    (uncovered mask, clique generator) per placed clique, so its depth is
+    bounded by memory, not by the recursion limit.  completed=False marks a
+    stop after `budget` nodes; a packing is returned only after
+    `CliquePacking.verify` passes."""
     total = g.n_vertices
     adj = g._adj
     class_masks = [g.class_mask(c) for c in range(g.r)]
     nodes = 0
-    chosen: list[tuple[Vertex, ...]] = []
+    chosen: list[tuple[int, ...]] = []
     failed: set = set()
     if quota is not None:
         slot = {idx: i for i, idx in enumerate(combinations(range(g.r), k))}
@@ -85,10 +92,10 @@ def exact_cover(g: MultipartiteGraph, k: int, budget: int | None = None,
         tallies = [(0,) * len(slot)] * (total // k + 1)
         failed = _TallyMemo(lambda: tallies[len(chosen)])
 
-        def admit(stack: list[int]) -> bool:
+        def admit(clique: tuple[int, ...]) -> bool:
             d = len(chosen)
             t = tallies[d]
-            i = slot[tuple(g._class_of[f] for f in stack)]
+            i = slot[tuple(g._class_of[f] for f in clique)]
             if t[i] >= quota:
                 return False
             tallies[d + 1] = t[:i] + (t[i] + 1,) + t[i + 1:]
@@ -98,73 +105,43 @@ def exact_cover(g: MultipartiteGraph, k: int, budget: int | None = None,
         for cm in class_masks:
             if (uncovered & cm).bit_count() > left:
                 return True
-        rest = uncovered
-        while rest:
-            seed = rest & -rest
-            comp = seed
-            frontier = seed
-            while frontier:
-                grow = 0
-                while frontier:
-                    low = frontier & -frontier
-                    grow |= adj[low.bit_length() - 1]
-                    frontier ^= low
-                grow &= uncovered & ~comp
-                comp |= grow
-                frontier = grow
-            if comp.bit_count() % k:
-                return True
-            rest &= ~comp
-        return False
+        return any(comp.bit_count() % k for comp in components(uncovered, adj))
 
-    def search(uncovered: int, left: int) -> bool | None:
-        nonlocal nodes
-        if not uncovered:
-            return True
+    # frames[d]: the uncovered mask after the first d cliques of `chosen`,
+    # and the generator of the cliques through its least vertex
+    frames = []
+    uncovered = (1 << total) - 1
+    while uncovered:
         if uncovered in failed:
-            return False
-        if prunable(uncovered, left):
+            pass        # proven unpackable at this tally: backtrack
+        elif prunable(uncovered, total // k - len(chosen)):
             if len(failed) < MEMO_CAP:
                 failed.add(uncovered)
-            return False
-        fv = (uncovered & -uncovered).bit_length() - 1
-
-        def extend(stack: list[int], pool: int) -> bool | None:
-            nonlocal nodes
-            if len(stack) == k:
-                if quota is not None and not admit(stack):
-                    return False
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    return None
-                taken = 0
-                for f in stack:
-                    taken |= 1 << f
-                chosen.append(tuple(g.vertex(f) for f in stack))
-                got = search(uncovered & ~taken, left - 1)
-                if got:
-                    return got
-                chosen.pop()
-                return got
-            rest = pool
-            while rest:
-                low = rest & -rest
-                f = low.bit_length() - 1
-                got = extend(stack + [f], rest & adj[f] & ~low)
-                if got or got is None:
-                    return got
-                rest ^= low
-            return False
-
-        got = extend([fv], adj[fv] & uncovered)
-        if got is False and len(failed) < MEMO_CAP:
-            failed.add(uncovered)
-        return got
-
-    got = search((1 << total) - 1, total // k)
-    if got is not True:
-        return None, nodes, got is False
-    packing = CliquePacking(list(chosen))
+        else:
+            fv = (uncovered & -uncovered).bit_length() - 1
+            cliques = k_cliques(adj, adj[fv] & uncovered, k, (fv,))
+            frames.append((uncovered, cliques if quota is None
+                           else filter(admit, cliques)))
+        # advance the deepest frame, dropping the clique that led below it
+        while frames:
+            uncovered, cliques = frames[-1]
+            del chosen[len(frames) - 1:]
+            clique = next(cliques, None)
+            if clique is not None:
+                break
+            if len(failed) < MEMO_CAP:
+                failed.add(uncovered)
+            frames.pop()
+        else:
+            return None, nodes, True
+        nodes += 1
+        if budget is not None and nodes > budget:
+            return None, nodes, False
+        chosen.append(clique)
+        for f in clique:
+            uncovered &= ~(1 << f)
+    packing = CliquePacking([tuple(g.vertex(f) for f in clique)
+                             for clique in chosen])
     problems = packing.verify(g, perfect=True)
     if problems:
         raise AssertionError(f"packing failed recheck: {problems[:3]}")

@@ -23,8 +23,8 @@ from itertools import combinations, permutations
 from math import ceil, comb, factorial, gcd
 from typing import Iterable, Sequence
 
-from .graphs import (CliquePacking, MultipartiteGraph, Vertex, index_set,
-                     partite_min_degree)
+from .graphs import (CliquePacking, MultipartiteGraph, Vertex, components,
+                     index_set, k_cliques, partite_min_degree)
 from .matching import (bipartite_maximum_matching,
                        exact_balanced_clique_packing,
                        pair_complete_balanced_matching, ObstructionError,
@@ -576,35 +576,20 @@ def _seed_clique(g: MultipartiteGraph, asg: BlockAssignment, i: int,
                  size: int, parity: int | None, forbidden: set[Vertex],
                  relaxed: bool):
     """Least clique of the given size inside row i's good vertices, one
-    vertex per column; for two-half rows an explicit half-count target of 0
-    or `size` keeps the seed inside one half.
+    vertex per column (the first of `k_cliques`); for two-half rows an
+    explicit half-count target of 0 or `size` keeps the seed inside one half.
 
     Unreached: only the "ij" block calls it.  Driven by
     test_building_block_pc_parity_controls."""
-    pools = []
+    pool = 0
     for j in range(asg.r):
-        pool = asg.w[i][j] if relaxed else asg.y[i][j]
-        pool = {v for v in pool if v not in forbidden}
+        block = g.mask_of(asg.w[i][j] if relaxed else asg.y[i][j])
         if i in asg.pc_rows and parity is not None:
-            if parity >= 1:
-                pool &= asg.s_half[i][j]
-            else:
-                pool -= asg.s_half[i][j]
-        pools.append(sorted(pool))
-
-    def grow_use_first(j, acc, need_mask):
-        if len(acc) == size:
-            return tuple(acc)
-        if j == asg.r or asg.r - j < size - len(acc):
-            return None
-        for v in pools[j]:
-            if need_mask >> g.flat(v) & 1:
-                got = grow_use_first(j + 1, acc + [v], need_mask & g.adj_mask(v))
-                if got is not None:
-                    return got
-        return grow_use_first(j + 1, acc, need_mask)
-
-    return grow_use_first(0, [], (1 << g.n_vertices) - 1)
+            half = g.mask_of(asg.s_half[i][j])
+            block &= half if parity >= 1 else ~half
+        pool |= block
+    clique = next(k_cliques(g._adj, pool & ~g.mask_of(forbidden), size), None)
+    return None if clique is None else tuple(g.vertex(f) for f in clique)
 
 
 # -- the deletion ledger ----------------------------------------------------------
@@ -1633,20 +1618,6 @@ class SolveResult:
     diagnosis: dict | None = None
 
 
-def _has_odd_component(g: MultipartiteGraph) -> bool:
-    rest = (1 << g.n_vertices) - 1
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            low = frontier & -frontier
-            grow = g._adj[low.bit_length() - 1] & ~comp
-            comp, frontier = comp | grow, (frontier ^ low) | grow
-        if comp.bit_count() % 2:
-            return True
-        rest &= ~comp
-    return False
-
-
 def _extremal(g: MultipartiteGraph, k: int, stages: list[dict], stage="oracle",
               reason="no packing; isomorphic to the extremal construction"):
     """`extremal`, with Γ's checked barrier certificate, when rn/k is odd and
@@ -1661,7 +1632,8 @@ def _extremal(g: MultipartiteGraph, k: int, stages: list[dict], stage="oracle",
 def _oracle_route(g: MultipartiteGraph, k: int, params: PipelineParams,
                   stages: list[dict]) -> SolveResult:
     """Refute by odd components (k = 2) or Γ's barrier (k >= 3), else search."""
-    if k == 2 and _has_odd_component(g):
+    if k == 2 and any(comp.bit_count() % 2
+                      for comp in components((1 << g.n_vertices) - 1, g._adj)):
         stages.append({"name": "oracle", "note": "odd component"})
     elif k >= 3 and (res := _extremal(g, k, stages)):
         stages.append({"name": "oracle", "note": "barrier"})

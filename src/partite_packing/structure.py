@@ -19,11 +19,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterable, Sequence
 
 from .graphs import (MultipartiteGraph, PartitionLabeling, Vertex,
-                     clique_complex_edges, density, index_vector)
+                     clique_complex_edges, components, density, index_vector)
 
 EXACT_CLASS_CAP = 8           # exact detection up to this class size
 HEURISTIC_RESTARTS = 8        # seeded random starts per heuristic search
@@ -227,22 +227,11 @@ def _split_refuted(g, p, n, d):
     targets = [q * n for q in range(1, p)]
     if any(d * t * (size - t) >= 1 for t in targets):
         return False
-    adj, class_of = g._adj, g._class_of
+    full = (1 << g.n_vertices) - 1
     class_masks = [g.class_mask(j) for j in range(g.r)]
-    unseen = (1 << g.n_vertices) - 1
-    cross = [unseen & ~m for m in class_masks]
-    while unseen:
-        comp = frontier = unseen & -unseen
-        while frontier:
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                u = low.bit_length() - 1
-                grow |= cross[class_of[u]] & ~adj[u]
-                frontier ^= low
-            frontier = grow & ~comp
-            comp |= frontier
-        unseen &= ~comp
+    non_edges = [full & ~class_masks[c] & ~nb
+                 for c, nb in zip(g._class_of, g._adj)]
+    for comp in components(full, non_edges):
         # misfitting only grows with `most`, so the component with the
         # largest class count misfits every p_prime that any component does
         most = max((comp & m).bit_count() for m in class_masks)
@@ -965,9 +954,16 @@ def _class_bipartitions(size: int, floor: int):
                 yield a
 
 
+def _budgeted(options, r: int, budget: int) -> list | None:
+    """The options as a list when their r-tuples number at most `budget`,
+    else None; at most one option beyond that bound is ever drawn."""
+    listed = list(islice(options, int(budget ** (1 / r)) + 2))
+    return listed if len(listed) ** r <= budget else None
+
+
 def diagnose_barriers(g: MultipartiteGraph, p_weight: int, *,
                       d: Fraction, beta: Fraction = Fraction(0),
-                      mode: str = "exact", mu_count: int = 1,
+                      mu_count: int = 1,
                       floor: int | None = None, seed: int = 0) -> dict:
     """Structured report of detected obstructions to a perfect clique packing.
 
@@ -975,7 +971,9 @@ def diagnose_barriers(g: MultipartiteGraph, p_weight: int, *,
     most a beta fraction of the enumerated p-cliques have more than j
     vertices in S; divisibility candidates are class refinements whose robust
     edge lattice is incomplete.  Enumeration is exhaustive within the budgets
-    and flagged otherwise.
+    and flagged otherwise; a class whose candidates exceed a budget is never
+    listed in full.  Split and two-half detection search in
+    `detection_mode(g)`.
     """
     sizes = set(g.class_sizes)
     if len(sizes) != 1:
@@ -991,6 +989,7 @@ def diagnose_barriers(g: MultipartiteGraph, p_weight: int, *,
                     "space": [], "divisibility": [],
                     "space_exhaustive": True, "divisibility_exhaustive": True}
 
+    mode = detection_mode(g)
     w = is_splittable(g, p_weight, d, mode, seed=seed)
     if w is not None:
         report["splittable"] = {"p_prime": w.p_prime,
@@ -1013,10 +1012,8 @@ def diagnose_barriers(g: MultipartiteGraph, p_weight: int, *,
     beta = Fraction(beta)
     allowed = int(beta * len(clique_masks))
     for j in range(1, p_weight):
-        target = j * n
-        options = list(combinations(range(size), target))
-        total = len(options) ** g.r
-        if total > SPACE_BUDGET:
+        options = _budgeted(combinations(range(size), j * n), g.r, SPACE_BUDGET)
+        if options is None:
             report["space_exhaustive"] = False
             continue
         for pick in product(options, repeat=g.r):
@@ -1034,9 +1031,9 @@ def diagnose_barriers(g: MultipartiteGraph, p_weight: int, *,
                     break
 
     # divisibility barriers: per-class bipartitions with parts >= floor
-    split_options = list(_class_bipartitions(size, floor))
-    total = len(split_options) ** g.r
-    if total > DIVISIBILITY_BUDGET:
+    split_options = _budgeted(_class_bipartitions(size, floor), g.r,
+                              DIVISIBILITY_BUDGET)
+    if split_options is None:
         report["divisibility_exhaustive"] = False
     else:
         seen_keys = set()

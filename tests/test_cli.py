@@ -2,6 +2,7 @@
 
 import json
 
+from partite_packing import structure
 from partite_packing.cli import main
 from partite_packing.graphs import build_gamma, graph_from_json, graph_to_json
 from partite_packing.oracle import check_barrier
@@ -125,6 +126,37 @@ def test_detect_flags_generated_barriers(tmp_path):
                 "--threshold-d", "1/4", "-o", rep2]) == 0
     doc2 = json.loads(open(rep2).read())
     assert any(c["violating_cliques"] == 0 for c in doc2["space"])
+
+
+def test_detect_searches_large_classes_heuristically(tmp_path, monkeypatch):
+    # classes of 24 vertices are past the exact searches' reach
+    g_path = str(tmp_path / "g.json")
+    assert run(["gen", "random", "--r", "3", "--n", "24", "--k", "2",
+                "--seed", "1", "-o", g_path]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact detection on 24-vertex classes")
+
+    monkeypatch.setattr(structure, "_split_exact", refuse)
+    monkeypatch.setattr(structure, "_pc_exact", refuse)
+    assert run(["detect", "--input", g_path, "--p", "2", "-o",
+                str(tmp_path / "rep.json")]) == 0
+
+
+def test_solve_packs_800_vertices_with_k2(tmp_path):
+    # 400 cliques deep: past the recursion limit for a recursive search
+    g_path = str(tmp_path / "g.json")
+    out = str(tmp_path / "res.json")
+    assert run(["gen", "random", "--r", "2", "--n", "400", "--k", "2",
+                "--seed", "1", "-o", g_path]) == 0
+    assert run(["solve", "--input", g_path, "--k", "2", "-o", out]) == 0
+    g, _ = graph_from_json(open(g_path).read())
+    edges = {frozenset(tuple(v) for v in e) for e in g.edges()}
+    covered = []
+    for u, v in json.loads(open(out).read())["packing"]["cliques"]:
+        assert frozenset((tuple(u), tuple(v))) in edges
+        covered += [tuple(u), tuple(v)]
+    assert sorted(covered) == sorted(g.vertices())
 
 
 def test_detect_usage_error_on_bad_weight(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 from fractions import Fraction
@@ -9,9 +10,10 @@ from fractions import Fraction
 from partite_packing.graphs import (CliquePacking, MultipartiteGraph,
                                     PartitionLabeling, blow_up, build_gamma,
                                     clique_complex_edges, complete_multipartite,
-                                    density, graph_from_json, graph_to_json,
-                                    index_vector, packing_from_json,
-                                    packing_to_json, partite_min_degree)
+                                    components, density, graph_from_json,
+                                    graph_to_json, index_vector,
+                                    packing_from_json, packing_to_json,
+                                    partite_min_degree)
 from partite_packing.oracle import canonical_form
 from test_oracle import relabeled_copy
 
@@ -242,17 +244,28 @@ def test_clique_complex_triangle_free():
 
 
 def test_clique_complex_matches_naive_triple_loop():
-    g = build_gamma(3, 3, 3).graph
-    naive = []
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                u, v, w = (0, a), (1, b), (2, c)
-                if g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w):
-                    naive.append(tuple(sorted((u, v, w))))
-    got = clique_complex_edges(g, 3)
-    assert sorted(got) == sorted(naive)
-    assert len(got) == len(set(got))
+    # in order, not only as sets: the exact-cover search's first packing
+    # depends on the ascending enumeration
+    graphs = [build_gamma(3, 3, 3).graph]
+    for seed, r in enumerate((3, 3, 4, 4, 5, 5)):
+        rng = random.Random(f"cliques:{seed}")
+        full = complete_multipartite([3] * r)
+        graphs.append(full.without_edges(
+            [e for e in full.edges() if rng.random() < 0.3]))
+    for g in graphs:
+        for p in range(2, g.r + 1):
+            naive = [c for c in combinations(g.vertices(), p)
+                     if all(g.has_edge(u, v) for u, v in combinations(c, 2))]
+            assert clique_complex_edges(g, p) == naive, (g, p)
+
+
+def test_components_of_a_mask_without_its_cut_vertex():
+    # the path 0 - 1 - 2 - 3 plus the edge 4 - 5: leaving out vertex 1
+    # splits the path, and the components come by least id
+    nbrs = [0b10, 0b101, 0b1010, 0b100, 0b100000, 0b10000]
+    assert list(components(0b111111, nbrs)) == [0b1111, 0b110000]
+    assert list(components(0b111101, nbrs)) == [0b1, 0b1100, 0b110000]
+    assert list(components(0, nbrs)) == []
 
 
 def test_clique_complex_output_reverifies():

@@ -567,6 +567,13 @@ def test_random_graphs_pack_through_the_balanced_row_search(monkeypatch):
         assert sorted(covered) == sorted(g.vertices())
 
 
+def test_deep_balanced_row_search_packs():
+    # rowpack's search packs most of these 960 vertices: hundreds of
+    # cliques deep, past the recursion limit of a recursive search
+    g = random_min_degree_graph(4, 240, 3, 1)
+    assert solve(g, 3).status == "packed"
+
+
 def test_solve_k1_and_k2():
     g = complete_multipartite([3, 3])
     assert solve(g, 1).status == "packed"

@@ -3,6 +3,7 @@ barrier diagnosis."""
 
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
@@ -453,6 +454,16 @@ def test_diagnose_divisibility_blow_up():
     entry = report["divisibility"][0]
     assert entry["d"] == 6
     assert entry["violating_pair"] is not None
+
+
+def test_diagnosis_budget_draws_no_more_candidates_than_it_must():
+    # r-tuples of the candidates are counted against the budget while the
+    # candidates are drawn, so an endless supply is refused, not listed
+    assert structure._budgeted(count(), 3, 200_000) is None
+    assert structure._budgeted(iter(range(58)), 3, 200_000) == list(range(58))
+    assert structure._budgeted(iter(range(59)), 3, 200_000) is None
+    assert structure._budgeted(iter(range(4)), 3, 64) == list(range(4))
+    assert structure._budgeted(iter(range(5)), 3, 64) is None
 
 
 def test_row_decomposition_validation():
