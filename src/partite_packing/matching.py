@@ -80,24 +80,32 @@ def realize_multigraph(seq: Sequence[int]) -> list[tuple[int, int]]:
 
 def bipartite_maximum_matching(n_left: int, n_right: int,
                                adj: Sequence[Iterable[int]]) -> list[tuple[int, int]]:
-    """Maximum matching via augmenting paths (deterministic order)."""
+    """Maximum matching via augmenting paths (deterministic order).  Each
+    left vertex in turn starts a depth-first search over its right
+    neighbours in ascending order, kept on an explicit stack, so a path's
+    length is not bounded by the recursion limit."""
     adj_lists = [sorted(set(a)) for a in adj]
     if len(adj_lists) != n_left:
         raise ValueError("need one adjacency list per left vertex")
     match_r: dict[int, int] = {}
 
-    def augment(u, visited):
-        for v in adj_lists[u]:
-            if v in visited:
+    for root in range(n_left):
+        visited: set[int] = set()
+        stack = [(root, iter(adj_lists[root]))]
+        path: list[int] = []    # path[d]: the right vertex leading to stack[d+1]
+        while stack:
+            v = next((v for v in stack[-1][1] if v not in visited), None)
+            if v is None:
+                stack.pop()
+                del path[-1:]
                 continue
             visited.add(v)
-            if v not in match_r or augment(match_r[v], visited):
-                match_r[v] = u
-                return True
-        return False
-
-    for u in range(n_left):
-        augment(u, set())
+            path.append(v)
+            if v not in match_r:
+                for (u, _), x in zip(stack, path):
+                    match_r[x] = u
+                break
+            stack.append((match_r[v], iter(adj_lists[match_r[v]])))
     return sorted((u, v) for v, u in match_r.items())
 
 

@@ -7,17 +7,18 @@ cannot meet it raises StageFailure rather than passing silently, and the
 orchestrator falls back to the exhaustive oracle or reports a structured
 diagnosis.
 
-Branches marked "Unreached" run on no perfbench instance.  A trace of `solve`
-over all of them (seeds 1 and 9001) and 60 seeded threshold graphs found,
-wherever the stages ran: no bad vertex, zero row excesses, at most one heavy
-row, and at rowpack with unit > 0 a heavy row that is a two-half row with an
-even half.  The test named beside each is in tests/test_pipeline.py.
+Branches marked "Unreached" run in no `solve` call of the tests or the
+benchmark; the test named beside each, in tests/test_pipeline.py, drives it
+directly.  Wherever the stages run on the benchmark's graphs there is no bad
+vertex, no row excess and at most one heavy row, so only "proper" cliques are
+built.  The graphs of test_solve_reaches_the_building_block_kinds have bad
+vertices, positive row excesses, and two heavy two-half rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import ceil, comb, factorial, gcd
@@ -81,7 +82,6 @@ class BlockAssignment:
     bad: set[Vertex]
     pc_rows: set[int]
     s_half: dict[int, list[set[Vertex]]]
-    move_log: list[tuple[Vertex, tuple, tuple]] = field(default_factory=list)
 
     def __post_init__(self):
         self._x_masks = block_masks(self.g, self.decomp)
@@ -204,15 +204,11 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
     helper = BlockAssignment(g, decomp, [[set(b) for b in row] for row in w],
                              [[set(b) for b in row] for row in y],
                              set(bad), set(), {})
-    move_log = []
     for v in sorted(bad):
-        j = v[0]
         counts = [sum(1 for (i2, j2) in helper.bad_blocks_of(v) if i2 == i)
                   for i in range(s)]
         target = max(range(s), key=lambda i: (counts[i], -i))
-        w[target][j].add(v)
-        origin = (decomp.row_of(v), j) if v in in_x else None
-        move_log.append((v, origin, (target, j)))
+        w[target][v[0]].add(v)
 
     s_half: dict[int, list[set[Vertex]]] = {}
     for i in pc_halves:
@@ -231,8 +227,7 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
                             break
             s_half[i].append(half)
 
-    return BlockAssignment(g, decomp, w, y, set(bad), set(pc_halves), s_half,
-                           move_log)
+    return BlockAssignment(g, decomp, w, y, set(bad), set(pc_halves), s_half)
 
 
 # -- greedy clique extension -----------------------------------------------------
@@ -349,32 +344,22 @@ def extend_clique(g: MultipartiteGraph, asg: BlockAssignment,
 # -- pattern selection and building blocks ------------------------------------------
 
 
-def _remaining(asg: BlockAssignment, covered: set[Vertex], i: int, j: int) -> int:
-    return len(asg.w[i][j] - covered)
-
-
-def _column_remaining(asg: BlockAssignment, covered: set[Vertex], j: int) -> int:
-    return sum(len(asg.w[i][j] - covered) for i in range(asg.s))
-
-
 def _greedy_pattern(asg: BlockAssignment, covered: set[Vertex],
                     sizes: dict[int, int],
-                    anchors: dict[int, tuple[int, ...]] | None = None,
-                    blocked: Iterable[int] = (),
+                    anchors: dict[int, tuple[int, ...]],
                     allowed: Iterable[int] | None = None):
     """Disjoint column sets per row.  Columns are preferred globally by
     largest uncovered column (keeping class coverage even) and assigned to
     rows by largest uncovered block; non-anchored picks must have uncovered
     vertices left, with backtracking over column subsets when the preferred
     choice is infeasible.  Anchored columns are forced."""
-    anchors = {i: tuple(c) for i, c in (anchors or {}).items()}
+    left = [[len(block - covered) for block in row] for row in asg.w]
     forced: set[int] = set()
     for cols in anchors.values():
         forced.update(cols)
     pool = set(range(asg.r)) if allowed is None else set(allowed)
-    pool -= set(blocked)
     k_total = sum(sizes.values())
-    if len(forced) > k_total or not forced <= pool | forced:
+    if len(forced) > k_total:
         return None
     order = sorted(sizes, key=lambda i: (-asg.weights[i], i))
 
@@ -389,13 +374,12 @@ def _greedy_pattern(asg: BlockAssignment, covered: set[Vertex],
             need = sizes[i] - len(anchors.get(i, ()))
             if need < 0:
                 return False
-            ranked = [j for j in sorted(
-                          unassigned,
-                          key=lambda j: (-_remaining(asg, covered, i, j), j))
-                      if _remaining(asg, covered, i, j) > 0]
+            ranked = [j for j in sorted(unassigned,
+                                        key=lambda j: (-left[i][j], j))
+                      if left[i][j] > 0]
             for take in combinations(ranked, need):
                 unassigned.difference_update(take)
-                out[i] = tuple(sorted(list(anchors.get(i, ())) + list(take)))
+                out[i] = tuple(sorted(anchors.get(i, ()) + take))
                 if rec(idx + 1):
                     return True
                 unassigned.update(take)
@@ -405,7 +389,7 @@ def _greedy_pattern(asg: BlockAssignment, covered: set[Vertex],
         return dict(out) if rec(0) else None
 
     free = sorted((j for j in pool if j not in forced),
-                  key=lambda j: (-_column_remaining(asg, covered, j), j))
+                  key=lambda j: (-sum(row[j] for row in left), j))
     need_free = k_total - len(forced)
     if need_free > len(free):
         return None
@@ -423,9 +407,7 @@ def _greedy_pattern(asg: BlockAssignment, covered: set[Vertex],
 def _transversal_anchors(asg: BlockAssignment, v: Vertex,
                          skip_rows: Iterable[int], skip_cols: Iterable[int]):
     """One good-for-v block per remaining row, no two in one column, from a
-    maximum matching of rows to allowed columns; None if a row is left out.
-    Unreached: only non-"proper" building blocks call it.  Driven by
-    test_building_block_through_vertex_and_ij."""
+    maximum matching of rows to allowed columns; None if a row is left out."""
     rows = [i for i in range(asg.s) if i not in set(skip_rows)]
     cols = [j for j in range(asg.r) if j not in set(skip_cols)]
     allowed = [[ci for ci, j in enumerate(cols)
@@ -449,30 +431,27 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
 
     kinds: "proper" (p_i vertices per row, even half-intersections),
     "through_vertex" (proper, containing the given vertex), "ij" (one extra
-    vertex in row i, one fewer in row j, seeded by a (p_i+1)-clique of good
-    vertices), "through_edge" (ij for a weight-1 row i through the given
-    edge), "outside_row" (proper but with no half-parity demand on the edge's
-    own two-half row).
+    vertex in row i, one fewer in row j, seeded by the least (p_i+1)-clique of
+    row i's good vertices; in a two-half row a given `parity` keeps the seed
+    inside the half when at least 1 and outside it when 0),
+    "through_edge" (ij for a weight-1 row i through the given edge),
+    "outside_row" (proper but with no half-parity demand on the edge's own
+    two-half row).  A kind only sets its base vertices, per-row sizes,
+    anchored columns and half target; one column pattern and one greedy
+    extension then build every kind.
 
-    Unreached kinds: all but "proper".  "through_vertex" covers bad
-    vertices; "ij" and "through_edge" serve rows with excess and pairs of
-    heavy rows; and `_extremal_zero_excess_fix`, reached by shuffled
-    Gamma(9,5,3), finds no edge to start any kind from.  Driven by
-    test_building_block_through_vertex_and_ij and
-    test_balance_rows_extremal_parity_fix_via_mixed_edge ("outside_row").
+    `solve` builds "ij" in the rows and prepare stages, "through_vertex" in
+    cover, and "outside_row" for it in a two-half row
+    (test_solve_reaches_the_building_block_kinds).  Unreached: "through_edge",
+    which serves weight-1 rows with excess and `_extremal_zero_excess_fix`.
+    Driven by test_building_block_through_vertex_and_ij.
     """
     forbidden = set(forbidden)
-    covered = forbidden
     weights = asg.weights
-
-    if kind == "proper":
-        sizes = {i: weights[i] for i in range(asg.s)}
-        pattern = _greedy_pattern(asg, covered, sizes, allowed=columns)
-        if pattern is None:
-            return None
-        return extend_clique(g, asg, [], pattern, forbidden=forbidden,
-                             relaxed=relaxed)
-
+    sizes = dict(enumerate(weights))
+    base: list[Vertex] = []
+    anchors: dict[int, tuple[int, ...]] | None = {}
+    half_target = None
     if kind == "through_vertex":
         v = vertex
         if v is None or v not in asg.v_block:
@@ -494,102 +473,62 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
                     if got is not None:
                         return got
             return None
+        base = [v]
         anchors = _transversal_anchors(asg, v, [li], [lj])
         if anchors is None:
             return None
         anchors[li] = (lj,)
-        sizes = {i: weights[i] for i in range(asg.s)}
-        pattern = _greedy_pattern(asg, covered, sizes, anchors=anchors)
-        if pattern is None:
-            return None
-        return extend_clique(g, asg, [v], pattern, forbidden=forbidden,
-                             relaxed=relaxed)
-
-    if kind == "ij":
+    elif kind == "ij":
         i, j = rows
         if weights[i] < 2:
             raise ValueError("ij building block needs a heavy source row")
-        seed = _seed_clique(g, asg, i, weights[i] + 1, parity, forbidden,
-                            relaxed)
+        pool = 0
+        for c in range(asg.r):
+            block = g.mask_of(asg.w[i][c] if relaxed else asg.y[i][c])
+            if i in asg.pc_rows and parity is not None:
+                half = g.mask_of(asg.s_half[i][c])
+                block &= half if parity >= 1 else ~half
+            pool |= block
+        seed = next(k_cliques(g._adj, pool & ~g.mask_of(forbidden),
+                              weights[i] + 1), None)
         if seed is None:
             return None
-        anchors = {i: tuple(sorted(v[0] for v in seed))}
-        sizes = {l: weights[l] for l in range(asg.s)}
-        sizes[i] = weights[i] + 1
-        sizes[j] = weights[j] - 1
-        if sizes[j] == 0:
-            del sizes[j]
-        pattern = _greedy_pattern(asg, covered, sizes, anchors=anchors)
-        if pattern is None:
-            return None
-        return extend_clique(g, asg, list(seed), pattern, forbidden=forbidden,
-                             relaxed=relaxed)
-
-    if kind == "through_edge":
-        i, j = rows
+        base = [g.vertex(f) for f in seed]
+        anchors = {i: tuple(sorted(v[0] for v in base))}
+        sizes[i] += 1
+        sizes[j] -= 1
+    elif kind in ("through_edge", "outside_row"):
         u, v = edge
-        if weights[i] != 1:
-            raise ValueError("through_edge extends an edge in a weight-1 row")
-        cols_uv = (u[0], v[0])
-        skip_rows = [i, j] if weights[j] == 1 else [i]
+        base = [u, v]
+        if kind == "through_edge":
+            i, j = rows
+            if weights[i] != 1:
+                raise ValueError("through_edge extends an edge in a weight-1 row")
+            skip_rows = [i, j] if weights[j] == 1 else [i]
+            sizes[i] += 1
+            sizes[j] -= 1
+            if j in asg.pc_rows and parity is not None and sizes[j] == 1:
+                half_target = {j: parity}
+        else:
+            i = asg.v_block[u][0]
+            if weights[i] != 2:
+                raise ValueError("outside_row extends an edge in a weight-2 row")
+            skip_rows = [i]
         anchors = _transversal_anchors(asg, v if v in asg.bad else u,
-                                       skip_rows, cols_uv)
+                                       skip_rows, (u[0], v[0]))
         if anchors is None:
             return None
-        sizes = {l: weights[l] for l in range(asg.s)}
-        sizes[i] = 2
-        sizes[j] = weights[j] - 1
-        if sizes[j] == 0:
-            del sizes[j]
-        anchors[i] = cols_uv
-        par = None
-        if j in asg.pc_rows and parity is not None and sizes.get(j) == 1:
-            par = {j: parity}
-        pattern = _greedy_pattern(asg, covered, sizes, anchors=anchors)
-        if pattern is None:
-            return None
-        return extend_clique(g, asg, [u, v], pattern, parity=par,
-                             forbidden=forbidden, relaxed=relaxed)
+        anchors[i] = (u[0], v[0])
+    elif kind != "proper":
+        raise ValueError(f"unknown building block kind {kind!r}")
 
-    if kind == "outside_row":
-        u, v = edge
-        li = asg.v_block[u][0]
-        if weights[li] != 2:
-            raise ValueError("outside_row extends an edge in a weight-2 row")
-        cols_uv = (u[0], v[0])
-        anchor_v = v if v in asg.bad else u
-        anchors = _transversal_anchors(asg, anchor_v, [li], cols_uv)
-        if anchors is None:
-            return None
-        sizes = {l: weights[l] for l in range(asg.s)}
-        anchors[li] = cols_uv
-        pattern = _greedy_pattern(asg, covered, sizes, anchors=anchors)
-        if pattern is None:
-            return None
-        return extend_clique(g, asg, [u, v], pattern, forbidden=forbidden,
-                             relaxed=relaxed)
-
-    raise ValueError(f"unknown building block kind {kind!r}")
-
-
-def _seed_clique(g: MultipartiteGraph, asg: BlockAssignment, i: int,
-                 size: int, parity: int | None, forbidden: set[Vertex],
-                 relaxed: bool):
-    """Least clique of the given size inside row i's good vertices, one
-    vertex per column (the first of `k_cliques`); for two-half rows an
-    explicit half-count target of 0 or `size` keeps the seed inside one half.
-
-    Unreached: only the "ij" block calls it.  Driven by
-    test_building_block_pc_parity_controls."""
-    pool = 0
-    for j in range(asg.r):
-        block = g.mask_of(asg.w[i][j] if relaxed else asg.y[i][j])
-        if i in asg.pc_rows and parity is not None:
-            half = g.mask_of(asg.s_half[i][j])
-            block &= half if parity >= 1 else ~half
-        pool |= block
-    clique = next(k_cliques(g._adj, pool & ~g.mask_of(forbidden), size), None)
-    return None if clique is None else tuple(g.vertex(f) for f in clique)
+    pattern = _greedy_pattern(asg, forbidden,
+                              {i: p for i, p in sizes.items() if p}, anchors,
+                              allowed=columns)
+    if pattern is None:
+        return None
+    return extend_clique(g, asg, base, pattern, parity=half_target,
+                         forbidden=forbidden, relaxed=relaxed)
 
 
 # -- the deletion ledger ----------------------------------------------------------
@@ -676,8 +615,8 @@ def is_properly_distributed(asg: BlockAssignment, clique: Sequence[Vertex]) -> b
 
 def is_ij_distributed(asg: BlockAssignment, clique: Sequence[Vertex],
                       i: int, j: int) -> bool:
-    """Unreached: only `prepare_multirow`'s spare cliques are checked with it.
-    Driven by test_building_block_through_vertex_and_ij."""
+    """Whether the clique has one vertex more than proper in row i, one fewer
+    in row j, and even half-intersections in the other two-half rows."""
     prof = _clique_row_profile(asg, clique)
     for l in range(asg.s):
         want = asg.weights[l] + (1 if l == i else 0) - (1 if l == j else 0)
@@ -700,7 +639,7 @@ def _row_edge_matching(g: MultipartiteGraph, asg: BlockAssignment, i: int,
     """Matching of the given size inside row i, every edge holding at least
     one good vertex; grown greedily with one exchange step when stuck.
 
-    Unreached: only rows with positive excess need it.  Driven by
+    Unreached: only weight-1 rows with positive excess need it.  Driven by
     test_stage_rows_corrects_one_moved_vertex."""
     edges: list[tuple[Vertex, Vertex]] = []
     used: set[Vertex] = set(forbidden)
@@ -760,8 +699,8 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
                  extremal: bool) -> None:
     """Delete cliques so every row's remainder is proportional to its weight;
     under the extremal row structure also leave the heavy row's half with
-    even size.  Unreached: the positive-excess path (a > 0).  Driven by
-    test_stage_rows_corrects_one_moved_vertex."""
+    even size.  A row with positive excess a gives a distributed cliques to
+    the rows short of their share."""
     s = asg.s
     a_i = [len(asg.row_vertices(i)) - asg.weights[i] * total_target
            for i in range(s)]
@@ -907,9 +846,8 @@ def _extremal_zero_excess_fix(g, asg, ledger, i_star):
 
 def prepare_multirow(g: MultipartiteGraph, asg: BlockAssignment,
                      ledger: DeletionLedger, total_target: int) -> None:
-    """Spare (i, j)-distributed cliques for every ordered pair of heavy rows.
-    Unreached: it needs two heavy rows.  Driven by
-    test_prepare_multirow_two_heavy_rows_and_shortfall."""
+    """Spare (i, j)-distributed cliques for every ordered pair of heavy rows;
+    nothing with fewer than two heavy rows."""
     heavy = [i for i in range(asg.s) if asg.weights[i] >= 2]
     if len(heavy) < 2:
         return
@@ -1038,41 +976,6 @@ def balance_columns(g: MultipartiteGraph, asg: BlockAssignment,
 # -- stage 5: balancing blocks --------------------------------------------------------
 
 
-def decompose_deviations(q: list[list[int]]):
-    """Write an all-row-and-column-zero integer matrix as a sum of elementary
-    two-row, two-column patterns (+1 at (a,b),(c,d), -1 at (a,d),(c,b))."""
-    s, r = len(q), len(q[0])
-    work = [row[:] for row in q]
-    for row in work:
-        if sum(row):
-            raise StageFailure("blocks", "deviation rows do not cancel",
-                               detail=q)
-    for j in range(r):
-        if sum(row[j] for row in work):
-            raise StageFailure("blocks", "deviation columns do not cancel",
-                               detail=q)
-    pieces = []
-    guard = sum(abs(x) for row in work for x in row) + 1
-    while any(x for row in work for x in row):
-        guard -= 1
-        if guard < 0:
-            raise StageFailure("blocks", "deviation elimination stalled",
-                               detail=work)
-        a, b = next((i, j) for i in range(s) for j in range(r)
-                    if work[i][j] > 0)
-        d = next((j for j in range(r) if work[a][j] < 0), None)
-        c = next((i for i in range(s) if work[i][b] < 0), None)
-        if c is None or d is None:
-            raise StageFailure("blocks", "deviation elimination stuck",
-                               detail=work)
-        pieces.append((a, b, c, d))
-        work[a][b] -= 1
-        work[c][d] -= 1
-        work[a][d] += 1
-        work[c][b] += 1
-    return pieces
-
-
 def balance_blocks(g: MultipartiteGraph, asg: BlockAssignment,
                    ledger: DeletionLedger, total_target: int):
     """Final filler stage: every surviving block must end at exactly
@@ -1088,10 +991,14 @@ def balance_blocks(g: MultipartiteGraph, asg: BlockAssignment,
     base = m_rem // r
     q = [[len(asg.w[i][j] - ledger.covered) - asg.weights[i] * base
           for j in range(r)] for i in range(s)]
-    pieces = decompose_deviations(q)
+    if any(map(sum, q)):
+        raise StageFailure("blocks", "deviation rows do not cancel", detail=q)
+    if any(map(sum, zip(*q))):
+        raise StageFailure("blocks", "deviation columns do not cancel",
+                           detail=q)
 
     size_m5 = 0
-    if pieces or any(x for row in q for x in row):
+    if any(map(any, q)):
         need = max(0, max(-q[i][j] * r // asg.weights[i] for i in range(s)
                           for j in range(r)))
         step = r * factorial(r)

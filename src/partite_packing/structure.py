@@ -80,13 +80,6 @@ class RowDecomposition:
             out.extend(self.block_vertices(i, j))
         return out
 
-    def row_of(self, v: Vertex) -> int:
-        c, o = v
-        for i in range(self.s):
-            if o in self.rows[i][c]:
-                return i
-        raise ValueError(f"vertex {v} is not in the decomposition")
-
 
 def trivial_decomposition(g: MultipartiteGraph, k: int) -> RowDecomposition:
     sizes = set(g.class_sizes)

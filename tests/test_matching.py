@@ -112,6 +112,45 @@ def _valid_transversal(rows, colored, cells):
             and not any(c in colored for c in cells))
 
 
+def _recursive_matching(n_left, adj):
+    """Independent reference for the search order: each left vertex in turn,
+    right neighbours ascending, augmenting paths by plain recursion."""
+    match_r = {}
+
+    def augment(u, visited):
+        for v in sorted(set(adj[u])):
+            if v not in visited:
+                visited.add(v)
+                if v not in match_r or augment(match_r[v], visited):
+                    match_r[v] = u
+                    return True
+        return False
+
+    for u in range(n_left):
+        augment(u, set())
+    return sorted((u, v) for v, u in match_r.items())
+
+
+def test_bipartite_matching_keeps_the_recursive_order():
+    rng = random.Random("bipartite-order")
+    for _ in range(500):
+        n_left, n_right = rng.randint(0, 8), rng.randint(1, 8)
+        adj = [rng.sample(range(n_right), rng.randint(0, n_right))
+               for _ in range(n_left)]
+        assert (bipartite_maximum_matching(n_left, n_right, adj)
+                == _recursive_matching(n_left, adj)), adj
+
+
+def test_bipartite_matching_follows_a_3000_step_augmenting_path():
+    # the last left vertex's one neighbour is taken, and freeing it moves
+    # every other left vertex one place along the chain: the unique perfect
+    # matching, reached through one augmenting path past the recursion limit
+    n = 3000
+    adj = [[u, u + 1] for u in range(n - 1)] + [[0]]
+    assert (bipartite_maximum_matching(n, n, adj)
+            == [(u, (u + 1) % n) for u in range(n)])
+
+
 def test_transversal_examples():
     assert _transversal(1, 1, set()) == [(0, 0)]
     assert _transversal(0, 3, set()) == []

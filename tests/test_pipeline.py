@@ -2,6 +2,7 @@
 per-row packings, gluing, and the solve orchestrator."""
 
 import random
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -16,8 +17,7 @@ from partite_packing.pipeline import (DeletionLedger, PipelineParams,
                                       StageFailure, balance_blocks,
                                       balance_columns, balance_rows,
                                       building_block, classify_bad_vertices,
-                                      cover_and_divisibility,
-                                      decompose_deviations, extend_clique,
+                                      cover_and_divisibility, extend_clique,
                                       fix_row_parity_and_matchability,
                                       glue_rows, is_ij_distributed,
                                       is_properly_distributed,
@@ -347,13 +347,17 @@ def test_stage_columns_swap_path():
     assert m4 % (r * k * factorial(r)) == 0 and m4 > 0
 
 
-def test_decompose_deviations_examples():
-    q = [[1, -1, 0], [-1, 1, 0]]
-    pieces = decompose_deviations(q)
-    assert pieces == [(0, 0, 1, 1)]
-    assert decompose_deviations([[0, 0], [0, 0]]) == []
-    with pytest.raises(StageFailure):
-        decompose_deviations([[1, 0], [0, -1]])  # rows/columns do not cancel
+def test_balance_blocks_rejects_deviations_that_do_not_cancel():
+    # 18 cliques left on 18 vertices: every block falls short of its target
+    # (q = -8 in the weight-2 row, -4 in the weight-1 row), so no row of the
+    # deviations cancels
+    g, decomp = planted_two_row(r=3, k=3, n=2)
+    asg = make_assignment(g, decomp)
+    with pytest.raises(StageFailure) as err:
+        balance_blocks(g, asg, DeletionLedger(g), 18)
+    assert (err.value.stage, err.value.reason) == (
+        "blocks", "deviation rows do not cancel")
+    assert err.value.detail == [[-8, -8, -8], [-4, -4, -4]]
 
 
 def test_stage_blocks_q_correction():
@@ -572,6 +576,66 @@ def test_deep_balanced_row_search_packs():
     # cliques deep, past the recursion limit of a recursive search
     g = random_min_degree_graph(4, 240, 3, 1)
     assert solve(g, 3).status == "packed"
+
+
+def double_swap(n, r, extra):
+    """r classes of n + extra vertices at the k = 4 threshold.  Offsets below
+    n fall into four subparts of n/4, and two vertices of different classes
+    are adjacent unless their subparts are partners (0-1 or 2-3); the offsets
+    from n on are adjacent to every vertex of the other classes."""
+    size, part = n + extra, n // 4
+
+    def partners(o1, o2):
+        return o1 < n and o2 < n and o1 // part == (o2 // part) ^ 1
+
+    return MultipartiteGraph([size] * r, [
+        ((c1, o1), (c2, o2)) for c1 in range(r) for c2 in range(c1 + 1, r)
+        for o1 in range(size) for o2 in range(size) if not partners(o1, o2)])
+
+
+# every building-block kind but "through_edge" is reached by solve: built
+# counts by (kind, found), and cliques deleted by the rows, prepare and cover
+# stages
+@pytest.mark.parametrize("make, k, built, bad, deleted", [
+    # weights [2, 2], two two-half rows: the spare cliques of prepare
+    (lambda: double_swap(16, 4, 0), 4,
+     {("ij", True): 2, ("proper", True): 14}, 0, [0, 2, 14]),
+    # 4 bad vertices: rows deletes positive-excess ij cliques, and cover
+    # takes each bad vertex through an edge of its two-half row
+    (lambda: double_swap(16, 4, 1), 4,
+     {("ij", True): 4, ("through_vertex", True): 4, ("outside_row", True): 4,
+      ("outside_row", False): 3, ("proper", True): 9}, 4, [2, 2, 13]),
+    # k does not divide the class size: the trimmed offsets are bad, and
+    # cover takes each through a row without halves
+    (lambda: random_min_degree_graph(4, 98, 4, 1), 4,
+     {("through_vertex", True): 8, ("proper", True): 90}, 8, [0, 0, 98]),
+    # the same in a row of weight k < r, where the bad vertex's column must
+    # be anchored in the pattern
+    (lambda: random_min_degree_graph(6, 10, 3, 1), 3,
+     {("through_vertex", True): 6, ("proper", True): 14}, 6, [0, 0, 20]),
+], ids=["double_swap-16-4-0", "double_swap-16-4-1", "random-4-98-4-1",
+        "random-6-10-3-1"])
+def test_solve_reaches_the_building_block_kinds(monkeypatch, make, k, built,
+                                                bad, deleted):
+    g = make()
+    counts = Counter()
+    real = pipeline.building_block
+
+    def counting(g, asg, kind, **kwargs):
+        got = real(g, asg, kind, **kwargs)
+        counts[kind, got is not None] += 1
+        return got
+
+    monkeypatch.setattr(pipeline, "building_block", counting)
+    res = solve(g, k)
+    assert res.status == "packed"
+    assert res.packing.verify(g, perfect=True) == []
+    assert brute_force_packing(g, k).exists
+    assert counts == built
+    stages = {s["name"]: s for s in res.stages}
+    assert stages["classify"]["bad"] == bad
+    assert [stages[name]["deleted"]
+            for name in ("rows", "prepare", "cover")] == deleted
 
 
 def test_solve_k1_and_k2():

@@ -473,7 +473,7 @@ def test_row_decomposition_validation():
     d = RowDecomposition((1, 1), 2,
                          ((frozenset({0, 1}), frozenset({0, 1})),
                           (frozenset({2, 3}), frozenset({2, 3}))))
-    assert d.row_of((0, 2)) == 1
+    assert d.row_vertices(1) == [(0, 2), (0, 3), (1, 2), (1, 3)]
 
 
 def test_min_diagonal_density_two_rows():
