@@ -289,9 +289,11 @@ def partite_min_degree(g: MultipartiteGraph) -> int:
 def density(g: MultipartiteGraph, a: Iterable[Vertex], b: Iterable[Vertex]) -> Fraction:
     """Exact edge density e(A,B) / (|A||B|) between sets in two distinct classes.
 
-    Deliberately a plain double loop over adjacency bits, with every vertex
-    validated once: this is the independent verification path for every
-    density-based search in the package.
+    The independent verification path for every density-based search in the
+    package: every vertex is validated once, a repeated vertex in either side
+    is a `ValueError`, and the mask of B is built here from the vertices given,
+    so each A-vertex's edges into B are one popcount of its adjacency row
+    against that mask.  Nothing a search built or counted is read.
     """
     aa, bb = list(a), list(b)
     if not aa or not bb:
@@ -300,8 +302,13 @@ def density(g: MultipartiteGraph, a: Iterable[Vertex], b: Iterable[Vertex]) -> F
     cb = {v[0] for v in bb}
     if len(ca) != 1 or len(cb) != 1 or ca == cb:
         raise ValueError("sides must each lie in a single, distinct class")
-    fa, fb = [g.flat(u) for u in aa], [g.flat(v) for v in bb]
-    edges = sum(1 for fu in fa for fv in fb if g._adj[fu] >> fv & 1)
+    fa = [g.flat(u) for u in aa]
+    mask_b = 0
+    for v in bb:
+        mask_b |= 1 << g.flat(v)
+    if len(set(fa)) != len(aa) or mask_b.bit_count() != len(bb):
+        raise ValueError("density needs sets: a vertex repeats")
+    edges = sum((g._adj[fu] & mask_b).bit_count() for fu in fa)
     return Fraction(edges, len(aa) * len(bb))
 
 
@@ -427,6 +434,8 @@ def components(mask: int, nbrs: Sequence[int]) -> Iterator[int]:
                 low = frontier & -frontier
                 grow |= nbrs[low.bit_length() - 1]
                 frontier ^= low
+                if not mask & ~grow:    # the rest of mask is already reached
+                    break
             frontier = grow & mask
             mask ^= frontier
             comp |= frontier

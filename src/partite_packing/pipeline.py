@@ -1449,11 +1449,7 @@ def glue_rows(g: MultipartiteGraph, xprime: RowDecomposition,
         classes = [groups[sig][i] for i in range(s)]
         common = [[_common_mask(g, c) for c in cls] for cls in classes]
         masks = [[g.mask_of(c) for c in cls] for cls in classes]
-        compat = MultipartiteGraph([n_group] * s, (
-            ((i1, t1), (i2, t2))
-            for i1, i2 in combinations(range(s), 2)
-            for t1 in range(n_group) for t2 in range(n_group)
-            if masks[i2][t2] & ~common[i1][t1] == 0))
+        compat = _compatibility_graph(masks, common, n_group)
         degree_min = _min_clique_degree(compat)
         matching, _, _ = exact_cover(compat, s)
         sigma_log.append({"sigma": list(sig), "n": n_group,
@@ -1477,6 +1473,28 @@ def glue_rows(g: MultipartiteGraph, xprime: RowDecomposition,
     if packing.covered() != want:
         raise RecountFailure("glue", "glued packing does not cover the remainder")
     return GlueResult(packing, sigma_log)
+
+
+def _compatibility_graph(masks: Sequence[Sequence[int]],
+                         common: Sequence[Sequence[int]],
+                         n_group: int) -> MultipartiteGraph:
+    """The s-partite compatibility graph of one group family: group t2 of row
+    i2 is joined to group t1 of row i1 < i2 when all of its vertices
+    (masks[i2][t2]) lie in the common neighbourhood of group t1
+    (common[i1][t1]).  Vertex (i, t) is flat id i * n_group + t, and the
+    adjacency rows are set directly, as `complete_multipartite` does."""
+    s = len(masks)
+    compat = MultipartiteGraph([n_group] * s)
+    adj = compat._adj
+    for i1, i2 in combinations(range(s), 2):
+        for t1, c1 in enumerate(common[i1]):
+            f1, outside = i1 * n_group + t1, ~c1
+            for t2, m2 in enumerate(masks[i2]):
+                if m2 & outside == 0:
+                    f2 = i2 * n_group + t2
+                    adj[f1] |= 1 << f2
+                    adj[f2] |= 1 << f1
+    return compat
 
 
 def _common_mask(g: MultipartiteGraph, clique) -> int:

@@ -6,11 +6,15 @@ searches here are exact (complete backtracking) for small classes and a
 verified local-search heuristic above a size cap.  The searches score
 candidates with integer edge counts over bitmasks (the heuristics update
 them incrementally per swap), never with `Fraction`s.  Any returned witness
-is re-checked once, by `is_splittable` / `is_pair_complete`, through the
-independent `graphs.density` path before it is handed back, so witnesses are
-always exact and only *absence* is mode-qualified: the exact search certifies
-it, and in either mode so does the non-edge component rule that
-`is_splittable` tries before any split search (`_split_refuted`).
+is re-checked once, by `is_splittable` / `is_pair_complete`, before it is
+handed back: `verify_split_witness` / `verify_pair_complete_witness` check
+the witness's shape (r sets of distinct in-range offsets of the right size)
+and then every density through `graphs.density`, which builds its own masks
+from the vertices it is given and reads only the adjacency rows, never a
+mask or count a search made.  So witnesses are always exact and only
+*absence* is mode-qualified: the exact search certifies it, and in either
+mode so does the non-edge component rule that `is_splittable` tries before
+any split search (`_split_refuted`).
 """
 
 from __future__ import annotations
@@ -140,21 +144,30 @@ class SplitWitness:
     achieved: Fraction           # minimum density over all ordered pairs
 
 
+def _offset_sets(g: MultipartiteGraph, sets: Sequence[Sequence[int]],
+                 t: int) -> list[set[int]] | None:
+    """The witness sets as Python sets, or None unless they are r sets of t
+    distinct offsets each, all inside the class size."""
+    size = g.class_sizes[0]
+    members = [set(s) for s in sets]
+    if (len(members) != g.r
+            or any(len(m) != t or len(s) != t for m, s in zip(members, sets))
+            or any(not 0 <= o < size for m in members for o in m)):
+        return None
+    return members
+
+
 def verify_split_witness(g: MultipartiteGraph, w: SplitWitness,
                          d: Fraction) -> bool:
-    """Recheck a split witness through the plain density path.  The sets
+    """Recheck a split witness through `graphs.density`.  The sets
     must be r sets of distinct in-range offsets with one common size t,
     0 < t < class size."""
     r = g.r
     size = g.class_sizes[0]
     achieved = Fraction(1)
-    members = [set(s) for s in w.sets]
-    if len(members) != r:
-        return False
-    t = len(members[0])
-    if (not 0 < t < size
-            or any(len(m) != t or len(s) != t for m, s in zip(members, w.sets))
-            or any(not 0 <= o < size for m in members for o in m)):
+    t = len(w.sets[0]) if w.sets else 0
+    members = _offset_sets(g, w.sets, t)
+    if members is None or not 0 < t < size:
         return False
     comps = [[(j, o) for o in range(size) if o not in members[j]]
              for j in range(r)]
@@ -440,11 +453,16 @@ class PairCompleteWitness:
 
 def verify_pair_complete_witness(g: MultipartiteGraph, w: PairCompleteWitness,
                                  d: Fraction) -> bool:
+    """Recheck a pair-complete witness through `graphs.density`.  The
+    halves must be r sets of n distinct in-range offsets, n half the class
+    size."""
     size = g.class_sizes[0]
+    members = _offset_sets(g, w.halves, size // 2)
+    if members is None or size % 2:
+        return False
     lo1 = lo2 = Fraction(1)
     hi = Fraction(0)
     halves = [[(j, o) for o in w.halves[j]] for j in range(g.r)]
-    members = [set(h) for h in w.halves]
     others = [[(j, o) for o in range(size) if o not in members[j]]
               for j in range(g.r)]
     for j in range(g.r):

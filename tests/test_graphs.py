@@ -108,11 +108,20 @@ def test_density_examples():
 
 def test_density_matches_has_edge_loop():
     rng = random.Random("density")
-    g = build_gamma(6, 3, 3).graph.without_edges([((0, 0), (1, 3))])
-    for _ in range(50):
-        ca, cb = rng.sample(range(3), 2)
-        a = [(ca, o) for o in rng.sample(range(6), rng.randint(1, 6))]
-        b = [(cb, o) for o in rng.sample(range(6), rng.randint(1, 6))]
+    gamma = build_gamma(6, 3, 3).graph.without_edges([((0, 0), (1, 3))])
+    cases = [gamma] * 50
+    for copy in range(200):
+        crng = random.Random(f"density-random:{copy}")
+        sizes = [crng.randint(1, 40) for _ in range(crng.randint(2, 4))]
+        keep = crng.random()
+        cases.append(MultipartiteGraph(
+            sizes, [e for e in complete_multipartite(sizes).edges()
+                    if crng.random() < keep]))
+    for g in cases:
+        ca, cb = rng.sample(range(g.r), 2)
+        na, nb = g.class_sizes[ca], g.class_sizes[cb]
+        a = [(ca, o) for o in rng.sample(range(na), rng.randint(1, na))]
+        b = [(cb, o) for o in rng.sample(range(nb), rng.randint(1, nb))]
         edges = sum(1 for u in a for v in b if g.has_edge(u, v))
         assert density(g, a, b) == Fraction(edges, len(a) * len(b))
 
@@ -125,6 +134,12 @@ def test_density_errors():
         density(g, [(0, 0)], [(0, 1)])
     with pytest.raises(ValueError):
         density(g, [(0, 0)], [(1, 2)])
+    # the sides are sets: counted against a mask, a repeated B vertex would
+    # add its edges once while the denominator counted it twice
+    with pytest.raises(ValueError):
+        density(g, [(0, 0), (0, 1)], [(1, 0), (1, 0)])
+    with pytest.raises(ValueError):
+        density(g, [(0, 0), (0, 0)], [(1, 0), (1, 1)])
 
 
 # -- induced subgraphs ------------------------------------------------------------
@@ -266,6 +281,55 @@ def test_components_of_a_mask_without_its_cut_vertex():
     assert list(components(0b111111, nbrs)) == [0b1111, 0b110000]
     assert list(components(0b111101, nbrs)) == [0b1, 0b1100, 0b110000]
     assert list(components(0, nbrs)) == []
+
+
+def walk_every_frontier(mask, nbrs):
+    """The component walker before it stopped a round early: every frontier
+    vertex's neighbourhood is OR-ed in, however much of mask is reached."""
+    while mask:
+        comp = frontier = mask & -mask
+        mask ^= comp
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= nbrs[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & mask
+            mask ^= frontier
+            comp |= frontier
+        yield comp
+
+
+def test_components_match_the_full_frontier_walk():
+    cases = []
+    # dense: one component that the first round reaches almost entirely
+    dense = complete_multipartite([6, 6, 6, 6])
+    cases.append((dense._adj, (1 << 24) - 1))
+    # two complete 3-partite blocks, offsets 0-3 and offsets 4-6, that share
+    # only vertex (0, 0): in the full mask it is a cut vertex
+    sizes = [7, 7, 7]
+
+    def second(v):
+        return v[1] >= 4 or v == (0, 0)
+
+    cut = MultipartiteGraph(sizes, [
+        (u, v) for u, v in complete_multipartite(sizes).edges()
+        if (u[1] <= 3 and v[1] <= 3) or (second(u) and second(v))])
+    full = (1 << 21) - 1
+    without = full & ~(1 << cut.flat((0, 0)))
+    cases += [(cut._adj, full), (cut._adj, without)]
+    for copy in range(300):
+        rng = random.Random(f"components:{copy}")
+        sizes = [rng.randint(1, 8) for _ in range(rng.randint(2, 4))]
+        keep = rng.choice((0.05, 0.2, 0.5, 0.9))
+        g = MultipartiteGraph(sizes, [e for e in complete_multipartite(sizes).edges()
+                                      if rng.random() < keep])
+        cases.append((g._adj, rng.getrandbits(g.n_vertices)))
+    for nbrs, mask in cases:
+        assert list(components(mask, nbrs)) == list(walk_every_frontier(mask, nbrs))
+    assert len(list(components(full, cut._adj))) == 1
+    assert len(list(components(without, cut._adj))) == 2
 
 
 def test_clique_complex_output_reverifies():

@@ -9,7 +9,7 @@ import pytest
 
 from partite_packing import pipeline
 from partite_packing.graphs import (CliquePacking, MultipartiteGraph,
-                                    build_gamma, complete_multipartite)
+                                    blow_up, build_gamma, complete_multipartite)
 from partite_packing.matching import exact_balanced_clique_packing
 from partite_packing.oracle import (brute_force_packing, check_barrier,
                                     gamma_barrier, random_min_degree_graph)
@@ -931,9 +931,10 @@ def test_balance_columns_infeasible_swap_reported():
         balance_columns(g, asg, ledger, r * size // k)
 
 
-def test_glue_three_unit_rows():
-    # three weight-1 rows: the compatibility hypergraph is genuinely
-    # 3-partite, exercising the multi-way matcher
+def three_unit_rows():
+    """Three weight-1 rows of a complete 3-partite graph with 2% of the
+    edges between different rows dropped, and each row packed by single
+    vertices: the compatibility hypergraph is genuinely 3-partite."""
     r, n_prime = 3, 6
     size = 3 * n_prime
     g = complete_multipartite([size] * r)
@@ -953,8 +954,46 @@ def test_glue_three_unit_rows():
     g = g.without_edges(drop)
     packs = {i: CliquePacking([(v,) for v in sorted(decomp.row_vertices(i))])
              for i in range(3)}
+    return g, decomp, packs
+
+
+def test_glue_three_unit_rows():
+    # exercises the multi-way matcher
+    g, decomp, packs = three_unit_rows()
     glue = glue_rows(g, decomp, packs, 3)
     assert glue.packing.verify(g, perfect=True) == []
     assert len(glue.sigma_log) == 6
     for entry in glue.sigma_log:
         assert entry["matched"]
+
+
+def test_compatibility_graph_matches_the_edge_list_construction(monkeypatch):
+    """`_compatibility_graph` sets adjacency rows on flat ids; it must equal
+    the graph built from the (class, offset) edge list of the same test, for
+    every sigma group glue_rows builds."""
+    seen = []
+    helper = pipeline._compatibility_graph
+
+    def record(masks, common, n_group):
+        seen.append((masks, common, n_group))
+        return helper(masks, common, n_group)
+
+    monkeypatch.setattr(pipeline, "_compatibility_graph", record)
+    for g, k in [(complete_multipartite([72] * 4), 3),
+                 (blow_up(build_gamma(3, 4, 3).graph, 24), 3)]:
+        assert solve(g, k).status == "packed"
+    g, decomp, packs = three_unit_rows()
+    glue_rows(g, decomp, packs, 3)
+    assert len(seen) == 24 + 24 + 6
+    partial = 0
+    for masks, common, n_group in seen:
+        s = len(masks)
+        want = MultipartiteGraph([n_group] * s, [
+            ((i1, t1), (i2, t2))
+            for i1 in range(s) for i2 in range(i1 + 1, s)
+            for t1 in range(n_group) for t2 in range(n_group)
+            if masks[i2][t2] & ~common[i1][t1] == 0])
+        got = helper(masks, common, n_group)
+        assert got == want
+        partial += got.n_edges() < n_group * n_group * s * (s - 1) // 2
+    assert partial >= 1   # the dropped edges leave a group family incomplete

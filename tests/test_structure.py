@@ -11,8 +11,8 @@ from partite_packing import structure
 from partite_packing.graphs import (MultipartiteGraph, blow_up, build_gamma,
                                     complete_multipartite, PartitionLabeling,
                                     clique_complex_edges)
-from partite_packing.structure import (IntegerLattice, RowDecomposition,
-                                       SplitWitness,
+from partite_packing.structure import (IntegerLattice, PairCompleteWitness,
+                                       RowDecomposition, SplitWitness,
                                        diagnose_barriers,
                                        divisibility_barrier_graph,
                                        is_complete_wrt, is_pair_complete,
@@ -225,6 +225,31 @@ def test_pair_complete_disjoint_halves():
     assert w is not None
     assert w.max_cross_density == 0
     assert verify_pair_complete_witness(g, w, Fraction(0))
+
+
+def test_pair_complete_witness_must_be_n_distinct_in_range_offsets():
+    # the two complete halves are offsets 0-11 and 12-23 of every class;
+    # a half that is not a set of n = 12 offsets must fail, not be rechecked
+    # on the offsets it happens to list
+    g, _ = divisibility_barrier_graph(4, 12)
+    d = Fraction(1, 4)
+    halves = [tuple(range(12))] * 4
+    short = tuple(range(11))
+
+    def witness(sets):
+        return PairCompleteWitness(sets, Fraction(0), Fraction(0), Fraction(0))
+
+    assert verify_pair_complete_witness(g, witness(halves), d)
+    bogus = [
+        [short] + halves[1:],                   # a short half
+        [short] * 4,
+        [(0,) + short] + halves[1:],            # a repeated offset
+        [short + (24,)] + halves[1:],           # offsets out of range
+        [(-1,) + short] + halves[1:],
+        halves[1:],                             # one half missing
+    ]
+    for h in bogus:
+        assert not verify_pair_complete_witness(g, witness(h), d), h
 
 
 def test_pair_complete_absent_on_complete_graph():
