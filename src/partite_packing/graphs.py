@@ -38,16 +38,20 @@ class MultipartiteGraph:
         self._class_of = tuple(c for c, s in enumerate(sizes) for _ in range(s))
         self._class_masks = tuple(((1 << s) - 1) << off[c]
                                   for c, s in enumerate(sizes))
-        self._adj = [0] * self.n_vertices
+        self._adj = adj = [0] * self.n_vertices
         for u, v in edges:
-            fu, fv = self.flat(u), self.flat(v)
+            (cu, ou), (cv, ov) = u, v
+            if not (0 <= cu < self.r and 0 <= ou < sizes[cu]):
+                raise ValueError(f"vertex {u} out of range")
+            if not (0 <= cv < self.r and 0 <= ov < sizes[cv]):
+                raise ValueError(f"vertex {v} out of range")
+            fu, fv = off[cu] + ou, off[cv] + ov
             if fu == fv:
                 raise ValueError(f"loop at {u}")
-            if self._class_of[fu] == self._class_of[fv]:
-                raise ValueError(f"edge {u}-{v} joins two vertices of class "
-                                 f"{self._class_of[fu]}")
-            self._adj[fu] |= 1 << fv
-            self._adj[fv] |= 1 << fu
+            if cu == cv:
+                raise ValueError(f"edge {u}-{v} joins two vertices of class {cu}")
+            adj[fu] |= 1 << fv
+            adj[fv] |= 1 << fu
 
     # -- vertex bookkeeping ------------------------------------------------
 
@@ -98,13 +102,17 @@ class MultipartiteGraph:
         return (self.adj_mask(v) & self._class_masks[c]).bit_count()
 
     def edges(self) -> list[tuple[Vertex, Vertex]]:
-        """All edges, each listed once, ordered by flattened ids."""
+        """All edges, each listed once, ordered by flattened ids: one walk
+        over the bits of each row above its own id, naming each id through a
+        table built once per call."""
+        names = list(self.vertices())
         out = []
-        for fu in range(self.n_vertices):
-            rest = self._adj[fu] >> (fu + 1) << (fu + 1)
+        for fu, row in enumerate(self._adj):
+            u = names[fu]
+            rest = row >> (fu + 1) << (fu + 1)
             while rest:
                 low = rest & -rest
-                out.append((self.vertex(fu), self.vertex(low.bit_length() - 1)))
+                out.append((u, names[low.bit_length() - 1]))
                 rest ^= low
         return out
 
@@ -511,10 +519,12 @@ class CliquePacking:
 
 def graph_to_json(g: MultipartiteGraph,
                   labeling: PartitionLabeling | None = None) -> str:
+    """The graph as JSON text, its edges in `edges()` order; json writes each
+    (class, offset) name and each edge pair as a list."""
     doc: dict = {
         "r": g.r,
         "class_sizes": list(g.class_sizes),
-        "edges": [[list(u), list(v)] for u, v in g.edges()],
+        "edges": g.edges(),
     }
     if labeling is not None:
         doc["labels"] = {"d": labeling.d,
@@ -534,23 +544,29 @@ def _json_object(text: str, what: str, keys: Sequence[str]) -> dict:
 
 def graph_from_json(text: str):
     """Parse `graph_to_json` output.  Any malformed document, including one
-    of the wrong shape, raises ValueError."""
+    of the wrong shape or with a class size or an edge coordinate that is not
+    an int (a float or a bool), raises ValueError."""
     doc = _json_object(text, "graph document", ("class_sizes", "edges"))
     try:
         sizes = doc["class_sizes"]
         if doc.get("r") != len(sizes):
             raise ValueError("r does not match class_sizes")
+        if not all(type(s) is int for s in sizes):
+            raise ValueError("class_sizes must be integers")
         g = MultipartiteGraph(sizes)
+        sizes, off, adj = g.class_sizes, g._off, g._adj
         for e in doc["edges"]:
             (cu, ou), (cv, ov) = e
+            if not type(cu) is type(ou) is type(cv) is type(ov) is int:
+                raise ValueError(f"edge {e} has a non-integer coordinate")
             if not (0 <= cu < g.r and 0 <= ou < sizes[cu]
                     and 0 <= cv < g.r and 0 <= ov < sizes[cv]):
                 raise ValueError(f"edge {e} references an out-of-range vertex")
             if cu == cv:
                 raise ValueError(f"edge {e} joins two vertices of class {cu}")
-            fu, fv = g.flat((cu, ou)), g.flat((cv, ov))
-            g._adj[fu] |= 1 << fv
-            g._adj[fv] |= 1 << fu
+            fu, fv = off[cu] + ou, off[cv] + ov
+            adj[fu] |= 1 << fv
+            adj[fv] |= 1 << fu
         labeling = None
         if doc.get("labels"):
             labeling = PartitionLabeling(

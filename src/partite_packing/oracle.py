@@ -418,24 +418,24 @@ def random_min_degree_graph(r: int, n: int, k: int, seed,
     rng = random.Random(f"mindeg:{seed}")
     threshold = ceil((k - 1) * n / k)
     g = complete_multipartite([n] * r)
-    masks = list(g._adj)
-    deg = [[n if c != g._class_of[f] else 0 for c in range(r)]
+    masks, cls = g._adj, g._class_of
+    deg = [[n if c != cls[f] else 0 for c in range(r)]
            for f in range(g.n_vertices)]
-    edges = g.edges()
-    rng.shuffle(edges)
-    for u, v in edges:
+    # the cross pairs in `g.edges()` order (ascending flat ids, fu < fv): the
+    # seeded shuffle, and so every generated graph, depends on this order
+    pairs = [(fu, fv) for fu in range(g.n_vertices)
+             for fv in range(g._off[cls[fu] + 1], g.n_vertices)]
+    rng.shuffle(pairs)
+    for fu, fv in pairs:
         if delete_prob < 1.0 and rng.random() > delete_prob:
             continue
-        fu, fv = g.flat(u), g.flat(v)
-        cu, cv = u[0], v[0]
+        cu, cv = cls[fu], cls[fv]
         if deg[fu][cv] - 1 >= threshold and deg[fv][cu] - 1 >= threshold:
             masks[fu] &= ~(1 << fv)
             masks[fv] &= ~(1 << fu)
             deg[fu][cv] -= 1
             deg[fv][cu] -= 1
-    out = MultipartiteGraph([n] * r)
-    out._adj = masks
-    return out
+    return g
 
 
 def _all_graphs_with_min_degree(r: int, n: int, threshold: int):

@@ -1059,9 +1059,10 @@ def balance_blocks(g: MultipartiteGraph, asg: BlockAssignment,
     audit = None
     if s > 1 and n_prime > 0:
         masks = block_masks(g, xprime)
-        audit = min(
-            (g.adj_mask((j, o)) & masks[i2][j2]).bit_count()
-            for i in range(s) for j in range(r) for o in xprime.rows[i][j]
+        audit = min(    # twins share a row: read each distinct row once
+            (row & masks[i2][j2]).bit_count()
+            for i in range(s) for j in range(r)
+            for row in {g._adj[g._off[j] + o] for o in xprime.rows[i][j]}
             for i2 in range(s) if i2 != i for j2 in range(r) if j2 != j)
     return xprime, audit
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -21,11 +22,15 @@ from test_oracle import relabeled_copy
 def test_rejects_same_class_edge():
     with pytest.raises(ValueError):
         MultipartiteGraph([2, 2], [((0, 0), (0, 1))])
+    with pytest.raises(ValueError, match="loop at"):
+        MultipartiteGraph([2, 2], [((0, 1), (1, 0)), ((1, 1), (1, 1))])
 
 
 def test_rejects_out_of_range_vertex():
-    with pytest.raises(ValueError):
-        MultipartiteGraph([2, 2], [((0, 0), (1, 2))])
+    # the second endpoint, checked against its own class size
+    for bad in [(1, 2), (2, 0), (-1, 0), (1, -1)]:
+        with pytest.raises(ValueError, match=re.escape(f"vertex {bad} out")):
+            MultipartiteGraph([3, 2], [((0, 0), bad)])
 
 
 def test_edges_listed_once_in_flat_order():
@@ -388,6 +393,19 @@ def test_graph_json_rejects_bad_edges():
         graph_from_json(json.dumps(doc))
     doc = {"r": 2, "class_sizes": [2, 2], "edges": [[[0, 0], [1, 5]]]}
     with pytest.raises(ValueError):
+        graph_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("sizes, edges", [
+    ([2.7, 3], []),                     # read as class size 2
+    ([2, 2], [[[True, 0], [0, 1]]]),    # read as vertex (1, 0)
+    ([2.7, 3], [[[0, 2], [1, 1]]]),     # (0, 2) would alias (1, 0)
+    ([2, 2], [[[0, 1.0], [1, 0]]]),
+    ([2, 2], [[[0, 1], [1, False]]]),
+], ids=["float-size", "bool-class", "alias", "float-offset", "bool-offset"])
+def test_graph_json_rejects_non_integers(sizes, edges):
+    doc = {"r": len(sizes), "class_sizes": sizes, "edges": edges}
+    with pytest.raises(ValueError, match="integer"):
         graph_from_json(json.dumps(doc))
 
 

@@ -638,6 +638,48 @@ def test_solve_reaches_the_building_block_kinds(monkeypatch, make, k, built,
             for name in ("rows", "prepare", "cover")] == deleted
 
 
+def per_vertex_audit(g, xprime):
+    """The blocks stage's diagonal degree audit, one vertex at a time."""
+    s, r = xprime.s, xprime.r
+    masks = [[g.mask_of(xprime.block_vertices(i, j)) for j in range(r)]
+             for i in range(s)]
+    return min((g.adj_mask(v) & masks[i2][j2]).bit_count()
+               for i in range(s) for j in range(r)
+               for v in xprime.block_vertices(i, j)
+               for i2 in range(s) if i2 != i for j2 in range(r) if j2 != j)
+
+
+# the benchmark's pipeline-scale graphs, and the double-swap graphs that
+# pack, where every block ends empty (unit 0) and there is nothing to audit
+@pytest.mark.parametrize("make, k", [
+    (lambda: relabeled_copy(blow_up(build_gamma(3, 4, 3).graph, 24), 1), 3),
+    *[(lambda n=n: complete_multipartite([n] * 4), 3)
+      for n in (72, 84, 96, 108, 120, 132, 144, 168, 192)],
+    *[(lambda n=n: complete_multipartite([n] * 4), 4) for n in (96, 128, 160, 192)],
+    (lambda: double_swap(16, 4, 0), 4),
+    (lambda: double_swap(16, 4, 1), 4),
+], ids=["gamma-3-4-3-x24", *[f"complete-{n}x4-k3" for n in (72, 84, 96, 108, 120,
+                                                           132, 144, 168, 192)],
+        *[f"complete-{n}x4-k4" for n in (96, 128, 160, 192)],
+        "double_swap-16-4-0", "double_swap-16-4-1"])
+def test_blocks_audit_matches_per_vertex_min(monkeypatch, make, k):
+    seen = []
+    real = pipeline.balance_blocks
+
+    def recording(g, *args):
+        xprime, audit = real(g, *args)
+        seen.append((g, xprime, audit))
+        return xprime, audit
+
+    monkeypatch.setattr(pipeline, "balance_blocks", recording)
+    assert solve(make(), k).status == "packed"
+    ((g, xprime, audit),) = seen
+    if xprime.unit == 0:
+        assert audit is None
+    else:
+        assert xprime.s > 1 and audit == per_vertex_audit(g, xprime)
+
+
 def test_solve_k1_and_k2():
     g = complete_multipartite([3, 3])
     assert solve(g, 1).status == "packed"
