@@ -228,9 +228,13 @@ class PartitionLabeling:
     part_of: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.d) is not int:
+            raise ValueError(f"part count {self.d!r} is not an integer")
         seen = set()
         for row in self.part_of:
             for p in row:
+                if type(p) is not int:
+                    raise ValueError(f"part index {p!r} is not an integer")
                 if not (0 <= p < self.d):
                     raise ValueError(f"part index {p} out of range")
                 seen.add(p)
@@ -544,8 +548,9 @@ def _json_object(text: str, what: str, keys: Sequence[str]) -> dict:
 
 def graph_from_json(text: str):
     """Parse `graph_to_json` output.  Any malformed document, including one
-    of the wrong shape or with a class size or an edge coordinate that is not
-    an int (a float or a bool), raises ValueError."""
+    of the wrong shape or with a class size, an edge coordinate, a part count
+    or a part index that is not an int (a float or a bool), raises
+    ValueError."""
     doc = _json_object(text, "graph document", ("class_sizes", "edges"))
     try:
         sizes = doc["class_sizes"]

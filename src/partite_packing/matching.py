@@ -280,7 +280,7 @@ def _chunked_index_matchings(g: MultipartiteGraph, rest: list[list[int]],
         if ok:
             return out
     sub, _, from_sub = g.induced(rest)
-    res = exact_balanced_clique_packing(sub, 2, True, budget=500_000)
+    res = exact_balanced_clique_packing(sub, 2, budget=500_000)
     if res.packing is not None:
         back = {}
         for new_f, old_v in enumerate(from_sub):
@@ -302,12 +302,12 @@ class SearchResult:
     nodes: int
 
 
-def exact_balanced_clique_packing(g: MultipartiteGraph, p: int,
-                                  require_balanced: bool = True,
+def exact_balanced_clique_packing(g: MultipartiteGraph, p: int, *,
                                   budget: int | None = None) -> SearchResult:
-    """Perfect (optionally balanced) p-clique packing by the oracle's search,
-    `oracle.exact_cover`, with every index held to its balanced quota of
-    (|V|/p) / C(r, p) cliques when balance is required.
+    """Perfect balanced p-clique packing by the oracle's search,
+    `oracle.exact_cover`, with every index held to its quota of
+    (|V|/p) / C(r, p) cliques.  An unbalanced packing is `exact_cover` (or
+    `brute_force_packing`) without a quota.
 
     completed=True makes an absent verdict a proof of nonexistence; a budget
     stop is reported as completed=False.
@@ -319,11 +319,9 @@ def exact_balanced_clique_packing(g: MultipartiteGraph, p: int,
         return SearchResult(CliquePacking([]), True, 0)
     if total % p or p > g.r:
         return SearchResult(None, True, 0)
-    quota = None
-    if require_balanced:
-        n_cliques, n_indices = total // p, comb(g.r, p)
-        if n_cliques % n_indices:
-            return SearchResult(None, True, 0)
-        quota = n_cliques // n_indices
+    n_cliques, n_indices = total // p, comb(g.r, p)
+    if n_cliques % n_indices:
+        return SearchResult(None, True, 0)
+    quota = n_cliques // n_indices
     packing, nodes, completed = exact_cover(g, p, budget, quota)
     return SearchResult(packing, completed, nodes)

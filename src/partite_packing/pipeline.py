@@ -7,12 +7,15 @@ cannot meet it raises StageFailure rather than passing silently, and the
 orchestrator falls back to the exhaustive oracle or reports a structured
 diagnosis.
 
-Branches marked "Unreached" run in no `solve` call of the tests or the
-benchmark; the test named beside each, in tests/test_pipeline.py, drives it
-directly.  Wherever the stages run on the benchmark's graphs there is no bad
-vertex, no row excess and at most one heavy row, so only "proper" cliques are
-built.  The graphs of test_solve_reaches_the_building_block_kinds have bad
-vertices, positive row excesses, and two heavy two-half rows.
+One branch, `_row_edge_matching`, is marked "Unreached": it runs in no
+`solve` call of the tests or the benchmark, and stage-level tests such as
+test_stage_recounts_100 drive it directly.  Wherever the stages run on the
+benchmark's graphs there is no bad vertex, no row excess and at most one
+heavy row, so only "proper" cliques are built.  The graphs of
+test_solve_reaches_the_building_block_kinds have bad vertices, positive row
+excesses and two heavy two-half rows; in the graph near Γ(9, 5, 3) of
+test_solve_builds_through_edge_near_gamma, `_extremal_zero_excess_fix`
+extends an added edge inside a weight-1 row to a clique.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from .graphs import (CliquePacking, MultipartiteGraph, Vertex, components,
                      index_set, k_cliques, partite_min_degree)
 from .matching import (bipartite_maximum_matching,
                        exact_balanced_clique_packing,
-                       pair_complete_balanced_matching, ObstructionError,
-                       regular_bipartite_perfect_matching)
+                       pair_complete_balanced_matching, ObstructionError)
 from .oracle import (brute_force_packing, exact_cover, gamma_barrier,
                      is_isomorphic_to_gamma)
 from .structure import (RowDecomposition, block_masks, detection_mode,
@@ -441,10 +443,12 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
     extension then build every kind.
 
     `solve` builds "ij" in the rows and prepare stages, "through_vertex" in
-    cover, and "outside_row" for it in a two-half row
-    (test_solve_reaches_the_building_block_kinds).  Unreached: "through_edge",
-    which serves weight-1 rows with excess and `_extremal_zero_excess_fix`.
-    Driven by test_building_block_through_vertex_and_ij.
+    cover, "outside_row" for it in a two-half row, and "through_edge" in
+    `_extremal_zero_excess_fix` on graphs near Γ(n, r, k)
+    (test_solve_reaches_the_building_block_kinds,
+    test_solve_builds_through_edge_near_gamma).  The rows stage's other
+    "through_edge", for a weight-1 row with positive excess, is as unreached
+    as `_row_edge_matching`.
     """
     forbidden = set(forbidden)
     weights = asg.weights
@@ -557,21 +561,6 @@ class DeletionLedger:
             raise StageFailure(stage, f"clique overlaps ledger at {sorted(overlap)[0]}")
         self.entries.append(LedgerEntry(clique, stage, tag))
         self.covered.update(clique)
-
-    def replace(self, old: Sequence[Vertex], new: Sequence[Vertex]) -> None:
-        """Unreached: only the rowpack repairs for a second heavy row call it.
-        Driven by test_repair_half_parity_direct."""
-        old, new = tuple(sorted(old)), tuple(sorted(new))
-        for e in self.entries:
-            if e.clique == old:
-                self.covered.difference_update(old)
-                if set(new) & self.covered:
-                    self.covered.update(old)
-                    raise ValueError("replacement overlaps the ledger")
-                e.clique = new
-                self.covered.update(new)
-                return
-        raise ValueError("clique to replace is not in the ledger")
 
     def stage_cliques(self, stage: str) -> list[LedgerEntry]:
         return [e for e in self.entries if e.stage == stage]
@@ -1115,273 +1104,51 @@ def _pair_complete_row_packing(g, asg, xprime, i) -> CliquePacking:
                           for c in packing.cliques])
 
 
-def _repair_half_parity(g, asg, ledger, xprime_rows, i) -> bool:
-    """Swap one spare-clique vertex for a row vertex across the half split so
-    the surviving half gets even size.
-
-    Unreached: it needs an odd half and a second heavy row.  Driven by
-    test_repair_half_parity_direct."""
-    for entry in ledger.entries:
-        if entry.stage != "prepare" or not entry.tag.endswith(f",{i}"):
-            continue
-        clique = entry.clique
-        row_i_vs = [v for v in clique if asg.v_block[v][0] == i]
-        if len(row_i_vs) != 1:
-            continue
-        x = row_i_vs[0]
-        j = x[0]
-        others = [v for v in clique if v != x]
-        x_in_s = asg.in_s_half(x)
-        for o in sorted(xprime_rows[i][j]):
-            y = (j, o)
-            y_in_s = asg.in_s_half(y)
-            if (x_in_s + y_in_s) != 1:
-                continue
-            if all(g.has_edge(y, u) for u in others):
-                ledger.replace(clique, tuple(sorted(others + [y])))
-                xprime_rows[i][j] = (xprime_rows[i][j] - {o}) | {x[1]}
-                return True
-    return False
-
-
-def _fake_edge_route(g, asg, ledger, xprime, i, params):
-    """Balanced perfect matching for a weight-2 row that resists direct
-    search: borrow spare cliques from another heavy row, add one placeholder
-    edge per borrowed clique, match, then substitute every placeholder by a
-    real edge and trade the borrowed clique's row vertex.
-
-    Unreached: it needs a second heavy row and one that is not two-half.
-    Driven by test_fake_edge_route_with_second_heavy_row."""
-    spares = [e for e in ledger.entries if e.stage == "prepare"
-              and e.tag.endswith(f",{i}")]
-    if not spares:
-        return None
-    sub, to_sub, _ = _induced_row(g, xprime, i)
-    back = {to_sub[v]: v for v in to_sub}
-    fake_edges = {}   # (sub_u, sub_v) sorted -> (entry, x, y)
-    used_y: set[Vertex] = set()
-    extra = []
-    for entry in spares:
-        row_i_vs = [v for v in entry.clique if asg.v_block[v][0] == i]
-        if len(row_i_vs) != 1:
-            continue
-        x = row_i_vs[0]
-        q = x[0]
-        others = [v for v in entry.clique if v != x]
-        y = None
-        for o in sorted(xprime.rows[i][q]):
-            cand = (q, o)
-            if cand in used_y:
-                continue
-            if all(g.has_edge(cand, u) for u in others):
-                y = cand
-                break
-        if y is None:
-            continue
-        used_y.add(y)
-        sy = to_sub[y]
-        for x1 in g.neighbors(x):
-            if asg.v_block.get(x1, (None,))[0] != i or x1[0] == q:
-                continue
-            if x1[1] not in xprime.rows[i][x1[0]]:
-                continue
-            sx1 = to_sub[x1]
-            if sub.has_edge(sy, sx1):
-                continue
-            key = tuple(sorted((sy, sx1)))
-            if key not in fake_edges:
-                fake_edges[key] = (entry, x, y)
-                extra.append(key)
-    aug = sub.with_edges(extra)
-    res = exact_balanced_clique_packing(aug, 2, True, params.budget)
-    if res.packing is None:
-        return None
-    out = []
-    swaps = []   # (y removed from the row, x joining it), same block
-    for c in res.packing.cliques:
-        key = tuple(sorted(c))
-        if key in fake_edges:
-            entry, x, y = fake_edges[key]
-            sy = to_sub[y]
-            sx1 = key[0] if key[1] == sy else key[1]
-            x1 = back[sx1]
-            others = [v for v in entry.clique if v != x]
-            ledger.replace(entry.clique, tuple(sorted(others + [y])))
-            out.append(tuple(sorted((x, x1))))
-            swaps.append((y, x))
-        else:
-            out.append(tuple(sorted(back[u] for u in c)))
-    return CliquePacking(out), swaps
-
-
-def _surplus_row_route(g, asg, ledger, xprime, i, params):
-    """Single heavy row: find any perfect matching, keep its balanced core,
-    and absorb the surplus edges into full cliques spread evenly over the
-    other rows via a regular bipartite assignment.
-
-    Unreached: it needs a heavy row that is not two-half.  Driven by
-    test_surplus_route_single_heavy_row."""
-    r = xprime.r
-    n_prime = xprime.unit
-    sub, to_sub, _ = _induced_row(g, xprime, i)
-    back = {to_sub[v]: v for v in to_sub}
-    res = exact_balanced_clique_packing(sub, 2, False, params.budget)
-    if res.packing is None:
-        raise StageFailure("rowpack",
-                           f"row {i} has no perfect matching "
-                           f"({'proven' if res.completed else 'budget'})")
-    by_index: dict[frozenset, list] = {}
-    for c in res.packing.cliques:
-        by_index.setdefault(index_set(c), []).append(tuple(sorted(c)))
-    min_count = min((len(v) for v in by_index.values()), default=0)
-    if len(by_index) < comb(r, 2):
-        min_count = 0
-    step = (r * factorial(r)) // gcd(r * factorial(r), comb(r, 2))
-    t = (min_count // step) * step
-    core: list[tuple] = []
-    surplus: list[tuple] = []
-    for idx in sorted(map(frozenset, combinations(range(r), 2)), key=sorted):
-        have = sorted(by_index.get(idx, []))
-        core.extend(have[:t])
-        surplus.extend(have[t:])
-    d_unit = n_prime - t * (r - 1) // 2
-    if len(surplus) != d_unit * r:
-        raise RecountFailure("rowpack", "surplus matching size off")
-    current = [tuple(sorted(back[u] for u in c)) for c in surplus]
-    other_rows = [l for l in range(xprime.s) if l != i]
-    used: set[Vertex] = set()
-    for l in other_rows:
-        z = [(j, qq) for j in range(r) for qq in range(d_unit)]
-        adj = [[zi for zi, (j, _) in enumerate(z)
-                if j not in {v[0] for v in clique}]
-               for clique in current]
-        pm = regular_bipartite_perfect_matching(len(current), len(z), adj)
-        if pm is None and current:
-            raise StageFailure("rowpack", f"surplus assignment to row {l} failed")
-        nxt = []
-        for ci, zi in (pm or []):
-            clique = current[ci]
-            j = z[zi][0]
-            pick = None
-            for o in sorted(xprime.rows[l][j]):
-                cand = (j, o)
-                if cand in used:
-                    continue
-                if all(g.has_edge(cand, u) for u in clique):
-                    pick = cand
-                    break
-            if pick is None:
-                raise StageFailure("rowpack",
-                                   f"no extension of a surplus clique into "
-                                   f"block ({l},{j})")
-            used.add(pick)
-            nxt.append(tuple(sorted(clique + (pick,))))
-        current = nxt
-    for clique in current:
-        ledger.add(clique, "surplus", "onepcrow")
-    # shrink every block of the final decomposition
-    rows = []
-    for l in range(xprime.s):
-        row = []
-        for j in range(r):
-            block = {o for o in xprime.rows[l][j]
-                     if (j, o) not in ledger.covered}
-            row.append(frozenset(block))
-        rows.append(tuple(row))
-    n2 = n_prime - d_unit
-    shrunk = RowDecomposition(xprime.weights, n2, tuple(rows))
-    row_pack = CliquePacking([tuple(sorted(back[u] for u in c)) for c in core])
-    return shrunk, row_pack
-
-
 def fix_row_parity_and_matchability(g: MultipartiteGraph, asg: BlockAssignment,
-                                    ledger: DeletionLedger,
                                     xprime: RowDecomposition,
-                                    params: PipelineParams):
-    """A balanced perfect packing for every row of the final decomposition,
-    repairing half parity through spare-clique swaps and absorbing stubborn
-    weight-2 rows via placeholder edges or surplus extension."""
+                                    params: PipelineParams
+                                    ) -> dict[int, CliquePacking]:
+    """A balanced perfect packing of every row of the final decomposition,
+    one way per row: a weight-1 row by its single vertices, a two-half row by
+    `pair_complete_balanced_matching` when its surviving half has even size,
+    and every other row by the balanced exact search.  A row that its way
+    cannot pack raises StageFailure: nothing repairs it, and the
+    decomposition stays the one the blocks stage left.  Every packing is
+    recounted before it is returned."""
     if xprime.unit == 0:
-        return xprime, {i: CliquePacking([]) for i in range(xprime.s)}
-    xp_rows = [[set(xprime.rows[i][j]) for j in range(xprime.r)]
-               for i in range(xprime.s)]
-    heavy = [i for i in range(xprime.s) if xprime.weights[i] >= 2]
+        return {i: CliquePacking([]) for i in range(xprime.s)}
     packings: dict[int, CliquePacking] = {}
-
-    def rebuild(unit=None):
-        return RowDecomposition(
-            xprime.weights, xprime.unit if unit is None else unit,
-            tuple(tuple(frozenset(xp_rows[l][j]) for j in range(xprime.r))
-                  for l in range(xprime.s)))
-
-    final = rebuild()
     for i in range(xprime.s):
         w_i = xprime.weights[i]
         if w_i == 1:
-            continue
-        if i in asg.pc_rows:
-            s_now = sum(1 for j in range(xprime.r) for o in xp_rows[i][j]
-                        if (j, o) in asg.s_half[i][j])
-            if s_now % 2:
-                if len(heavy) < 2 or not _repair_half_parity(
-                        g, asg, ledger, xp_rows, i):
-                    raise StageFailure("rowpack",
-                                       f"two-half row {i} stuck at odd half size")
-                final = rebuild()
-            packings[i] = _pair_complete_row_packing(g, asg, final, i)
-            continue
-        if w_i == 2:
-            sub, to_sub, _ = _induced_row(g, final, i)
-            back = {to_sub[v]: v for v in to_sub}
-            res = exact_balanced_clique_packing(sub, 2, True, params.budget)
-            if res.packing is not None:
-                packings[i] = CliquePacking(
-                    [tuple(sorted(back[u] for u in c))
-                     for c in res.packing.cliques])
-                continue
-            if len(heavy) >= 2:
-                got = _fake_edge_route(g, asg, ledger, final, i, params)
-                if got is not None:
-                    packings[i], swaps = got
-                    for y, x in swaps:
-                        xp_rows[i][y[0]].discard(y[1])
-                        xp_rows[i][x[0]].add(x[1])
-                    final = rebuild()
-                    continue
-                raise StageFailure("rowpack", f"row {i} unbalanced even with "
-                                              "placeholder edges")
-            final, packings[i] = _surplus_row_route(g, asg, ledger, final, i,
-                                                    params)
-            for l in range(final.s):
-                for j in range(final.r):
-                    xp_rows[l][j] = set(final.rows[l][j])
-            continue
-        sub, to_sub, _ = _induced_row(g, final, i)
-        back = {to_sub[v]: v for v in to_sub}
-        res = exact_balanced_clique_packing(sub, w_i, True, params.budget)
-        if res.packing is None:
-            kind = "proven absent" if res.completed else "budget exhausted"
-            raise StageFailure("rowpack", f"row {i}: balanced packing {kind}")
-        packings[i] = CliquePacking([tuple(sorted(back[u] for u in c))
-                                     for c in res.packing.cliques])
-
-    for i in range(final.s):
-        if final.weights[i] == 1:
             packings[i] = CliquePacking(
-                [(v,) for v in sorted(final.row_vertices(i))])
+                [(v,) for v in sorted(xprime.row_vertices(i))])
+        elif i in asg.pc_rows:
+            if sum(1 for j in range(xprime.r) for o in xprime.rows[i][j]
+                   if (j, o) in asg.s_half[i][j]) % 2:
+                raise StageFailure("rowpack",
+                                   f"two-half row {i} stuck at odd half size")
+            packings[i] = _pair_complete_row_packing(g, asg, xprime, i)
+        else:
+            sub, to_sub, _ = _induced_row(g, xprime, i)
+            back = {to_sub[v]: v for v in to_sub}
+            res = exact_balanced_clique_packing(sub, w_i, budget=params.budget)
+            if res.packing is None:
+                kind = "proven absent" if res.completed else "budget exhausted"
+                raise StageFailure("rowpack",
+                                   f"row {i}: balanced packing {kind}")
+            packings[i] = CliquePacking([tuple(sorted(back[u] for u in c))
+                                         for c in res.packing.cliques])
 
     for i, packing in packings.items():
-        want = {v for v in final.row_vertices(i)}
-        got = packing.covered()
-        if got != want:
+        if packing.covered() != set(xprime.row_vertices(i)):
             raise RecountFailure("rowpack", f"row {i} packing not perfect")
-        counts = set(packing.index_counts.values())
-        if len(counts) > 1:
+        if len(set(packing.index_counts.values())) > 1:
             raise RecountFailure("rowpack", f"row {i} packing not balanced")
         problems = packing.verify(g)
         if problems:
             raise RecountFailure("rowpack", f"row {i}: {problems[:2]}")
-    return final, packings
+    return packings
 
 
 # -- gluing row packings ------------------------------------------------------------
@@ -1689,10 +1456,9 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
     if problems:
         raise RecountFailure("ledger", problems[0])
 
-    final, row_packings = fix_row_parity_and_matchability(g, asg, ledger,
-                                                          xprime, params)
-    stages.append({"name": "rowpack", "unit": final.unit})
-    glue = glue_rows(g, final, row_packings, k)
+    row_packings = fix_row_parity_and_matchability(g, asg, xprime, params)
+    stages.append({"name": "rowpack", "unit": xprime.unit})
+    glue = glue_rows(g, xprime, row_packings, k)
     stages.append({"name": "glue",
                    "sigma_min_degrees": [e["min_degree"] for e in glue.sigma_log]})
 

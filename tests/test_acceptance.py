@@ -10,10 +10,9 @@ from math import factorial
 import pytest
 
 from partite_packing.cli import main as cli_main
-from partite_packing.graphs import (CliquePacking, MultipartiteGraph,
-                                    build_gamma, complete_multipartite,
-                                    packing_from_json, packing_to_json,
-                                    partite_min_degree)
+from partite_packing.graphs import (MultipartiteGraph, build_gamma,
+                                    complete_multipartite, packing_from_json,
+                                    packing_to_json, partite_min_degree)
 from partite_packing.matching import (ParityObstruction,
                                       bipartite_maximum_matching,
                                       is_multigraphic,
@@ -467,14 +466,11 @@ def test_glue_50():
         asg = classify_bad_vertices(g, decomp, pc_halves,
                                     max(1, 2 * decomp.unit // 5))
         assert asg.bad == set()
-        ledger = DeletionLedger(g)
-        final, packings = fix_row_parity_and_matchability(
-            g, asg, ledger, decomp, PipelineParams())
-        glue = glue_rows(g, final, packings, 3)
-        total = CliquePacking(sorted(list(glue.packing.cliques)
-                                     + [e.clique for e in ledger.entries]))
-        assert total.verify(g, perfect=True) == []
-        s = final.s
-        n_group = 3 * final.unit * factorial(3 - 3) // factorial(3)
+        packings = fix_row_parity_and_matchability(g, asg, decomp,
+                                                   PipelineParams())
+        glue = glue_rows(g, decomp, packings, 3)
+        assert glue.packing.verify(g, perfect=True) == []
+        s = decomp.s
+        n_group = 3 * decomp.unit * factorial(3 - 3) // factorial(3)
         for entry in glue.sigma_log:
             assert entry["min_degree"] > Fraction(19, 20) * n_group ** (s - 1)

@@ -375,6 +375,20 @@ def test_labeling_validation():
     assert lab2.respects_classes
 
 
+@pytest.mark.parametrize("d, part_of", [
+    (2, ((0, True), (0.0,))),   # True == 1 and 0.0 == 0 pass the range test
+    (True, ((0, 0),)),          # a bool part count of 1
+    (2.0, ((0, 1),)),
+], ids=["bool-and-float-index", "bool-count", "float-count"])
+def test_labeling_rejects_non_integers(d, part_of):
+    with pytest.raises(ValueError, match="integer"):
+        PartitionLabeling(d, part_of)
+    doc = {"r": len(part_of), "class_sizes": [len(row) for row in part_of],
+           "edges": [], "labels": {"d": d, "part_of": part_of}}
+    with pytest.raises(ValueError, match="integer"):
+        graph_from_json(json.dumps(doc))
+
+
 # -- interchange -----------------------------------------------------------------------
 
 

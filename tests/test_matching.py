@@ -246,7 +246,7 @@ def test_pair_complete_matching_with_deletions_and_excess():
 
 def test_exact_search_complete_balanced_counts():
     g = complete_multipartite([4, 4, 4])
-    res = exact_balanced_clique_packing(g, 2, True)
+    res = exact_balanced_clique_packing(g, 2)
     assert res.completed and res.packing is not None
     want = (3 * 4 // 2) // 3
     assert set(res.packing.index_counts.values()) == {want}
@@ -254,27 +254,26 @@ def test_exact_search_complete_balanced_counts():
 
 def test_exact_search_gamma_absent_with_certainty():
     g = build_gamma(3, 3, 3).graph
-    res = exact_balanced_clique_packing(g, 3, False)
-    assert res.packing is None and res.completed
+    verdict = brute_force_packing(g, 3)
+    assert not verdict.exists and verdict.completed
 
 
 def test_exact_search_empty_graph():
     g = MultipartiteGraph([2, 2])
-    res = exact_balanced_clique_packing(g, 2, False)
-    assert res.packing is None and res.completed
+    verdict = brute_force_packing(g, 2)
+    assert not verdict.exists and verdict.completed
 
 
 def test_exact_search_budget_distinguished():
     g = complete_multipartite([6, 6, 6, 6])
-    res = exact_balanced_clique_packing(g, 2, True, budget=2)
+    res = exact_balanced_clique_packing(g, 2, budget=2)
     assert res.packing is None and not res.completed
 
 
 def test_exact_search_clique_wider_than_class_count():
     g = complete_multipartite([2, 2])
-    for balanced in (True, False):
-        res = exact_balanced_clique_packing(g, 4, balanced)
-        assert res.packing is None and res.completed
+    res = exact_balanced_clique_packing(g, 4)
+    assert res.packing is None and res.completed
     verdict = brute_force_packing(g, 4)
     assert not verdict.exists and verdict.completed
 
@@ -283,7 +282,7 @@ def test_exact_search_rejects_nonpositive_clique_size():
     g = complete_multipartite([2, 2])
     for p in (0, -1):
         with pytest.raises(ValueError):
-            exact_balanced_clique_packing(g, p, True)
+            exact_balanced_clique_packing(g, p)
         with pytest.raises(ValueError):
             brute_force_packing(g, p)
 
@@ -291,9 +290,9 @@ def test_exact_search_rejects_nonpositive_clique_size():
 def test_exact_search_balanced_singletons_need_equal_classes():
     # four singletons, quota 2 per class: classes of sizes 1 and 3 cannot
     # be balanced, even though every vertex is a 1-clique
-    res = exact_balanced_clique_packing(complete_multipartite([1, 3]), 1, True)
+    res = exact_balanced_clique_packing(complete_multipartite([1, 3]), 1)
     assert res.packing is None and res.completed
-    res = exact_balanced_clique_packing(complete_multipartite([2, 2]), 1, True)
+    res = exact_balanced_clique_packing(complete_multipartite([2, 2]), 1)
     assert res.packing is not None and res.packing.is_balanced()
 
 

@@ -392,7 +392,7 @@ def test_glue_single_row_passthrough():
     g = complete_multipartite([6, 6, 6])
     decomp = RowDecomposition((3,), 2, (tuple(frozenset(range(6))
                                               for _ in range(3)),))
-    res = exact_balanced_clique_packing(g, 3, True)
+    res = exact_balanced_clique_packing(g, 3)
     glue = glue_rows(g, decomp, {0: res.packing}, 3)
     assert glue.packing.verify(g, perfect=True) == []
 
@@ -400,20 +400,15 @@ def test_glue_single_row_passthrough():
 def test_glue_two_rows_complete_diagonal():
     g, decomp = planted_two_row(r=3, k=3, n=6)
     asg = make_assignment(g, decomp)
-    ledger = DeletionLedger(g)
-    params = PipelineParams()
-    final, packs = fix_row_parity_and_matchability(g, asg, ledger, decomp,
-                                                   params)
-    glue = glue_rows(g, final, packs, 3)
+    packs = fix_row_parity_and_matchability(g, asg, decomp, PipelineParams())
+    glue = glue_rows(g, decomp, packs, 3)
     assert min(e["min_degree"] for e in glue.sigma_log) > 0
-    total = CliquePacking(sorted(list(glue.packing.cliques)
-                                 + [e.clique for e in ledger.entries]))
-    assert total.verify(g, perfect=True) == []
+    assert glue.packing.verify(g, perfect=True) == []
     # every glued clique meets row i in exactly its weight
     for clique in glue.packing.cliques:
-        for i in range(final.s):
-            hit = sum(1 for (c, o) in clique if o in final.rows[i][c])
-            assert hit == final.weights[i]
+        for i in range(decomp.s):
+            hit = sum(1 for (c, o) in clique if o in decomp.rows[i][c])
+            assert hit == decomp.weights[i]
 
 
 def test_glue_rejects_bad_unit():
@@ -429,14 +424,10 @@ def test_fix_rows_pair_complete_path():
     g, decomp = planted_two_row(r=3, k=3, n=6, pc_row=True)
     pc = {0: [set(range(6)) for _ in range(3)]}
     asg = make_assignment(g, decomp, pc=pc)
-    ledger = DeletionLedger(g)
-    final, packs = fix_row_parity_and_matchability(g, asg, ledger, decomp,
-                                                   PipelineParams())
+    packs = fix_row_parity_and_matchability(g, asg, decomp, PipelineParams())
     assert set(packs[0].index_counts.values()) == {len(packs[0].cliques) // 3}
-    glue = glue_rows(g, final, packs, 3)
-    total = CliquePacking(sorted(list(glue.packing.cliques)
-                                 + [e.clique for e in ledger.entries]))
-    assert total.verify(g, perfect=True) == []
+    glue = glue_rows(g, decomp, packs, 3)
+    assert glue.packing.verify(g, perfect=True) == []
 
 
 # -- the orchestrator ---------------------------------------------------------------------
@@ -593,9 +584,20 @@ def double_swap(n, r, extra):
         for o1 in range(size) for o2 in range(size) if not partners(o1, o2)])
 
 
-# every building-block kind but "through_edge" is reached by solve: built
-# counts by (kind, found), and cliques deleted by the rows, prepare and cover
-# stages
+def near_gamma(n, r, k, m, seed):
+    """Γ(n, r, k) with m of its cross-class non-edges, drawn by the seed,
+    added as edges: a graph near the extremal construction, still at the
+    partite minimum-degree threshold."""
+    g = build_gamma(n, r, k).graph
+    non_edges = [(u, v) for u in g.vertices() for v in g.vertices()
+                 if u[0] < v[0] and not g.has_edge(u, v)]
+    rng = random.Random(f"near-gamma:{n},{r},{k},{m},{seed}")
+    return g.with_edges(rng.sample(non_edges, m))
+
+
+# every building-block kind but "through_edge" is reached by these graphs:
+# built counts by (kind, found), and cliques deleted by the rows, prepare and
+# cover stages
 @pytest.mark.parametrize("make, k, built, bad, deleted", [
     # weights [2, 2], two two-half rows: the spare cliques of prepare
     (lambda: double_swap(16, 4, 0), 4,
@@ -636,6 +638,58 @@ def test_solve_reaches_the_building_block_kinds(monkeypatch, make, k, built,
     assert stages["classify"]["bad"] == bad
     assert [stages[name]["deleted"]
             for name in ("rows", "prepare", "cover")] == deleted
+
+
+def test_solve_builds_through_edge_near_gamma(monkeypatch):
+    # Γ(9,5,3) has rn/k = 15 odd and no packing.  With two added cross
+    # edges the rows stage finds no excess but an odd half in the two-half
+    # row, and _extremal_zero_excess_fix mends the parity with a
+    # "through_edge" clique on an added edge and an "ij" clique
+    g = near_gamma(9, 5, 3, 2, 1)
+    counts = Counter()
+    fixing = []     # one entry per _extremal_zero_excess_fix call
+    depth = []
+    through = []
+    real_block = pipeline.building_block
+    real_fix = pipeline._extremal_zero_excess_fix
+
+    def counting(g, asg, kind, **kwargs):
+        got = real_block(g, asg, kind, **kwargs)
+        counts[kind, got is not None, bool(depth)] += 1
+        if kind == "through_edge":
+            through.append(got)
+        return got
+
+    def counting_fix(*args):
+        fixing.append(args)
+        depth.append(True)
+        try:
+            return real_fix(*args)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(pipeline, "building_block", counting)
+    monkeypatch.setattr(pipeline, "_extremal_zero_excess_fix", counting_fix)
+    res = solve(g, 3)
+    assert res.status == "packed"
+    assert res.packing.verify(g, perfect=True) == []
+    assert len(fixing) == 1
+    # (kind, found, built inside the fix)
+    assert counts == {("through_edge", True, True): 1, ("ij", True, True): 1,
+                      ("proper", True, False): 13}
+    gamma = build_gamma(9, 5, 3).graph
+    assert any(not gamma.has_edge(a, b) for a in through[0] for b in through[0]
+               if a < b)
+    stages = {s["name"]: s for s in res.stages}
+    assert stages["classify"]["pair_complete_rows"] == [1]
+    assert stages["rows"]["deleted"] == 2
+    # the packing, re-checked against the edge list with plain loops; the
+    # oracle's search does not finish on this graph within 300,000 nodes
+    edges = {frozenset(e) for e in g.edges()}
+    assert all(frozenset((a, b)) in edges for clique in res.packing.cliques
+               for a in clique for b in clique if a < b)
+    assert (sorted(v for clique in res.packing.cliques for v in clique)
+            == sorted(g.vertices()))
 
 
 def per_vertex_audit(g, xprime):
@@ -777,8 +831,8 @@ def twisted_two_half_row(r, m):
 
 def test_twisted_row_has_matching_but_no_balanced_one():
     sub = twisted_two_half_row(5, 2)
-    assert exact_balanced_clique_packing(sub, 2, False).packing is not None
-    res = exact_balanced_clique_packing(sub, 2, True)
+    assert brute_force_packing(sub, 2).exists
+    res = exact_balanced_clique_packing(sub, 2)
     assert res.completed and res.packing is None
 
 
@@ -811,74 +865,19 @@ def _embed_heavy_row(row_graph, extra_rows, n_prime):
     return g, RowDecomposition(weights, n_prime, tuple(rows))
 
 
-def test_surplus_route_single_heavy_row():
-    # k=3: one twisted weight-2 row plus one weight-1 row; the balanced
-    # search is proven absent, so the surplus edges become full cliques
-    row = twisted_two_half_row(5, 2)
-    g, decomp = _embed_heavy_row(row, 1, 2)
+def test_rowpack_fails_on_a_row_without_a_balanced_packing():
+    # k=3: one twisted weight-2 row plus one weight-1 row; the row has
+    # perfect matchings but no balanced one, and rowpack does not repair it
+    g, decomp = _embed_heavy_row(twisted_two_half_row(5, 2), 1, 2)
     asg = make_assignment(g, decomp)
-    assert asg.bad == set()
-    ledger = DeletionLedger(g)
-    final, packs = fix_row_parity_and_matchability(g, asg, ledger, decomp,
-                                                   PipelineParams())
-    surplus = ledger.stage_cliques("surplus")
-    assert surplus, "the surplus route should have fired"
-    assert ledger.verify() == []
-    covered = {v for e in ledger.entries for v in e.clique}
-    for i, pack in packs.items():
-        assert pack.covered() == set(final.row_vertices(i))
-        assert pack.covered().isdisjoint(covered)
-    everything = covered | {v for p in packs.values() for v in p.covered()}
-    assert everything == set(g.vertices())
+    assert asg.bad == set() and asg.pc_rows == set()
+    with pytest.raises(StageFailure) as err:
+        fix_row_parity_and_matchability(g, asg, decomp, PipelineParams())
+    assert err.value.stage == "rowpack"
+    assert err.value.reason == "row 0: balanced packing proven absent"
 
 
-def test_fake_edge_route_with_second_heavy_row():
-    # k=4, two heavy rows; the first row's surviving region is twisted (no
-    # balanced matching), and spare cliques parked outside it donate
-    # placeholder edges that are substituted out afterwards
-    r, u = 5, 2
-    size = 12   # per class: 4 surviving + 2 spare per row
-    g = complete_multipartite([size] * r)
-    drop = []
-    for j1 in range(r):
-        for j2 in range(j1 + 1, r):
-            twisted = {j1, j2} == {0, 1}
-            for o1 in range(4):
-                for o2 in range(4):
-                    if ((o1 < 2) == (o2 < 2)) == twisted:
-                        drop.append(((j1, o1), (j2, o2)))
-    g = g.without_edges(drop)
-    decomp = RowDecomposition(
-        (2, 2), 3,
-        (tuple(frozenset({0, 1, 2, 3, 4, 5}) for _ in range(r)),
-         tuple(frozenset({6, 7, 8, 9, 10, 11}) for _ in range(r))))
-    asg = make_assignment(g, decomp)
-    xprime = RowDecomposition(
-        (2, 2), u,
-        (tuple(frozenset({0, 1, 2, 3}) for _ in range(r)),
-         tuple(frozenset({6, 7, 8, 9}) for _ in range(r))))
-    ledger = DeletionLedger(g)
-    for t in range(2):
-        # (1,0)-distributed spares: three row-1 vertices plus one row-0
-        # vertex, all parked outside the surviving region
-        row1 = [((t + 1 + s) % r, 10 + t) for s in range(3)]
-        clique = tuple(sorted(row1 + [(t, 4)]))
-        ledger.add(clique, "prepare", "ij:1,0")
-    final, packs = fix_row_parity_and_matchability(g, asg, ledger, xprime,
-                                                   PipelineParams())
-    assert ledger.verify() == []
-    for i, pack in packs.items():
-        assert pack.covered() == set(final.row_vertices(i))
-        assert len(set(pack.index_counts.values())) == 1
-        assert pack.verify(g) == []
-    # at least one spare was traded for a surviving vertex
-    traded = [e for e in ledger.entries
-              if any(v[1] in (0, 1, 2, 3) for v in e.clique)]
-    assert traded
-
-
-def test_repair_half_parity_direct():
-    from partite_packing.pipeline import _repair_half_parity
+def test_rowpack_fails_on_an_odd_surviving_half():
     r = 5
     size = 12   # rows (2,1) of unit 4; the surviving region uses unit 3
     g = complete_multipartite([size] * r)
@@ -888,23 +887,16 @@ def test_repair_half_parity_direct():
     pc = {0: [{0, 1, 2} for _ in range(r)]}
     asg = make_assignment(g, decomp, pc=pc)
     assert 0 in asg.pc_rows
-    ledger = DeletionLedger(g)
-    # a spare clique with exactly one row-0 vertex, parked outside the
-    # surviving region (offsets 6, 7 in row 0; 11 in row 1)
-    spare = tuple(sorted([(0, 6), (1, 11), (2, 11)]))
-    ledger.add(spare, "prepare", "ij:1,0")
-    xp_rows = [[set(range(6)) for _ in range(r)],
-               [set(range(8, 11)) for _ in range(r)]]
-    s_before = sum(1 for j in range(r) for o in xp_rows[0][j]
-                   if (j, o) in asg.s_half[0][j])
-    assert s_before == 15   # odd
-    assert _repair_half_parity(g, asg, ledger, xp_rows, 0)
-    s_after = sum(1 for j in range(r) for o in xp_rows[0][j]
-                  if (j, o) in asg.s_half[0][j])
-    assert s_after % 2 == 0
-    assert ledger.verify() == []
-    assert (0, 6) not in {v for e in ledger.entries for v in e.clique}
-    assert sum(len(b) for b in xp_rows[0]) == 30  # sizes preserved
+    xprime = RowDecomposition(
+        (2, 1), 3, (tuple(frozenset(range(6)) for _ in range(r)),
+                    tuple(frozenset(range(8, 11)) for _ in range(r))))
+    # the surviving half holds three vertices of each of five classes
+    assert sum(1 for j in range(r) for o in xprime.rows[0][j]
+               if (j, o) in asg.s_half[0][j]) == 15
+    with pytest.raises(StageFailure) as err:
+        fix_row_parity_and_matchability(g, asg, xprime, PipelineParams())
+    assert err.value.stage == "rowpack"
+    assert err.value.reason == "two-half row 0 stuck at odd half size"
 
 
 def test_extremal_zero_excess_fix_via_unit_row_edge():
