@@ -73,14 +73,6 @@ class MultipartiteGraph:
     def class_mask(self, c: int) -> int:
         return self._class_masks[c]
 
-    def vertices_of_mask(self, mask: int) -> list[Vertex]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.vertex(low.bit_length() - 1))
-            mask ^= low
-        return out
-
     def mask_of(self, vs: Iterable[Vertex]) -> int:
         m = 0
         for v in vs:
@@ -94,9 +86,6 @@ class MultipartiteGraph:
 
     def adj_mask(self, v: Vertex) -> int:
         return self._adj[self.flat(v)]
-
-    def neighbors(self, v: Vertex) -> list[Vertex]:
-        return self.vertices_of_mask(self.adj_mask(v))
 
     def degree_in_class(self, v: Vertex, c: int) -> int:
         return (self.adj_mask(v) & self._class_masks[c]).bit_count()

@@ -1,5 +1,5 @@
 """The staged deletion pipeline: bad-vertex classification, greedy clique
-building, the five balancing/covering packings, per-row balanced packings,
+building, the five balancing/covering stages, per-row balanced packings,
 and the gluing of row packings into one spanning clique packing.
 
 Every stage ends with an exact recount of its postcondition; a stage that
@@ -7,15 +7,21 @@ cannot meet it raises StageFailure rather than passing silently, and the
 orchestrator falls back to the exhaustive oracle or reports a structured
 diagnosis.
 
-One branch, `_row_edge_matching`, is marked "Unreached": it runs in no
-`solve` call of the tests or the benchmark, and stage-level tests such as
-test_stage_recounts_100 drive it directly.  Wherever the stages run on the
-benchmark's graphs there is no bad vertex, no row excess and at most one
-heavy row, so only "proper" cliques are built.  The graphs of
+Only the rows, prepare and cover stages delete cliques.  At desk scale the
+greedy column pattern that builds every deleted clique already leaves each
+class and each block even, so the columns and blocks stages only recount:
+the paper's index swaps and block fillers are not built, and an uneven
+count fails the stage.  Wherever the stages run on the benchmark's graphs
+there is no bad vertex, no row excess and at most one heavy row, so only
+"proper" cliques are built.  The graphs of
 test_solve_reaches_the_building_block_kinds have bad vertices, positive row
-excesses and two heavy two-half rows; in the graph near Γ(9, 5, 3) of
-test_solve_builds_through_edge_near_gamma, `_extremal_zero_excess_fix`
-extends an added edge inside a weight-1 row to a clique.
+excesses and two heavy two-half rows.  In complete graphs whose class size
+is not a multiple of k (test_solve_packs_complete_graphs_with_trimmed_offsets),
+the trimmed offsets give a weight-1 row positive excess, which the rows
+stage removes with `_row_edge_matching` and "through_edge" cliques.  In the
+graph near Γ(9, 5, 3) of test_solve_builds_through_edge_near_gamma,
+`_extremal_zero_excess_fix` extends an added edge inside a weight-1 row to
+a clique.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import ceil, comb, factorial, gcd
+from math import ceil, comb, factorial
 from typing import Iterable, Sequence
 
 from .graphs import (CliquePacking, MultipartiteGraph, Vertex, components,
@@ -263,17 +269,14 @@ def _extension_condition(asg: BlockAssignment, base: Sequence[Vertex],
 
 def extend_clique(g: MultipartiteGraph, asg: BlockAssignment,
                   base: Sequence[Vertex], a_sets: dict[int, tuple[int, ...]],
-                  *, parity: dict[int, int] | None = None,
-                  forbidden: Iterable[Vertex] = (), relaxed: bool = False,
-                  failure_out: list | None = None):
+                  *, forbidden: Iterable[Vertex] = (), relaxed: bool = False):
     """Extend a partial clique to one meeting exactly the blocks (i, j) for
     j in a_sets[i], choosing the least admissible good vertex at each step.
 
     Two-half rows keep even half-intersections when both of their columns are
-    filled here, and honor an explicit 0/1 half target when only one is.
-    Returns the full clique or None with the failing (row, column) reported.
+    filled here.  Returns the full clique, or None when a step finds no
+    admissible vertex.
     """
-    parity = dict(parity or {})
     base = list(base)
     cols_needed = {i: tuple(cols) for i, cols in a_sets.items() if cols}
     all_cols = [j for cols in cols_needed.values() for j in cols]
@@ -289,9 +292,6 @@ def extend_clique(g: MultipartiteGraph, asg: BlockAssignment,
         cond = _extension_condition(asg, base, cols_needed, i, relaxed)
         if cond is None:
             raise ValueError(f"no supply condition holds for row {i}")
-    for i in parity:
-        if i not in asg.pc_rows or len(cols_needed.get(i, ())) != 1:
-            raise ValueError(f"half target given for inapplicable row {i}")
 
     forbid_mask = g.mask_of(forbidden) | g.mask_of(base)
 
@@ -317,16 +317,11 @@ def extend_clique(g: MultipartiteGraph, asg: BlockAssignment,
         for j in row_cols:
             pool = asg.w[i][j] if relaxed else asg.y[i][j]
             pool_mask = g.mask_of(pool) & need_mask & ~forbid_mask
-            if i in asg.pc_rows:
+            if (i in asg.pc_rows and len(cols_needed[i]) == 2
+                    and not base_in_row and row_first_half is not None):
                 s_mask = g.mask_of(asg.s_half[i][j])
-                if i in parity:
-                    pool_mask &= s_mask if parity[i] == 1 else ~s_mask
-                elif (len(cols_needed[i]) == 2 and not base_in_row
-                      and row_first_half is not None):
-                    pool_mask &= s_mask if row_first_half else ~s_mask
+                pool_mask &= s_mask if row_first_half else ~s_mask
             if pool_mask == 0:
-                if failure_out is not None:
-                    failure_out.append((i, j))
                 return None
             fid = (pool_mask & -pool_mask).bit_length() - 1
             v = g.vertex(fid)
@@ -348,8 +343,7 @@ def extend_clique(g: MultipartiteGraph, asg: BlockAssignment,
 
 def _greedy_pattern(asg: BlockAssignment, covered: set[Vertex],
                     sizes: dict[int, int],
-                    anchors: dict[int, tuple[int, ...]],
-                    allowed: Iterable[int] | None = None):
+                    anchors: dict[int, tuple[int, ...]]):
     """Disjoint column sets per row.  Columns are preferred globally by
     largest uncovered column (keeping class coverage even) and assigned to
     rows by largest uncovered block; non-anchored picks must have uncovered
@@ -359,7 +353,6 @@ def _greedy_pattern(asg: BlockAssignment, covered: set[Vertex],
     forced: set[int] = set()
     for cols in anchors.values():
         forced.update(cols)
-    pool = set(range(asg.r)) if allowed is None else set(allowed)
     k_total = sum(sizes.values())
     if len(forced) > k_total:
         return None
@@ -390,7 +383,7 @@ def _greedy_pattern(asg: BlockAssignment, covered: set[Vertex],
 
         return dict(out) if rec(0) else None
 
-    free = sorted((j for j in pool if j not in forced),
+    free = sorted((j for j in range(asg.r) if j not in forced),
                   key=lambda j: (-sum(row[j] for row in left), j))
     need_free = k_total - len(forced)
     if need_free > len(free):
@@ -407,13 +400,16 @@ def _greedy_pattern(asg: BlockAssignment, covered: set[Vertex],
 
 
 def _transversal_anchors(asg: BlockAssignment, v: Vertex,
-                         skip_rows: Iterable[int], skip_cols: Iterable[int]):
-    """One good-for-v block per remaining row, no two in one column, from a
-    maximum matching of rows to allowed columns; None if a row is left out."""
+                         skip_rows: Iterable[int], skip_cols: Iterable[int],
+                         forbidden: set[Vertex]):
+    """One block per remaining row, good for v and with a good vertex left
+    outside `forbidden`, no two in one column, from a maximum matching of
+    rows to allowed columns; None if a row is left out."""
     rows = [i for i in range(asg.s) if i not in set(skip_rows)]
     cols = [j for j in range(asg.r) if j not in set(skip_cols)]
     allowed = [[ci for ci, j in enumerate(cols)
-                if not asg.is_block_bad_for(v, i, j)] for i in rows]
+                if not asg.is_block_bad_for(v, i, j)
+                and not asg.y[i][j] <= forbidden] for i in rows]
     t = bipartite_maximum_matching(len(rows), len(cols), allowed)
     if len(t) < len(rows):
         return None
@@ -425,7 +421,6 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
                    vertex: Vertex | None = None,
                    edge: tuple[Vertex, Vertex] | None = None,
                    parity: int | None = None,
-                   columns: Iterable[int] | None = None,
                    forbidden: Iterable[Vertex] = (),
                    relaxed: bool = False):
     """One clique of the requested distribution, or None with the obstruction
@@ -438,24 +433,25 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
     inside the half when at least 1 and outside it when 0),
     "through_edge" (ij for a weight-1 row i through the given edge),
     "outside_row" (proper but with no half-parity demand on the edge's own
-    two-half row).  A kind only sets its base vertices, per-row sizes,
-    anchored columns and half target; one column pattern and one greedy
-    extension then build every kind.
+    two-half row).  A kind only sets its base vertices, per-row sizes and
+    anchored columns; one column pattern and one greedy extension then build
+    every kind.  An anchored column is one whose block is good for the
+    anchoring vertex and still has a good vertex outside `forbidden`.
 
     `solve` builds "ij" in the rows and prepare stages, "through_vertex" in
     cover, "outside_row" for it in a two-half row, and "through_edge" in
+    the rows stage for a weight-1 row with positive excess (complete graphs
+    whose class size is not a multiple of k) and in
     `_extremal_zero_excess_fix` on graphs near Γ(n, r, k)
     (test_solve_reaches_the_building_block_kinds,
-    test_solve_builds_through_edge_near_gamma).  The rows stage's other
-    "through_edge", for a weight-1 row with positive excess, is as unreached
-    as `_row_edge_matching`.
+    test_solve_packs_complete_graphs_with_trimmed_offsets,
+    test_solve_builds_through_edge_near_gamma).
     """
     forbidden = set(forbidden)
     weights = asg.weights
     sizes = dict(enumerate(weights))
     base: list[Vertex] = []
     anchors: dict[int, tuple[int, ...]] | None = {}
-    half_target = None
     if kind == "through_vertex":
         v = vertex
         if v is None or v not in asg.v_block:
@@ -478,7 +474,7 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
                         return got
             return None
         base = [v]
-        anchors = _transversal_anchors(asg, v, [li], [lj])
+        anchors = _transversal_anchors(asg, v, [li], [lj], forbidden)
         if anchors is None:
             return None
         anchors[li] = (lj,)
@@ -511,15 +507,13 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
             skip_rows = [i, j] if weights[j] == 1 else [i]
             sizes[i] += 1
             sizes[j] -= 1
-            if j in asg.pc_rows and parity is not None and sizes[j] == 1:
-                half_target = {j: parity}
         else:
             i = asg.v_block[u][0]
             if weights[i] != 2:
                 raise ValueError("outside_row extends an edge in a weight-2 row")
             skip_rows = [i]
         anchors = _transversal_anchors(asg, v if v in asg.bad else u,
-                                       skip_rows, (u[0], v[0]))
+                                       skip_rows, (u[0], v[0]), forbidden)
         if anchors is None:
             return None
         anchors[i] = (u[0], v[0])
@@ -527,12 +521,11 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
         raise ValueError(f"unknown building block kind {kind!r}")
 
     pattern = _greedy_pattern(asg, forbidden,
-                              {i: p for i, p in sizes.items() if p}, anchors,
-                              allowed=columns)
+                              {i: p for i, p in sizes.items() if p}, anchors)
     if pattern is None:
         return None
-    return extend_clique(g, asg, base, pattern, parity=half_target,
-                         forbidden=forbidden, relaxed=relaxed)
+    return extend_clique(g, asg, base, pattern, forbidden=forbidden,
+                         relaxed=relaxed)
 
 
 # -- the deletion ledger ----------------------------------------------------------
@@ -627,9 +620,8 @@ def _row_edge_matching(g: MultipartiteGraph, asg: BlockAssignment, i: int,
                        size: int, forbidden: set[Vertex]):
     """Matching of the given size inside row i, every edge holding at least
     one good vertex; grown greedily with one exchange step when stuck.
-
-    Unreached: only weight-1 rows with positive excess need it.  Driven by
-    test_stage_rows_corrects_one_moved_vertex."""
+    Weight-1 rows with positive excess need it, as in complete graphs whose
+    trimmed offsets are reassigned to a weight-1 row."""
     edges: list[tuple[Vertex, Vertex]] = []
     used: set[Vertex] = set(forbidden)
 
@@ -689,7 +681,13 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
     """Delete cliques so every row's remainder is proportional to its weight;
     under the extremal row structure also leave the heavy row's half with
     even size.  A row with positive excess a gives a distributed cliques to
-    the rows short of their share."""
+    the rows short of their share: an "ij" clique from a heavy row, a
+    "through_edge" clique on an edge of a matching in a weight-1 row.
+
+    Under the extremal row structure only a zero excess is handled (by
+    `_extremal_zero_excess_fix` when the half is odd).  A positive excess
+    there fails the stage: the paper's final-step parity relay is not
+    built, since no graph of the tests or the benchmark needs it."""
     s = asg.s
     a_i = [len(asg.row_vertices(i)) - asg.weights[i] * total_target
            for i in range(s)]
@@ -697,9 +695,11 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
         raise RecountFailure("rows", f"row excesses {a_i} do not cancel")
     seq_plus = [i for i in range(s) for _ in range(max(0, a_i[i]))]
     seq_minus = [i for i in range(s) for _ in range(max(0, -a_i[i]))]
-    a = len(seq_plus)
     i_star = None
     if extremal:
+        if seq_plus:
+            raise StageFailure("rows", f"row excesses {a_i} under the "
+                                       "extremal row structure", detail=a_i)
         i_star = next(i for i in range(s) if asg.weights[i] == 2)
 
     matchings: dict[int, list] = {}
@@ -714,49 +714,20 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
             for e in m:
                 reserved.update(e)
 
-    def take_edge(i):
-        e = matchings[i].pop(0)
-        reserved.difference_update(e)
-        return e
-
-    def make_distributed(i_from, i_to, parity=None):
+    for i_from, i_to in zip(seq_plus, seq_minus):
         forb = ledger.covered | reserved
         if asg.weights[i_from] == 1:
-            e = take_edge(i_from)
+            e = matchings[i_from].pop(0)
+            reserved.difference_update(e)
             got = building_block(g, asg, "through_edge", rows=(i_from, i_to),
-                                 edge=e, parity=parity, forbidden=forb - set(e))
+                                 edge=e, forbidden=forb - set(e))
         else:
             got = building_block(g, asg, "ij", rows=(i_from, i_to),
-                                 parity=parity, forbidden=forb)
+                                 forbidden=forb)
         if got is None:
             raise StageFailure("rows", f"no {i_from}->{i_to} distributed clique")
         ledger.add(got, "rows", f"dist:{i_from}->{i_to}")
-
-    if a > 0:
-        last = a - 1
-        for l in range(a):
-            i_from, i_to = seq_plus[l], seq_minus[l]
-            if not extremal or l < last:
-                make_distributed(i_from, i_to)
-                continue
-            # final step under the extremal structure: also fix half parity
-            if i_star == i_from:
-                need = _covered_s_parity(asg, ledger, i_star)
-                make_distributed(i_from, i_to, parity=3 if need else 0)
-            elif i_star == i_to:
-                need = _covered_s_parity(asg, ledger, i_star)
-                make_distributed(i_from, i_to, parity=need)
-            else:
-                make_distributed(i_from, i_star)
-                need = _covered_s_parity(asg, ledger, i_star)
-                forb = ledger.covered | reserved
-                got = building_block(g, asg, "ij", rows=(i_star, i_to),
-                                     parity=3 if need else 0, forbidden=forb)
-                if got is None:
-                    raise StageFailure("rows", "no parity-correcting clique "
-                                               f"{i_star}->{i_to}")
-                ledger.add(got, "rows", f"dist:{i_star}->{i_to}")
-    elif extremal and _covered_s_parity(asg, ledger, i_star) == 1:
+    if extremal and _covered_s_parity(asg, ledger, i_star) == 1:
         _extremal_zero_excess_fix(g, asg, ledger, i_star)
 
     m1 = len(ledger.entries)
@@ -869,6 +840,9 @@ def prepare_multirow(g: MultipartiteGraph, asg: BlockAssignment,
 
 def cover_and_divisibility(g: MultipartiteGraph, asg: BlockAssignment,
                            ledger: DeletionLedger, total_target: int) -> None:
+    """Delete a properly distributed clique through every bad vertex, then
+    "proper" filler cliques until the number of cliques left is a multiple
+    of r * r!, so that the final unit is divisible by r!."""
     r = asg.r
     modulus = r * factorial(r)
     m12 = len(ledger.entries)
@@ -912,54 +886,17 @@ def cover_and_divisibility(g: MultipartiteGraph, asg: BlockAssignment,
 
 def balance_columns(g: MultipartiteGraph, asg: BlockAssignment,
                     ledger: DeletionLedger, total_target: int) -> None:
-    """Equalize the number of deleted vertices per class with index swaps;
-    the stage's clique count must stay divisible by r*k*r!."""
-    r, k = asg.r, sum(asg.weights)
-    m123 = len(ledger.entries)
-    per_class = [sum(1 for v in ledger.covered if v[0] == j) for j in range(r)]
-    if (k * m123) % r:
-        raise RecountFailure("columns", "covered total not divisible by r")
-    mean = k * m123 // r
-    a_j = [per_class[j] - mean for j in range(r)]
-    m4 = 0
-    if any(a_j):
-        plus = [j for j in range(r) for _ in range(max(0, a_j[j]))]
-        minus = [j for j in range(r) for _ in range(max(0, -a_j[j]))]
-        n_primary: Counter = Counter()
-        n_swapped: Counter = Counter()
-        for j_q, j2_q in zip(plus, minus):
-            candidates = [frozenset(c) for c in combinations(range(r), k)
-                          if j_q in c and j2_q not in c]
-            a_set = min(candidates,
-                        key=lambda c: (n_primary[c], tuple(sorted(c))))
-            n_primary[a_set] += 1
-            n_swapped[frozenset(a_set - {j_q} | {j2_q})] += 1
-        deficit = max(n_primary[a] - n_swapped[a]
-                      for a in set(n_primary) | set(n_swapped))
-        modulus = r * k * factorial(r)
-        step = modulus // gcd(modulus, comb(r, k))
-        c_prime = step * ceil(deficit / step) if deficit > 0 else step
-        m4 = c_prime * comb(r, k)
-        if m123 + m4 > total_target:
-            raise StageFailure(
-                "columns", f"swap scheme needs {m4} cliques (deficit "
-                           f"{deficit}, divisor {modulus}); only "
-                           f"{total_target - m123} remain")
-        for a_set in sorted(map(frozenset, combinations(range(r), k)),
-                            key=sorted):
-            want = c_prime + n_swapped[a_set] - n_primary[a_set]
-            for _ in range(want):
-                got = building_block(g, asg, "proper", columns=a_set,
-                                     forbidden=ledger.covered)
-                if got is None:
-                    raise StageFailure("columns",
-                                       f"no proper clique on columns {sorted(a_set)}")
-                ledger.add(got, "columns", "proper")
-    if m4 % (r * k * factorial(r)):
-        raise RecountFailure("columns", "stage size misses its divisor")
-    per_class = [sum(1 for v in ledger.covered if v[0] == j) for j in range(r)]
+    """Recount that every class has lost the same number of vertices.
+
+    The paper's stage deletes index-swapping cliques here.  At desk scale
+    the greedy column pattern that builds every deleted clique already keeps
+    the classes even, so this stage deletes nothing; uneven classes raise
+    StageFailure and leave the graph to the fallback."""
+    per_class = [sum(1 for v in ledger.covered if v[0] == j)
+                 for j in range(asg.r)]
     if len(set(per_class)) > 1:
-        raise RecountFailure("columns", f"classes still uneven: {per_class}")
+        raise StageFailure("columns", f"classes uneven: {per_class}",
+                           detail=per_class)
 
 
 # -- stage 5: balancing blocks --------------------------------------------------------
@@ -967,8 +904,13 @@ def balance_columns(g: MultipartiteGraph, asg: BlockAssignment,
 
 def balance_blocks(g: MultipartiteGraph, asg: BlockAssignment,
                    ledger: DeletionLedger, total_target: int):
-    """Final filler stage: every surviving block must end at exactly
-    weight * n_prime vertices with r! dividing n_prime.  Returns the final
+    """Recount that every surviving block holds exactly weight * n_prime
+    vertices with r! dividing n_prime, and that no bad vertex survives.
+
+    The paper's stage deletes filler cliques here.  At desk scale the
+    earlier stages already leave every block on its target, so this stage
+    deletes nothing; a block off its target raises StageFailure with the
+    deviations q (surviving size minus target) as detail.  Returns the final
     row decomposition together with its diagonal degree audit: the minimum,
     over surviving vertices v in X'^i_j and blocks X'^i2_j2 with i2 != i and
     j2 != j, of the number of neighbours of v in X'^i2_j2 (None when there
@@ -977,74 +919,17 @@ def balance_blocks(g: MultipartiteGraph, asg: BlockAssignment,
     m_rem = total_target - len(ledger.entries)
     if m_rem % (r * factorial(r)):
         raise RecountFailure("blocks", "remaining clique count misses r*r!")
-    base = m_rem // r
-    q = [[len(asg.w[i][j] - ledger.covered) - asg.weights[i] * base
-          for j in range(r)] for i in range(s)]
-    if any(map(sum, q)):
-        raise StageFailure("blocks", "deviation rows do not cancel", detail=q)
-    if any(map(sum, zip(*q))):
-        raise StageFailure("blocks", "deviation columns do not cancel",
-                           detail=q)
-
-    size_m5 = 0
+    n_prime = m_rem // r
+    rows = tuple(tuple(frozenset(v[1] for v in asg.w[i][j] - ledger.covered)
+                       for j in range(r)) for i in range(s))
+    q = [[len(rows[i][j]) - asg.weights[i] * n_prime for j in range(r)]
+         for i in range(s)]
     if any(map(any, q)):
-        need = max(0, max(-q[i][j] * r // asg.weights[i] for i in range(s)
-                          for j in range(r)))
-        step = r * factorial(r)
-        size_m5 = step * ceil(need / step) if need else step
-    if size_m5 > m_rem:
-        raise StageFailure("blocks", f"needs {size_m5} filler cliques, only "
-                                     f"{m_rem} remain", detail=q)
-    if size_m5:
-        targets = [[q[i][j] + asg.weights[i] * size_m5 // r for j in range(r)]
-                   for i in range(s)]
-        if any(t < 0 for row in targets for t in row):
-            raise StageFailure("blocks", "removal targets infeasible", detail=q)
-        removed = [[0] * r for _ in range(s)]
-        for _ in range(size_m5):
-            sizes = {i: asg.weights[i] for i in range(s)}
-            pattern: dict[int, tuple[int, ...]] = {}
-            taken: set[int] = set()
-            for i in sorted(sizes, key=lambda i: (-asg.weights[i], i)):
-                cols = sorted((j for j in range(r) if j not in taken),
-                              key=lambda j: (-(targets[i][j] - removed[i][j]), j))
-                chosen = cols[:sizes[i]]
-                if (len(chosen) < sizes[i]
-                        or any(targets[i][j] - removed[i][j] <= 0 for j in chosen)):
-                    raise StageFailure("blocks", "no pattern meets the "
-                                                 "remaining removal targets",
-                                       detail=q)
-                pattern[i] = tuple(sorted(chosen))
-                taken.update(chosen)
-            got = extend_clique(g, asg, [], pattern, forbidden=ledger.covered)
-            if got is None:
-                raise StageFailure("blocks", "filler clique unavailable",
-                                   detail=pattern)
-            if not is_properly_distributed(asg, got):
-                raise RecountFailure("blocks", f"filler {got} not proper")
-            ledger.add(got, "blocks", "proper")
-            for v in got:
-                i, j = asg.v_block[v]
-                removed[i][j] += 1
-
-    n_prime = (m_rem - size_m5) // r
-    if n_prime * r != m_rem - size_m5 or n_prime % factorial(r):
-        raise RecountFailure("blocks", f"final unit {n_prime} not divisible by r!")
-    rows = []
-    for i in range(s):
-        row = []
-        for j in range(r):
-            block = {v[1] for v in asg.w[i][j] - ledger.covered}
-            if len(block) != asg.weights[i] * n_prime:
-                raise RecountFailure("blocks",
-                                     f"block ({i},{j}) has {len(block)} "
-                                     f"vertices, want {asg.weights[i] * n_prime}")
-            row.append(frozenset(block))
-        rows.append(tuple(row))
+        raise StageFailure("blocks", "block sizes miss weight * unit", detail=q)
     survivors_bad = [v for v in asg.bad if v not in ledger.covered]
     if survivors_bad:
         raise RecountFailure("blocks", f"bad vertex survived: {survivors_bad[:3]}")
-    xprime = RowDecomposition(asg.weights, n_prime, tuple(rows))
+    xprime = RowDecomposition(asg.weights, n_prime, rows)
     audit = None
     if s > 1 and n_prime > 0:
         masks = block_masks(g, xprime)
@@ -1442,14 +1327,12 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
                    "recounts": {"cliques_left": total_target - len(ledger),
                                 "modulus": r * factorial(r)}})
     balance_columns(g, asg, ledger, total_target)
-    stages.append({"name": "columns",
-                   "deleted": len(ledger.stage_cliques("columns")),
+    stages.append({"name": "columns", "deleted": 0,
                    "recounts": {"covered_per_class":
                                 [sum(1 for v in ledger.covered if v[0] == j)
                                  for j in range(r)]}})
     xprime, audit = balance_blocks(g, asg, ledger, total_target)
-    stages.append({"name": "blocks",
-                   "deleted": len(ledger.stage_cliques("blocks")),
+    stages.append({"name": "blocks", "deleted": 0,
                    "unit": xprime.unit, "min_diagonal_degree": audit,
                    "recounts": {"block_sizes_ok": True}})
     problems = ledger.verify()

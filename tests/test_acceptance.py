@@ -412,7 +412,7 @@ def test_stage_recounts_100():
         per_class = [sum(1 for v in ledger.covered if v[0] == j)
                      for j in range(r)]
         assert len(set(per_class)) == 1
-        assert len(ledger.stage_cliques("columns")) % (r * k * factorial(r)) == 0
+        assert ledger.stage_cliques("columns") == []
 
         xprime, audit = balance_blocks(g, asg, ledger, total_target)
         assert xprime.unit % factorial(r) == 0

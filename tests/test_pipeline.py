@@ -199,10 +199,8 @@ def test_extend_clique_reports_failing_step():
     g, decomp = planted_two_row(n=2)
     asg = make_assignment(g, decomp)
     forbidden = set(decomp.block_vertices(1, 2))
-    failure = []
-    got = extend_clique(g, asg, [], {0: (0, 1), 1: (2,)}, forbidden=forbidden,
-                        failure_out=failure)
-    assert got is None and failure == [(1, 2)]
+    got = extend_clique(g, asg, [], {0: (0, 1), 1: (2,)}, forbidden=forbidden)
+    assert got is None
 
 
 def test_extend_clique_checks_conditions():
@@ -319,8 +317,9 @@ def test_stage_blocks_recount_against_planted_bad():
         assert audit == recount_audit(g, xprime)
 
 
-def test_stage_columns_swap_path():
-    # skew the ledger by hand, then let the swap scheme equalize classes
+def test_stage_columns_fails_on_skewed_classes():
+    # skew the ledger by hand: the columns stage only recounts, so uneven
+    # classes fail it
     r, k, n = 3, 2, 20
     size = k * n
     g = complete_multipartite([size] * r)
@@ -340,11 +339,11 @@ def test_stage_columns_swap_path():
         ledger.add((u, v), "cover", "proper")
     per_class = [sum(1 for v in ledger.covered if v[0] == j) for j in range(r)]
     assert per_class == [8, 6, 4]
-    balance_columns(g, asg, ledger, total_target)
-    per_class = [sum(1 for v in ledger.covered if v[0] == j) for j in range(r)]
-    assert len(set(per_class)) == 1
-    m4 = len(ledger.stage_cliques("columns"))
-    assert m4 % (r * k * factorial(r)) == 0 and m4 > 0
+    with pytest.raises(StageFailure) as err:
+        balance_columns(g, asg, ledger, total_target)
+    assert (err.value.stage, err.value.reason, err.value.detail) == (
+        "columns", "classes uneven: [8, 6, 4]", [8, 6, 4])
+    assert len(ledger) == 9
 
 
 def test_balance_blocks_rejects_deviations_that_do_not_cancel():
@@ -356,13 +355,13 @@ def test_balance_blocks_rejects_deviations_that_do_not_cancel():
     with pytest.raises(StageFailure) as err:
         balance_blocks(g, asg, DeletionLedger(g), 18)
     assert (err.value.stage, err.value.reason) == (
-        "blocks", "deviation rows do not cancel")
+        "blocks", "block sizes miss weight * unit")
     assert err.value.detail == [[-8, -8, -8], [-4, -4, -4]]
 
 
-def test_stage_blocks_q_correction():
-    # block-level skew with balanced rows and columns: the filler stage must
-    # land every block exactly on its target
+def test_stage_blocks_fails_on_block_skew():
+    # block-level skew with balanced rows and columns: the blocks stage only
+    # recounts, so blocks off their targets fail it
     r, k, n = 3, 3, 12
     size = k * n
     g = complete_multipartite([size] * r)
@@ -380,9 +379,14 @@ def test_stage_blocks_q_correction():
             ledger.add(got, "cover", "proper")
     per_class = [sum(1 for v in ledger.covered if v[0] == j) for j in range(r)]
     assert len(set(per_class)) == 1
-    xprime, audit = balance_blocks(g, asg, ledger, total_target)
-    assert xprime.unit == 0  # the correction consumed the whole remainder
-    assert len(ledger.stage_cliques("blocks")) == 18
+    with pytest.raises(StageFailure) as err:
+        balance_blocks(g, asg, ledger, total_target)
+    # 18 cliques remain, so n' = 6 and the targets are 12 (row 0) and 6
+    # (row 1).  Row 0 loses 8 + 5 vertices in columns 0 and 1 and 5 + 5 in
+    # column 2 of its 24; row 1 loses 5, 5 and 8 of its 12
+    assert (err.value.stage, err.value.reason, err.value.detail) == (
+        "blocks", "block sizes miss weight * unit", [[-1, -1, 2], [1, 1, -2]])
+    assert len(ledger) == 18
 
 
 # -- row packings and gluing ---------------------------------------------------------------
@@ -640,6 +644,36 @@ def test_solve_reaches_the_building_block_kinds(monkeypatch, make, k, built,
             for name in ("rows", "prepare", "cover")] == deleted
 
 
+@pytest.mark.parametrize("r, n, k", [(4, 18, 4), (6, 10, 3)])
+def test_solve_packs_complete_graphs_with_trimmed_offsets(monkeypatch, r, n,
+                                                          k):
+    # k does not divide n: the offsets past the largest multiple of k are
+    # reassigned to a weight-1 row, whose positive excess the rows stage
+    # removes through an edge matching and "through_edge" cliques.  Those
+    # cliques and the covering ones must be anchored in blocks that still
+    # have a vertex left
+    matchings = []
+    real = pipeline._row_edge_matching
+
+    def counting(*args):
+        got = real(*args)
+        matchings.append(got)
+        return got
+
+    monkeypatch.setattr(pipeline, "_row_edge_matching", counting)
+    g = complete_multipartite([n] * r)
+    res = solve(g, k)
+    assert res.status == "packed"
+    assert matchings and all(m is not None for m in matchings)
+    # the packing, re-checked with plain loops: k vertices of k different
+    # classes per clique (so a clique of the complete graph), each vertex
+    # exactly once
+    for clique in res.packing.cliques:
+        assert len(clique) == k and len({c for c, _ in clique}) == k
+    covered = sorted(v for clique in res.packing.cliques for v in clique)
+    assert covered == [(c, o) for c in range(r) for o in range(n)]
+
+
 def test_solve_builds_through_edge_near_gamma(monkeypatch):
     # Γ(9,5,3) has rn/k = 15 odd and no packing.  With two added cross
     # edges the rows stage finds no excess but an odd half in the two-half
@@ -800,6 +834,26 @@ def test_balance_rows_extremal_candidate_report():
         balance_rows(g, asg, ledger, r * 3 * n // 3, extremal=True)
 
 
+def test_balance_rows_extremal_positive_excess_fails():
+    # (0, 0) joins the other half of the two-half row and loses row 1 of
+    # class 1, so it is bad and moves to row 1: excesses (-1, +1).  Under
+    # the extremal row structure only a zero excess is handled
+    r, n = 5, 5
+    g, decomp, pc = planted_extremal(r, n)
+    g = g.with_edges([((0, 0), (j, o)) for j in range(1, r)
+                      for o in range(n, 2 * n)])
+    g = g.without_edges([((0, 0), (1, o)) for o in range(2 * n, 3 * n)])
+    asg = make_assignment(g, decomp, pc=pc)
+    assert asg.bad == {(0, 0)} and asg.v_block[(0, 0)] == (1, 0)
+    ledger = DeletionLedger(g)
+    with pytest.raises(StageFailure) as err:
+        balance_rows(g, asg, ledger, r * n, extremal=True)
+    assert (err.value.stage, err.value.reason, err.value.detail) == (
+        "rows", "row excesses [-1, 1] under the extremal row structure",
+        [-1, 1])
+    assert len(ledger) == 0
+
+
 def test_solve_extremal_and_near_extremal_at_pipeline_scale():
     g, _, _ = planted_extremal(5, 5, mixed_edge=False)
     res = solve(g, 3)
@@ -948,8 +1002,8 @@ def test_prepare_multirow_two_heavy_rows_and_shortfall(monkeypatch):
         prepare_multirow(g, asg, DeletionLedger(g), total_target)
 
 
-def test_balance_columns_infeasible_swap_reported():
-    # tiny classes cannot afford the r*k*r! swap minimum
+def test_balance_columns_fails_on_tiny_skewed_classes():
+    # three edges on classes of 8 leave the classes uneven (3, 2, 1)
     r, k, n = 3, 2, 4
     size = k * n
     g = complete_multipartite([size] * r)
@@ -961,8 +1015,10 @@ def test_balance_columns_infeasible_swap_reported():
     ledger.add(((0, 0), (1, 0)), "cover", "proper")
     ledger.add(((0, 1), (1, 1)), "cover", "proper")
     ledger.add(((0, 2), (2, 0)), "cover", "proper")
-    with pytest.raises(StageFailure):
+    with pytest.raises(StageFailure) as err:
         balance_columns(g, asg, ledger, r * size // k)
+    assert (err.value.stage, err.value.reason, err.value.detail) == (
+        "columns", "classes uneven: [3, 2, 1]", [3, 2, 1])
 
 
 def three_unit_rows():
