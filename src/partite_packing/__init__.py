@@ -29,8 +29,8 @@ from .oracle import (CanonicalFormBudgetExceeded, OracleVerdict,
                      brute_force_packing, canonical_form, check_barrier,
                      gamma_barrier, is_isomorphic_to_gamma,
                      random_min_degree_graph, verify_theorem_boundary)
-from .pipeline import (BlockAssignment, CandidateExtremal, DeletionLedger,
-                       GlueResult, PipelineParams, RecountFailure, SolveResult,
+from .pipeline import (BlockAssignment, DeletionLedger, GlueResult,
+                       PipelineParams, RecountFailure, SolveResult,
                        StageFailure, balance_blocks, balance_columns,
                        balance_rows, building_block, classify_bad_vertices,
                        cover_and_divisibility, extend_clique,

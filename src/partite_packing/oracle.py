@@ -15,9 +15,11 @@ The extremal construction is recognised in O(V^2) from its twin classes, and
 every positive answer is an explicit vertex map checked edge by edge.  That
 Γ(n, r, k) with rn/k odd has no perfect packing is proven by a divisibility
 barrier (`gamma_barrier`), integer weights on its subparts that
-`check_barrier` verifies with plain loops, so `solve` answers a recognised Γ
-without any search.  `canonical_form` is an independent, exponential library
-function that `solve` never calls.
+`check_barrier` verifies with plain loops.  `solve` runs the recogniser once,
+after its input checks and before it picks a route, so it answers Γ with
+rn/k odd without any decomposition or search; the oracle then searches only
+graphs that are not Γ.  `canonical_form` is an independent, exponential
+library function that `solve` never calls.
 """
 
 from __future__ import annotations

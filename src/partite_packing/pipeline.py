@@ -2,10 +2,13 @@
 building, the five balancing/covering stages, per-row balanced packings,
 and the gluing of row packings into one spanning clique packing.
 
-Every stage ends with an exact recount of its postcondition; a stage that
-cannot meet it raises StageFailure rather than passing silently, and the
-orchestrator falls back to the exhaustive oracle or reports a structured
-diagnosis.
+`solve` takes its routes in one order.  It answers k = 1 by singletons, and
+then Γ(n, r, k) with rn/k odd by its barrier, before any route runs: that is
+the only place `solve` looks for Γ.  Small graphs go to the exhaustive
+oracle and the rest to the pipeline.  Every stage ends with an exact recount
+of its postcondition; a stage that cannot meet it raises StageFailure rather
+than passing silently, and the orchestrator falls back to the oracle or
+reports a structured diagnosis.
 
 Only the rows, prepare and cover stages delete cliques.  At desk scale the
 greedy column pattern that builds every deleted clique already leaves each
@@ -33,8 +36,8 @@ from itertools import combinations, permutations
 from math import ceil, comb, factorial
 from typing import Iterable, Sequence
 
-from .graphs import (CliquePacking, MultipartiteGraph, Vertex, components,
-                     index_set, k_cliques, partite_min_degree)
+from .graphs import (CliquePacking, MultipartiteGraph, Vertex, index_set,
+                     k_cliques, partite_min_degree)
 from .matching import (bipartite_maximum_matching,
                        exact_balanced_clique_packing,
                        pair_complete_balanced_matching, ObstructionError)
@@ -52,11 +55,6 @@ class StageFailure(RuntimeError):
 
 class RecountFailure(StageFailure):
     pass
-
-
-class CandidateExtremal(StageFailure):
-    """Every balancing move failed in the way the extremal construction
-    forces; the caller should run the isomorphism check."""
 
 
 FALLBACK_CUTOFF = 40    # oracle fallback after a stage failure, in vertices
@@ -242,8 +240,8 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
 
 
 def _extension_condition(asg: BlockAssignment, base: Sequence[Vertex],
-                         a_sets: dict[int, tuple[int, ...]], i: int,
-                         relaxed: bool) -> str | None:
+                         a_sets: dict[int, tuple[int, ...]], i: int
+                         ) -> str | None:
     """Which of the five supply conditions holds for row i, if any."""
     cols = a_sets.get(i, ())
     base_blocks = {asg.v_block[v] for v in base if v in asg.v_block}
@@ -257,9 +255,8 @@ def _extension_condition(asg: BlockAssignment, base: Sequence[Vertex],
         for j in cols:
             if (i, j) in base_blocks:
                 continue
-            if relaxed or not asg.is_block_bad_for(v1, i, j):
-                if j != v1[0]:
-                    return "c"
+            if not asg.is_block_bad_for(v1, i, j) and j != v1[0]:
+                return "c"
         if v1 in asg.v_block and asg.v_block[v1][0] == i:
             return "d"
     if len(cols) < asg.weights[i]:
@@ -269,7 +266,7 @@ def _extension_condition(asg: BlockAssignment, base: Sequence[Vertex],
 
 def extend_clique(g: MultipartiteGraph, asg: BlockAssignment,
                   base: Sequence[Vertex], a_sets: dict[int, tuple[int, ...]],
-                  *, forbidden: Iterable[Vertex] = (), relaxed: bool = False):
+                  *, forbidden: Iterable[Vertex] = ()):
     """Extend a partial clique to one meeting exactly the blocks (i, j) for
     j in a_sets[i], choosing the least admissible good vertex at each step.
 
@@ -289,7 +286,7 @@ def extend_clique(g: MultipartiteGraph, asg: BlockAssignment,
         if blk[0] not in cols_needed or blk[1] not in cols_needed[blk[0]]:
             raise ValueError(f"base vertex {v} not covered by the column sets")
     for i in cols_needed:
-        cond = _extension_condition(asg, base, cols_needed, i, relaxed)
+        cond = _extension_condition(asg, base, cols_needed, i)
         if cond is None:
             raise ValueError(f"no supply condition holds for row {i}")
 
@@ -308,15 +305,14 @@ def extend_clique(g: MultipartiteGraph, asg: BlockAssignment,
         # a column that is good for the anchor vertex goes last in its row
         if v1 is not None and len(row_cols) > 1:
             good_last = [j for j in row_cols
-                         if relaxed or not asg.is_block_bad_for(v1, i, j)]
+                         if not asg.is_block_bad_for(v1, i, j)]
             if good_last:
                 j_last = good_last[-1]
                 row_cols = [j for j in row_cols if j != j_last] + [j_last]
         row_first_half: bool | None = None
         base_in_row = any(asg.v_block[v][0] == i for v in base)
         for j in row_cols:
-            pool = asg.w[i][j] if relaxed else asg.y[i][j]
-            pool_mask = g.mask_of(pool) & need_mask & ~forbid_mask
+            pool_mask = g.mask_of(asg.y[i][j]) & need_mask & ~forbid_mask
             if (i in asg.pc_rows and len(cols_needed[i]) == 2
                     and not base_in_row and row_first_half is not None):
                 s_mask = g.mask_of(asg.s_half[i][j])
@@ -421,8 +417,7 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
                    vertex: Vertex | None = None,
                    edge: tuple[Vertex, Vertex] | None = None,
                    parity: int | None = None,
-                   forbidden: Iterable[Vertex] = (),
-                   relaxed: bool = False):
+                   forbidden: Iterable[Vertex] = ()):
     """One clique of the requested distribution, or None with the obstruction
     implicit in the failed search.
 
@@ -469,7 +464,7 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
                     if (u in asg.s_half[li][j2]) != same_side:
                         continue
                     got = building_block(g, asg, "outside_row", edge=(u, v),
-                                         forbidden=forbidden, relaxed=relaxed)
+                                         forbidden=forbidden)
                     if got is not None:
                         return got
             return None
@@ -484,7 +479,7 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
             raise ValueError("ij building block needs a heavy source row")
         pool = 0
         for c in range(asg.r):
-            block = g.mask_of(asg.w[i][c] if relaxed else asg.y[i][c])
+            block = g.mask_of(asg.y[i][c])
             if i in asg.pc_rows and parity is not None:
                 half = g.mask_of(asg.s_half[i][c])
                 block &= half if parity >= 1 else ~half
@@ -524,8 +519,7 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
                               {i: p for i, p in sizes.items() if p}, anchors)
     if pattern is None:
         return None
-    return extend_clique(g, asg, base, pattern, forbidden=forbidden,
-                         relaxed=relaxed)
+    return extend_clique(g, asg, base, pattern, forbidden=forbidden)
 
 
 # -- the deletion ledger ----------------------------------------------------------
@@ -619,9 +613,10 @@ def is_ij_distributed(asg: BlockAssignment, clique: Sequence[Vertex],
 def _row_edge_matching(g: MultipartiteGraph, asg: BlockAssignment, i: int,
                        size: int, forbidden: set[Vertex]):
     """Matching of the given size inside row i, every edge holding at least
-    one good vertex; grown greedily with one exchange step when stuck.
-    Weight-1 rows with positive excess need it, as in complete graphs whose
-    trimmed offsets are reassigned to a weight-1 row."""
+    one good vertex, grown greedily by the least free edge; None when the
+    greedy matching stops short.  Weight-1 rows with positive excess need
+    it, as in complete graphs whose trimmed offsets are reassigned to a
+    weight-1 row, and there the greedy growth has never stopped short."""
     edges: list[tuple[Vertex, Vertex]] = []
     used: set[Vertex] = set(forbidden)
 
@@ -639,25 +634,6 @@ def _row_edge_matching(g: MultipartiteGraph, asg: BlockAssignment, i: int,
                         edges.append((u, v))
                         used.update((u, v))
                         return True
-        # exchange: free good u, v whose neighbors are all matched
-        for j1 in range(asg.r):
-            for u in sorted(asg.w[i][j1]):
-                if u in used or u in asg.bad:
-                    continue
-                for j2 in range(asg.r):
-                    if j2 == j1:
-                        continue
-                    for v in sorted(asg.w[i][j2]):
-                        if v in used or v in asg.bad:
-                            continue
-                        for idx, (w1, w2) in enumerate(edges):
-                            for a, b in ((w1, w2), (w2, w1)):
-                                if g.has_edge(v, a) and g.has_edge(u, b):
-                                    del edges[idx]
-                                    edges.append((a, v))
-                                    edges.append((b, u))
-                                    used.update((u, v))
-                                    return True
         return False
 
     while len(edges) < size:
@@ -687,7 +663,10 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
     Under the extremal row structure only a zero excess is handled (by
     `_extremal_zero_excess_fix` when the half is odd).  A positive excess
     there fails the stage: the paper's final-step parity relay is not
-    built, since no graph of the tests or the benchmark needs it."""
+    built, since no graph of the tests or the benchmark needs it.  Γ itself
+    never reaches this stage: `solve` answers Γ with rn/k odd by its barrier
+    before any route runs, so an odd half that nothing fixes fails the stage
+    like any other shortfall."""
     s = asg.s
     a_i = [len(asg.row_vertices(i)) - asg.weights[i] * total_target
            for i in range(s)]
@@ -743,60 +722,56 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
 
 def _extremal_zero_excess_fix(g, asg, ledger, i_star):
     """Zero row excess but odd half size: trade one clique in and one out of
-    the heavy row, or use one clique free of the half-parity demand."""
-    for attempt_relaxed in (False, True):
-        for i in range(asg.s):
-            if i == i_star:
-                continue
-            for j1 in range(asg.r):
-                pool = asg.w[i][j1] if attempt_relaxed else asg.y[i][j1]
-                for u in sorted(pool - ledger.covered):
-                    for j2 in range(asg.r):
-                        if j2 == j1:
-                            continue
-                        for v in sorted(asg.w[i][j2] - ledger.covered):
-                            if not g.has_edge(u, v):
-                                continue
-                            k1 = building_block(
-                                g, asg, "through_edge", rows=(i, i_star),
-                                edge=(u, v), forbidden=ledger.covered - {u, v},
-                                relaxed=attempt_relaxed)
-                            if k1 is None:
-                                continue
-                            need = (_covered_s_parity(asg, ledger, i_star)
-                                    + sum(1 for x in k1
-                                          if asg.v_block[x][0] == i_star
-                                          and asg.in_s_half(x))) % 2
-                            k2 = building_block(
-                                g, asg, "ij", rows=(i_star, i),
-                                parity=3 if need else 0,
-                                forbidden=ledger.covered | set(k1),
-                                relaxed=attempt_relaxed)
-                            if k2 is None:
-                                continue
-                            ledger.add(k1, "rows", f"dist:{i}->{i_star}")
-                            ledger.add(k2, "rows", f"dist:{i_star}->{i}")
-                            return
-        # an edge inside the heavy row crossing the half split
+    the heavy row, or use one clique free of the half-parity demand;
+    StageFailure when no edge at a good vertex does either.  Γ itself never
+    gets here: `solve` answers it before any route."""
+    for i in range(asg.s):
+        if i == i_star:
+            continue
         for j1 in range(asg.r):
-            pool = asg.w[i_star][j1] if attempt_relaxed else asg.y[i_star][j1]
-            for u in sorted(pool - ledger.covered):
+            for u in sorted(asg.y[i][j1] - ledger.covered):
                 for j2 in range(asg.r):
                     if j2 == j1:
                         continue
-                    for v in sorted(asg.w[i_star][j2] - ledger.covered):
+                    for v in sorted(asg.w[i][j2] - ledger.covered):
                         if not g.has_edge(u, v):
                             continue
-                        if (asg.in_s_half(u) + asg.in_s_half(v)) != 1:
+                        k1 = building_block(
+                            g, asg, "through_edge", rows=(i, i_star),
+                            edge=(u, v), forbidden=ledger.covered - {u, v})
+                        if k1 is None:
                             continue
-                        k = building_block(
-                            g, asg, "outside_row", edge=(u, v),
-                            forbidden=ledger.covered - {u, v},
-                            relaxed=attempt_relaxed)
-                        if k is not None:
-                            ledger.add(k, "rows", f"halffix:{i_star}")
-                            return
-    raise CandidateExtremal(
+                        need = (_covered_s_parity(asg, ledger, i_star)
+                                + sum(1 for x in k1
+                                      if asg.v_block[x][0] == i_star
+                                      and asg.in_s_half(x))) % 2
+                        k2 = building_block(
+                            g, asg, "ij", rows=(i_star, i),
+                            parity=3 if need else 0,
+                            forbidden=ledger.covered | set(k1))
+                        if k2 is None:
+                            continue
+                        ledger.add(k1, "rows", f"dist:{i}->{i_star}")
+                        ledger.add(k2, "rows", f"dist:{i_star}->{i}")
+                        return
+    # an edge inside the heavy row crossing the half split
+    for j1 in range(asg.r):
+        for u in sorted(asg.y[i_star][j1] - ledger.covered):
+            for j2 in range(asg.r):
+                if j2 == j1:
+                    continue
+                for v in sorted(asg.w[i_star][j2] - ledger.covered):
+                    if not g.has_edge(u, v):
+                        continue
+                    if (asg.in_s_half(u) + asg.in_s_half(v)) != 1:
+                        continue
+                    k = building_block(
+                        g, asg, "outside_row", edge=(u, v),
+                        forbidden=ledger.covered - {u, v})
+                    if k is not None:
+                        ledger.add(k, "rows", f"halffix:{i_star}")
+                        return
+    raise StageFailure(
         "rows", "no parity-fixing edge exists; structure matches the "
                 "extremal construction")
 
@@ -1196,49 +1171,56 @@ class SolveResult:
     diagnosis: dict | None = None
 
 
-def _extremal(g: MultipartiteGraph, k: int, stages: list[dict], stage="oracle",
-              reason="no packing; isomorphic to the extremal construction"):
+def _extremal(g: MultipartiteGraph, k: int) -> SolveResult | None:
     """`extremal`, with Γ's checked barrier certificate, when rn/k is odd and
     the recogniser maps g onto Γ(n, r, k); None otherwise."""
     n_plus, r = g.class_sizes[0], g.r
     if (r * n_plus // k) % 2 == 0 or not is_isomorphic_to_gamma(g, n_plus, r, k):
         return None
-    return SolveResult("extremal", None, stages, {"stage": stage, "reason": reason,
-                                                  "barrier": gamma_barrier(n_plus, r, k)})
+    return SolveResult("extremal", None, [{"name": "oracle", "note": "barrier"}],
+                       {"stage": "oracle",
+                        "reason": "no packing; isomorphic to the extremal construction",
+                        "barrier": gamma_barrier(n_plus, r, k)})
 
 
 def _oracle_route(g: MultipartiteGraph, k: int, params: PipelineParams,
                   stages: list[dict]) -> SolveResult:
-    """Refute by odd components (k = 2) or Γ's barrier (k >= 3), else search."""
-    if k == 2 and any(comp.bit_count() % 2
-                      for comp in components((1 << g.n_vertices) - 1, g._adj)):
-        stages.append({"name": "oracle", "note": "odd component"})
-    elif k >= 3 and (res := _extremal(g, k, stages)):
-        stages.append({"name": "oracle", "note": "barrier"})
-        return res
-    else:
-        verdict = brute_force_packing(g, k, params.budget)
-        stages.append({"name": "oracle", "nodes": verdict.nodes_explored,
-                       "completed": verdict.completed})
-        if verdict.exists:
-            return SolveResult("packed", verdict.witness, stages)
-        if not verdict.completed:
-            return SolveResult("diagnosis", None, stages,
-                               {"stage": "oracle", "reason": "budget exhausted"})
+    """Decide g by the exhaustive search.  `solve` has already answered Γ
+    with rn/k odd, so a proven absence here is a diagnosis.
+
+    At k = 2 that also covers every graph with a component of odd size.  At
+    the threshold each vertex has at least n/2 neighbours in every other
+    class, so every component holds at least n/2 vertices of each class.  A
+    disconnected graph is therefore two complete r-partite halves, which is
+    Γ(n, r, 2), and its components have odd size exactly when rn/2 is
+    odd."""
+    verdict = brute_force_packing(g, k, params.budget)
+    stages.append({"name": "oracle", "nodes": verdict.nodes_explored,
+                   "completed": verdict.completed})
+    if verdict.exists:
+        return SolveResult("packed", verdict.witness, stages)
+    if not verdict.completed:
+        return SolveResult("diagnosis", None, stages,
+                           {"stage": "oracle", "reason": "budget exhausted"})
     parity = (g.n_vertices // k) % 2 == 1 and g.class_sizes[0] % k == 0
-    return ((k == 2 and _extremal(g, k, stages))
-            or SolveResult("diagnosis", None, stages,
-                           {"stage": "oracle", "reason": "no packing exists (proven)",
-                            "parity_clause": parity}))
+    return SolveResult("diagnosis", None, stages,
+                       {"stage": "oracle", "reason": "no packing exists (proven)",
+                        "parity_clause": parity})
 
 
 def solve(g: MultipartiteGraph, k: int,
           params: PipelineParams | None = None) -> SolveResult:
     """Perfect k-clique packing, certified extremal instance, or a structured
     diagnosis naming the stage that failed.  Never returns an unverified
-    packing.  The pipeline runs only when k >= 3, r >= 4 and the class size
-    is at least k*k, so on every graph below 36 vertices the verdict is
-    exactly the oracle's."""
+    packing.
+
+    The routes come in one order.  After the input checks, k = 1 is packed
+    by singletons, and Γ(n, r, k) with rn/k odd answers `extremal` by its
+    barrier, with no decomposition and no search.  Every other graph goes to
+    the oracle when k = 2, r <= 3 or the class size is below k*k, so on every
+    graph below 36 vertices the verdict is exactly the oracle's.  The rest
+    go to the pipeline, and a stage failure falls back to the oracle on at
+    most FALLBACK_CUTOFF vertices."""
     params = params or PipelineParams()
     r = g.r
     if len(set(g.class_sizes)) != 1:
@@ -1254,6 +1236,9 @@ def solve(g: MultipartiteGraph, k: int,
     need = ceil((k - 1) * n_plus / k)
     if n_plus and partite_min_degree(g) < need:
         raise ValueError(f"partite minimum degree below {need}")
+    extremal = _extremal(g, k)
+    if extremal:
+        return extremal
 
     stages: list[dict] = []
     if k == 2 or r <= 3 or n_plus < k * k:
@@ -1261,10 +1246,6 @@ def solve(g: MultipartiteGraph, k: int,
 
     try:
         return _pipeline_route(g, k, params, stages)
-    except CandidateExtremal as e:
-        stages.append({"name": e.stage, "failed": e.reason})
-        return (_extremal(g, k, stages, e.stage, e.reason)
-                or _fallback(g, k, params, stages, e))
     except StageFailure as e:
         stages.append({"name": e.stage, "failed": e.reason})
         return _fallback(g, k, params, stages, e)

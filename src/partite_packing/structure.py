@@ -782,7 +782,9 @@ class IntegerLattice:
                 continue
             q, rem = divmod(v[j], row[j])
             if rem != 0:
-                # one more chance after subtracting q+? no: pivot must divide
+                # in echelon form no later row has an entry in column j, so
+                # only a multiple of this row can clear v[j]: the pivot must
+                # divide the entry
                 return False
             v = [xv - q * xr for xv, xr in zip(v, row)]
         return all(x == 0 for x in v)

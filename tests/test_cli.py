@@ -38,7 +38,7 @@ def test_solve_gamma_writes_a_checkable_barrier(tmp_path):
 
 
 def test_solve_shuffled_gamma_973_exit_extremal(tmp_path):
-    # 63 vertices: certified after the rows stage flags a candidate
+    # 63 vertices, a pipeline-scale shape: certified before any route runs
     g_path = tmp_path / "g.json"
     out = str(tmp_path / "res.json")
     g_path.write_text(graph_to_json(relabeled_copy(build_gamma(9, 7, 3).graph,

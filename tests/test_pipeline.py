@@ -450,23 +450,18 @@ def test_solve_gamma_extremal():
     assert res.status == "extremal"
 
 
-@pytest.mark.parametrize("n,r,k,stage", [(3, 5, 3, "oracle"), (9, 7, 3, "rows"),
-                                         (15, 5, 3, "rows")])
-def test_solve_certifies_shuffled_gamma(n, r, k, stage):
-    # Gamma(3,5,3) is certified after the oracle proves it unpackable, the
-    # larger two after the rows stage flags a candidate extremal instance
-    g = relabeled_copy(build_gamma(n, r, k).graph, f"solve:{n},{r},{k}")
-    res = solve(g, k)
-    assert res.status == "extremal"
-    assert res.diagnosis["stage"] == stage
-
-
-@pytest.mark.parametrize("n,r,k", [(3, 5, 3), (4, 5, 4), (5, 5, 5), (9, 3, 3)])
+# Γ of oracle-route shapes, of pipeline-scale shapes (r >= 4 and class size
+# at least k*k), and Γ(2,3,2) at k = 2, whose two components have odd size:
+# each is answered before any route runs
+@pytest.mark.parametrize("n,r,k", [(3, 5, 3), (4, 5, 4), (5, 5, 5), (9, 3, 3),
+                                   (9, 5, 3), (9, 7, 3), (15, 5, 3),
+                                   (20, 5, 4), (2, 3, 2)])
 def test_oracle_route_answers_gamma_by_its_barrier(monkeypatch, n, r, k):
     def no_search(*args, **kwargs):
-        raise AssertionError("the oracle searched a recognised Gamma")
+        raise AssertionError("solve searched or decomposed a recognised Gamma")
 
     monkeypatch.setattr(pipeline, "brute_force_packing", no_search)
+    monkeypatch.setattr(pipeline, "iterate_decomposition", no_search)
     res = solve(relabeled_copy(build_gamma(n, r, k).graph, f"barrier:{n}"), k)
     assert res.status == "extremal"
     assert res.stages == [{"name": "oracle", "note": "barrier"}]
@@ -488,13 +483,6 @@ def test_oracle_route_searches_what_it_does_not_recognise():
         assert res.stages[0]["nodes"] == verdict.nodes_explored
         assert (res.status == "packed") == verdict.exists
         assert res.status != "extremal"
-
-
-def test_k2_gamma_is_refuted_by_its_odd_components():
-    res = solve(relabeled_copy(build_gamma(2, 3, 2).graph, "k2"), 2)
-    assert res.status == "extremal"
-    assert res.stages == [{"name": "oracle", "note": "odd component"}]
-    assert res.diagnosis["barrier"] == gamma_barrier(2, 3, 2)
 
 
 def test_solve_agrees_with_oracle_small():
@@ -809,7 +797,6 @@ def planted_extremal(r, n, mixed_edge=False):
 
 
 def test_balance_rows_extremal_parity_fix_via_mixed_edge():
-    from partite_packing.pipeline import CandidateExtremal
     r, n = 5, 5   # |S| = 25 odd
     g, decomp, pc = planted_extremal(r, n, mixed_edge=True)
     asg = make_assignment(g, decomp, pc=pc)
@@ -825,13 +812,16 @@ def test_balance_rows_extremal_parity_fix_via_mixed_edge():
 
 
 def test_balance_rows_extremal_candidate_report():
-    from partite_packing.pipeline import CandidateExtremal
+    # Γ(15,5,3) itself: no edge fixes the odd half, and the stage fails
     r, n = 5, 5
     g, decomp, pc = planted_extremal(r, n, mixed_edge=False)
     asg = make_assignment(g, decomp, pc=pc)
     ledger = DeletionLedger(g)
-    with pytest.raises(CandidateExtremal):
+    with pytest.raises(StageFailure) as err:
         balance_rows(g, asg, ledger, r * 3 * n // 3, extremal=True)
+    assert (err.value.stage, err.value.reason) == (
+        "rows", "no parity-fixing edge exists; structure matches the "
+                "extremal construction")
 
 
 def test_balance_rows_extremal_positive_excess_fails():
