@@ -450,6 +450,16 @@ def test_solve_gamma_extremal():
     assert res.status == "extremal"
 
 
+@pytest.mark.parametrize("n,r,k,stage", [(3, 5, 3, "oracle")])
+def test_solve_certifies_shuffled_gamma(n, r, k, stage):
+    # a relabelled Gamma(3,5,3) is certified extremal with the oracle as the
+    # diagnosing stage, under the seeded relabelling it has always used
+    g = relabeled_copy(build_gamma(n, r, k).graph, f"solve:{n},{r},{k}")
+    res = solve(g, k)
+    assert res.status == "extremal"
+    assert res.diagnosis["stage"] == stage
+
+
 # Γ of oracle-route shapes, of pipeline-scale shapes (r >= 4 and class size
 # at least k*k), and Γ(2,3,2) at k = 2, whose two components have odd size:
 # each is answered before any route runs
