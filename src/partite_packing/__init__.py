@@ -19,8 +19,8 @@ from .structure import (IntegerLattice, IterationResult, PairCompleteWitness,
                         robust_edge_lattice, space_barrier_graph,
                         trivial_decomposition, verify_pair_complete_witness,
                         verify_split_witness)
-from .matching import (DegreeObstruction, ObstructionError, ParityObstruction,
-                       SearchResult, SizingObstruction, SupplyObstruction,
+from .matching import (ObstructionError, ParityObstruction, SearchResult,
+                       SizingObstruction, SupplyObstruction,
                        bipartite_maximum_matching,
                        exact_balanced_clique_packing, is_multigraphic,
                        pair_complete_balanced_matching, realize_multigraph,

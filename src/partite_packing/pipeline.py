@@ -924,39 +924,15 @@ def _induced_row(g: MultipartiteGraph, xprime: RowDecomposition, i: int):
     return g.induced(selection)
 
 
-def _measured_zeta(g, sub, halves, n_prime) -> Fraction:
-    worst = Fraction(0)
-    size = sub.class_sizes[0]
-    for j in range(sub.r):
-        worst = max(worst, Fraction(abs(len(halves[j]) - n_prime), n_prime))
-    for side in (halves, [[o for o in range(size) if o not in set(h)]
-                          for h in halves]):
-        for j in range(sub.r):
-            block_masks = [sub.mask_of([(j2, o) for o in side[j2]])
-                           for j2 in range(sub.r)]
-            for o in side[j]:
-                v = (j, o)
-                for j2 in range(sub.r):
-                    if j2 == j:
-                        continue
-                    nn = (block_masks[j2] & ~sub.adj_mask(v)).bit_count()
-                    worst = max(worst, Fraction(nn, n_prime))
-    return worst
-
-
 def _pair_complete_row_packing(g, asg, xprime, i) -> CliquePacking:
     sub, to_sub, _ = _induced_row(g, xprime, i)
-    n_prime = xprime.unit
     halves = []
     for j in range(xprime.r):
         half = sorted(to_sub[v][1] for v in asg.s_half[i][j]
                       if v[1] in xprime.rows[i][j] and v[0] == j)
         halves.append(half)
-    zeta = _measured_zeta(g, sub, halves, n_prime)
-    if zeta >= 1:
-        raise StageFailure("rowpack", f"row {i} half structure too degraded")
     try:
-        packing = pair_complete_balanced_matching(sub, halves, zeta)
+        packing = pair_complete_balanced_matching(sub, halves)
     except ObstructionError as e:
         raise StageFailure("rowpack", f"two-half row {i}: {e}") from e
     back = {to_sub[v]: v for v in to_sub}
@@ -970,11 +946,13 @@ def fix_row_parity_and_matchability(g: MultipartiteGraph, asg: BlockAssignment,
                                     ) -> dict[int, CliquePacking]:
     """A balanced perfect packing of every row of the final decomposition,
     one way per row: a weight-1 row by its single vertices, a two-half row by
-    `pair_complete_balanced_matching` when its surviving half has even size,
+    `pair_complete_balanced_matching` on the surviving part of its halves,
     and every other row by the balanced exact search.  A row that its way
     cannot pack raises StageFailure: nothing repairs it, and the
-    decomposition stays the one the blocks stage left.  Every packing is
-    recounted before it is returned."""
+    decomposition stays the one the blocks stage left.  A two-half row fails
+    with the matcher's obstruction, so an odd surviving half reads "two-half
+    row i: parity obstruction: ...".  Every packing is recounted before it
+    is returned."""
     if xprime.unit == 0:
         return {i: CliquePacking([]) for i in range(xprime.s)}
     packings: dict[int, CliquePacking] = {}
@@ -984,10 +962,6 @@ def fix_row_parity_and_matchability(g: MultipartiteGraph, asg: BlockAssignment,
             packings[i] = CliquePacking(
                 [(v,) for v in sorted(xprime.row_vertices(i))])
         elif i in asg.pc_rows:
-            if sum(1 for j in range(xprime.r) for o in xprime.rows[i][j]
-                   if (j, o) in asg.s_half[i][j]) % 2:
-                raise StageFailure("rowpack",
-                                   f"two-half row {i} stuck at odd half size")
             packings[i] = _pair_complete_row_packing(g, asg, xprime, i)
         else:
             sub, to_sub, _ = _induced_row(g, xprime, i)

@@ -199,7 +199,7 @@ def is_splittable(g: MultipartiteGraph, p: int, d: Fraction,
     size = g.class_sizes[0]
     if p < 1 or size % p != 0:
         raise ValueError(f"class size {size} is not divisible by weight {p}")
-    if p == 1:
+    if p == 1 or size == 0:     # no proper nonempty part to split off
         return None
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -265,7 +265,7 @@ def test_pair_complete_matching_50():
         n = 2 if seed % 2 == 0 else 4
         g = _near_complete_halves_instance(n, seed)
         halves = [list(range(n))] * 3
-        packing = pair_complete_balanced_matching(g, halves, Fraction(1, n))
+        packing = pair_complete_balanced_matching(g, halves)
         assert packing.verify(g, perfect=True) == []
         assert len(set(packing.index_counts.values())) == 1
         assert len(packing.index_counts) == 3
@@ -277,7 +277,7 @@ def test_pair_complete_matching_50():
         g = _near_complete_halves_instance(n, 100 + seed)
         odd_halves = [list(range(n)), list(range(n)), list(range(n - 1))]
         with pytest.raises(ParityObstruction):
-            pair_complete_balanced_matching(g, odd_halves, Fraction(1, 2))
+            pair_complete_balanced_matching(g, odd_halves)
         # oracle confirmation that the parity obstruction is real: no perfect
         # matching covers the declared odd X an even number of times per
         # edge, i.e. once X-crossing edges are removed no matching remains

@@ -168,6 +168,15 @@ def test_detect_usage_error_on_bad_weight(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), p
 
 
+def test_detect_on_empty_classes(tmp_path):
+    g_path = tmp_path / "empty.json"
+    g_path.write_text(json.dumps({"r": 3, "class_sizes": [0, 0, 0],
+                                  "edges": []}))
+    rep = str(tmp_path / "rep.json")
+    assert run(["detect", "--input", str(g_path), "-o", rep]) == 0
+    assert json.loads(open(rep).read())["splittable"] is None
+
+
 def test_bad_input_prints_error(tmp_path, capsys):
     # each fails before any output is written: exit 1, `error:` on stderr
     g_path = str(tmp_path / "g.json")

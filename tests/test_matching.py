@@ -2,7 +2,6 @@
 balanced matchings, and the exact balanced packing search."""
 
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -204,7 +203,7 @@ def test_general_bipartite_absence():
 
 def test_pair_complete_matching_small_exact_halves():
     g, _ = divisibility_barrier_graph(3, 2)
-    got = pair_complete_balanced_matching(g, [[0, 1]] * 3, Fraction(0))
+    got = pair_complete_balanced_matching(g, [[0, 1]] * 3)
     assert got.verify(g, perfect=True) == []
     assert set(got.index_counts.values()) == {2}
 
@@ -212,19 +211,25 @@ def test_pair_complete_matching_small_exact_halves():
 def test_pair_complete_matching_parity_error():
     g, _ = divisibility_barrier_graph(3, 2)
     with pytest.raises(ParityObstruction):
-        pair_complete_balanced_matching(g, [[0, 1], [0, 1], [0]], Fraction(1, 2))
+        pair_complete_balanced_matching(g, [[0, 1], [0, 1], [0]])
+
+
+def test_pair_complete_matching_rejects_a_single_class():
+    with pytest.raises(ValueError):
+        pair_complete_balanced_matching(complete_multipartite([4]), [[0, 1]])
 
 
 def test_pair_complete_matching_complete_graph_any_split():
     g = complete_multipartite([4, 4, 4])
-    got = pair_complete_balanced_matching(g, [[0, 1], [0, 2], [1, 3]], Fraction(1))
+    got = pair_complete_balanced_matching(g, [[0, 1], [0, 2], [1, 3]])
     assert got.verify(g, perfect=True) == []
     assert got.is_balanced()
 
 
 def test_pair_complete_matching_with_deletions_and_excess():
     # uneven halves (7, 7, 6) exercise the excess-realization path; a few
-    # deleted intra-half edges exercise the tolerance checks
+    # deleted intra-half edges leave the halves near-complete, and the
+    # chunked residue matchings must route around them
     rng = random.Random(11)
     r, n = 3, 6
     g, _ = divisibility_barrier_graph(r, 7, 5)
@@ -236,7 +241,7 @@ def test_pair_complete_matching_with_deletions_and_excess():
         drop.append(((j, rng.randrange(5)), (j2, rng.randrange(5))))
     g = g.without_edges(drop)
     g = g.with_edges([((2, 6), (j, o)) for j in (0, 1) for o in range(7, 12)])
-    got = pair_complete_balanced_matching(g, halves, Fraction(1, 3))
+    got = pair_complete_balanced_matching(g, halves)
     assert got.verify(g, perfect=True) == []
     assert got.is_balanced()
 
@@ -355,7 +360,7 @@ def test_pair_complete_matching_four_classes():
         j2 = (j + 1) % r
         drop.append(((j, rng.randrange(5)), (j2, rng.randrange(5))))
     g = g.without_edges(drop)
-    got = pair_complete_balanced_matching(g, halves, Fraction(1, 3))
+    got = pair_complete_balanced_matching(g, halves)
     assert got.verify(g, perfect=True) == []
     assert got.is_balanced()
     assert len(got.index_counts) == 6

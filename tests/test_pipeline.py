@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from partite_packing import pipeline
+from partite_packing import matching, pipeline
 from partite_packing.graphs import (CliquePacking, MultipartiteGraph,
                                     blow_up, build_gamma, complete_multipartite)
 from partite_packing.matching import exact_balanced_clique_packing
@@ -950,7 +950,27 @@ def test_rowpack_fails_on_an_odd_surviving_half():
     with pytest.raises(StageFailure) as err:
         fix_row_parity_and_matchability(g, asg, xprime, PipelineParams())
     assert err.value.stage == "rowpack"
-    assert err.value.reason == "two-half row 0 stuck at odd half size"
+    assert err.value.reason.startswith("two-half row 0: parity obstruction")
+
+
+def test_rowpack_routes_a_two_half_row_around_missing_edges(monkeypatch):
+    # (0,0) misses both X-vertices of class 1, so the first chunking of the
+    # X residue has no (0,0)-(1,0) edge and a cyclic rotation must find one,
+    # without the exact residue search
+    def no_search(*args, **kwargs):
+        raise AssertionError("exact residue search ran")
+
+    monkeypatch.setattr(matching, "exact_balanced_clique_packing", no_search)
+    g = complete_multipartite([4] * 3).without_edges(
+        [((0, 0), (1, 0)), ((0, 0), (1, 1))])
+    decomp = RowDecomposition((2,), 2, (tuple(frozenset(range(4))
+                                              for _ in range(3)),))
+    asg = make_assignment(g, decomp, pc={0: [{0, 1} for _ in range(3)]},
+                          bad_slack=2)
+    assert asg.bad == set() and asg.pc_rows == {0}
+    packs = fix_row_parity_and_matchability(g, asg, decomp, PipelineParams())
+    assert packs[0].verify(g, perfect=True) == []
+    assert packs[0].is_balanced()
 
 
 def test_extremal_zero_excess_fix_via_unit_row_edge():

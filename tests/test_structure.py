@@ -154,6 +154,14 @@ def test_split_rejects_uneven_classes():
         is_splittable(g, 2, Fraction(0))
 
 
+def test_split_absent_on_empty_classes():
+    # empty classes have no nonempty proper part to split off
+    g = MultipartiteGraph([0, 0, 0])
+    for p in (2, 3):
+        for mode in ("exact", "heuristic"):
+            assert is_splittable(g, p, Fraction(1, 4), mode) is None
+
+
 def test_split_robust_under_small_perturbation():
     # non-splittable stays non-splittable at a much smaller threshold after
     # swapping one vertex per class across an arbitrary split boundary
