@@ -477,10 +477,14 @@ class CliquePacking:
         return len(counts) <= 1
 
     def verify(self, g: MultipartiteGraph, perfect: bool = False) -> list[str]:
-        """All violations (empty list means the packing is valid)."""
+        """All violations (empty list means the packing is valid).  Every
+        clique must have the first clique's size."""
         problems = []
         seen: set[Vertex] = set()
         for idx, clique in enumerate(self.cliques):
+            if len(clique) != len(self.cliques[0]):
+                problems.append(f"clique {idx} has {len(clique)} vertices, "
+                                f"clique 0 has {len(self.cliques[0])}")
             classes = set()
             for v in clique:
                 g.flat(v)

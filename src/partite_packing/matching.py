@@ -216,9 +216,8 @@ def pair_complete_balanced_matching(g: MultipartiteGraph,
     assert all(len(y_rest[j]) == m_y for j in range(r))
     assert m_y % (r - 1) == 0
 
-    edges += _chunked_index_matchings(g, x_rest, n_prime // (r - 1), "X")
-    if m_y:
-        edges += _chunked_index_matchings(g, y_rest, m_y // (r - 1), "Y")
+    edges += _chunked_index_matchings(g, x_rest, "X")
+    edges += _chunked_index_matchings(g, y_rest, "Y")
 
     packing = CliquePacking([tuple(sorted(e)) for e in edges])
     problems = packing.verify(g, perfect=True)
@@ -230,11 +229,13 @@ def pair_complete_balanced_matching(g: MultipartiteGraph,
 
 
 def _chunked_index_matchings(g: MultipartiteGraph, rest: list[list[int]],
-                             chunk: int, side_name: str):
-    """Split each class's residue into per-index chunks and perfectly match
-    each index's bipartite pair; cyclic rotations are retried on failure and
-    an exact balanced search over the whole residue is the last resort."""
+                             side_name: str):
+    """Split each class's residue into r-1 per-index chunks and perfectly
+    match each index's bipartite pair (an empty residue gives no edges);
+    cyclic rotations are retried on failure and an exact balanced search
+    over the whole residue is the last resort."""
     r = g.r
+    chunk = len(rest[0]) // (r - 1)
     indices_for_class = [[c for c in combinations(range(r), 2) if j in c]
                          for j in range(r)]
     n_rot = max(1, len(rest[0]))

@@ -278,7 +278,7 @@ def is_isomorphic_to_gamma(g: MultipartiteGraph, n: int, r: int, k: int) -> bool
     gets label j, or 3 - j for j <= 2; the choices left free are automorphisms
     of Gamma.  True only after the vertex map this gives is checked pair by
     pair against `build_gamma`."""
-    if n % k or r < k:
+    if k < 2 or r < k or n % k:
         return False
     if g.r != r or set(g.class_sizes) != {n}:
         return False
@@ -333,8 +333,11 @@ def gamma_barrier(n: int, r: int, k: int) -> dict:
     c*k + j - 1).  y is 1 on subparts 3..k and 0 on subparts 1 and 2, read
     over `scale` = k - 2 (so y = 1/(k-2)); the parity functional p is 1 on
     subpart 1.  For k = 2 the scale is 0, every type is tight, and p alone is
-    the odd-component argument.  Raises ValueError when rn/k is even (Γ then
+    the odd-component argument.  Raises ValueError when Γ(n, r, k) is not
+    defined (k < 2, r < k or k not dividing n) or rn/k is even (Γ then
     packs); the barrier is returned only after `check_barrier` passes on Γ."""
+    if k < 2 or r < k or n % k:
+        raise ValueError(f"Γ({n}, {r}, {k}) needs k >= 2, r >= k and k | n")
     if (r * n // k) % 2 == 0:
         raise ValueError(f"rn/k = {r * n // k} is even: no barrier refutes Γ")
     barrier = {"gamma": [n, r, k], "scale": k - 2,
@@ -358,8 +361,14 @@ def check_barrier(g: MultipartiteGraph, subparts: PartitionLabeling,
     V/k cliques of a perfect packing would all lie on tight types
     (y(T) = scale); if p is even on every tight type but p.sizes is odd, they
     cannot.  Plain loops over vertex pairs and subpart sets, like
-    `CliquePacking.verify`."""
+    `CliquePacking.verify`.  A barrier that lacks a key or has k < 1 is
+    reported as a problem, not raised: barriers are read from outside."""
+    missing = [key for key in ("gamma", "scale", "y", "p") if key not in barrier]
+    if missing:
+        return [f"the barrier lacks {', '.join(missing)}"]
     k, scale, y, p = barrier["gamma"][2], barrier["scale"], barrier["y"], barrier["p"]
+    if k < 1:
+        return [f"k = {k} is not a clique size"]
     d = subparts.d
     if [len(row) for row in subparts.part_of] != list(g.class_sizes):
         return ["the subparts do not label the graph's vertices"]

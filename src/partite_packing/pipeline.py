@@ -43,8 +43,8 @@ from .matching import (bipartite_maximum_matching,
                        pair_complete_balanced_matching, ObstructionError)
 from .oracle import (brute_force_packing, exact_cover, gamma_barrier,
                      is_isomorphic_to_gamma)
-from .structure import (RowDecomposition, block_masks, detection_mode,
-                        is_pair_complete, iterate_decomposition)
+from .structure import (RowDecomposition, block_masks, is_pair_complete,
+                        iterate_decomposition)
 
 
 class StageFailure(RuntimeError):
@@ -59,11 +59,6 @@ class RecountFailure(StageFailure):
 
 FALLBACK_CUTOFF = 40    # oracle fallback after a stage failure, in vertices
 ETA_COUNT = 1           # spare cliques per heavy row pair
-
-
-def ladder(k: int) -> list[Fraction]:
-    """The splitting ladder: k ascending thresholds 1/100, 2/100, 4/100, ..."""
-    return [Fraction(2 ** i, 100) for i in range(k)]
 
 
 @dataclass
@@ -995,18 +990,17 @@ class GlueResult:
 
 
 def glue_rows(g: MultipartiteGraph, xprime: RowDecomposition,
-              row_packings: dict[int, CliquePacking], k: int) -> GlueResult:
+              row_packings: dict[int, CliquePacking]) -> GlueResult:
     """Combine balanced perfect per-row packings into one packing of the
     surviving graph: split each row packing into groups of size N, one per
-    injection of slot positions into classes, and perfectly match each
-    group family's compatibility hypergraph.
+    injection of k slot positions into classes (k the sum of the row
+    weights), and perfectly match each group family's compatibility
+    hypergraph.
 
     Two groups of different rows are compatible when completely joined, so
     each family's matching is a perfect s-clique packing of an s-partite
     graph, found by the package's one exact-cover search."""
     s, r, n_prime = xprime.s, xprime.r, xprime.unit
-    if sum(xprime.weights) != k:
-        raise ValueError("row weights must sum to k")
     if s == 1:
         packing = row_packings[0]
         return GlueResult(CliquePacking(sorted(packing.cliques)), [])
@@ -1016,6 +1010,7 @@ def glue_rows(g: MultipartiteGraph, xprime: RowDecomposition,
         return GlueResult(CliquePacking([]), [])
 
     weights = xprime.weights
+    k = sum(weights)
     slots: list[tuple[int, ...]] = []
     at = 0
     for i in range(s):
@@ -1241,7 +1236,7 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
     total_target = r * n_plus // k
 
     trimmed = g if k * n == n_plus else g.induced([range(k * n)] * r)[0]
-    iteration = iterate_decomposition(trimmed, k, ladder(k), seed=params.seed)
+    iteration = iterate_decomposition(trimmed, k, seed=params.seed)
     decomp = iteration.decomposition
     stages.append({"name": "decompose", "s": decomp.s,
                    "weights": list(decomp.weights),
@@ -1253,8 +1248,7 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
             continue
         selection = [sorted(decomp.rows[i][j]) for j in range(r)]
         sub, _, _ = trimmed.induced(selection)
-        w = is_pair_complete(sub, params.pc_threshold, detection_mode(sub),
-                             seed=params.seed)
+        w = is_pair_complete(sub, params.pc_threshold, seed=params.seed)
         if w is not None:
             pc_halves[i] = [set(selection[j][o] for o in w.halves[j])
                             for j in range(r)]
@@ -1296,7 +1290,7 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
 
     row_packings = fix_row_parity_and_matchability(g, asg, xprime, params)
     stages.append({"name": "rowpack", "unit": xprime.unit})
-    glue = glue_rows(g, xprime, row_packings, k)
+    glue = glue_rows(g, xprime, row_packings)
     stages.append({"name": "glue",
                    "sigma_min_degrees": [e["min_degree"] for e in glue.sigma_log]})
 

@@ -12,9 +12,9 @@ the witness's shape (r sets of distinct in-range offsets of the right size)
 and then every density through `graphs.density`, which builds its own masks
 from the vertices it is given and reads only the adjacency rows, never a
 mask or count a search made.  So witnesses are always exact and only
-*absence* is mode-qualified: the exact search certifies it, and in either
-mode so does the non-edge component rule that `is_splittable` tries before
-any split search (`_split_refuted`).
+*absence* depends on the class size: the exact search certifies it, and at
+any size so does the non-edge component rule that `is_splittable` tries
+before any split search (`_split_refuted`).
 """
 
 from __future__ import annotations
@@ -125,12 +125,6 @@ def min_diagonal_density(g: MultipartiteGraph, decomp: RowDecomposition) -> Frac
     return Fraction(best_e, best_den)
 
 
-def detection_mode(g: MultipartiteGraph) -> str:
-    """The search mode for split and two-half detection on g: "exact" for
-    classes of at most EXACT_CLASS_CAP vertices, "heuristic" above."""
-    return "exact" if g.class_sizes[0] <= EXACT_CLASS_CAP else "heuristic"
-
-
 # -- splittability ------------------------------------------------------------
 
 
@@ -182,16 +176,16 @@ def verify_split_witness(g: MultipartiteGraph, w: SplitWitness,
     return achieved >= 1 - d
 
 
-def is_splittable(g: MultipartiteGraph, p: int, d: Fraction,
-                  mode: str = "exact", *, seed: int = 0) -> SplitWitness | None:
+def is_splittable(g: MultipartiteGraph, p: int, d: Fraction, *,
+                  seed: int = 0) -> SplitWitness | None:
     """Search for an equal-proportion split with all diagonal densities >= 1-d.
 
     First the non-edge component rule (`_split_refuted`) may refute every
-    weight; None is then certified absence in either mode, and no search
-    runs.  Otherwise, in exact mode the search is complete backtracking over
-    per-class subsets (lexicographic, so the first witness found is the
-    least); in heuristic mode it is seeded hill climbing and absence is not
-    certified.
+    weight; None is then certified absence at any class size, and no search
+    runs.  Otherwise classes of at most EXACT_CLASS_CAP vertices get complete
+    backtracking over per-class subsets (lexicographic, so the first witness
+    found is the least, and None is certified absence); larger classes get
+    seeded hill climbing, whose None certifies nothing.
     """
     sizes = set(g.class_sizes)
     if len(sizes) != 1:
@@ -201,12 +195,10 @@ def is_splittable(g: MultipartiteGraph, p: int, d: Fraction,
         raise ValueError(f"class size {size} is not divisible by weight {p}")
     if p == 1 or size == 0:     # no proper nonempty part to split off
         return None
-    if mode not in ("exact", "heuristic"):
-        raise ValueError(f"unknown mode {mode!r}")
     n = size // p
     if _split_refuted(g, p, n, d):
         return None
-    if mode == "exact":
+    if size <= EXACT_CLASS_CAP:
         witness = _split_exact(g, p, n, d)
     else:
         witness = _split_heuristic(g, p, n, d, seed)
@@ -476,11 +468,12 @@ def verify_pair_complete_witness(g: MultipartiteGraph, w: PairCompleteWitness,
     return lo1 >= 1 - d and lo2 >= 1 - d and hi <= d
 
 
-def is_pair_complete(g: MultipartiteGraph, d: Fraction,
-                     mode: str = "exact", *,
+def is_pair_complete(g: MultipartiteGraph, d: Fraction, *,
                      seed: int = 0) -> PairCompleteWitness | None:
     """Search for halves with near-complete intra-half and near-empty
-    cross-half densities.  Witnesses are re-verified before return."""
+    cross-half densities: complete backtracking for classes of at most
+    EXACT_CLASS_CAP vertices (None is then certified absence), seeded hill
+    climbing above.  Witnesses are re-verified before return."""
     sizes = set(g.class_sizes)
     if len(sizes) != 1:
         raise ValueError("classes must have equal size")
@@ -488,12 +481,10 @@ def is_pair_complete(g: MultipartiteGraph, d: Fraction,
     if size % 2 != 0:
         raise ValueError("classes must have even size")
     n = size // 2
-    if mode == "exact":
+    if size <= EXACT_CLASS_CAP:
         witness = _pc_exact(g, n, d)
-    elif mode == "heuristic":
-        witness = _pc_heuristic(g, n, d, seed)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        witness = _pc_heuristic(g, n, d, seed)
     if witness is not None and not verify_pair_complete_witness(g, witness, d):
         raise AssertionError("searcher returned a witness that fails verification")
     return witness
@@ -627,74 +618,54 @@ def _pc_heuristic(g, n, d, seed):
 # -- iterative refinement -------------------------------------------------------
 
 
-@dataclass
-class SplitEvent:
-    row: int
-    p_prime: int
-    threshold: Fraction
+def ladder(k: int) -> list[Fraction]:
+    """The splitting ladder: k ascending thresholds 1/100, 2/100, 4/100, ..."""
+    return [Fraction(2 ** i, 100) for i in range(k)]
 
 
 @dataclass
 class IterationResult:
     decomposition: RowDecomposition
-    events: list[SplitEvent]
     min_diagonal_density: Fraction
 
 
-def iterate_decomposition(g: MultipartiteGraph, k: int,
-                          thresholds: Sequence[Fraction], *,
+def iterate_decomposition(g: MultipartiteGraph, k: int, *,
                           seed: int = 0) -> IterationResult:
     """Refine the trivial one-row decomposition by splitting rows while any
-    row is splittable at the threshold for the current row count.
+    row is splittable at the `ladder(k)` threshold for the current row count.
 
-    Each row is searched in its `detection_mode`.  Tie-breaking is
-    deterministic: the lowest-index splittable row splits first, using the
-    lexicographically least witness the searcher finds.
+    Tie-breaking is deterministic: the lowest-index splittable row splits
+    first, using the lexicographically least witness the searcher finds.
     """
-    thresholds = [Fraction(t) for t in thresholds]
-    if any(t2 <= t1 for t1, t2 in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be strictly ascending")
-    if len(thresholds) < k:
-        raise ValueError(f"need at least {k} thresholds")
+    thresholds = ladder(k)
     decomp = trivial_decomposition(g, k)
     n = decomp.unit
     weights = [k]
     rows: list[list[frozenset[int]]] = [list(decomp.rows[0])]
-    events: list[SplitEvent] = []
 
     while len(weights) < k:
-        s = len(weights)
-        d_s = thresholds[s - 1]
-        split_done = False
-        for i in range(s):
+        d_s = thresholds[len(weights) - 1]
+        for i, row in enumerate(rows):
             if weights[i] < 2:
                 continue
-            selection = [sorted(rows[i][j]) for j in range(g.r)]
+            selection = [sorted(block) for block in row]
             sub, _, _ = g.induced(selection)
-            w = is_splittable(sub, weights[i], d_s, detection_mode(sub),
-                              seed=seed)
+            w = is_splittable(sub, weights[i], d_s, seed=seed)
             if w is None:
                 continue
-            new_first = []
-            new_second = []
-            for j in range(g.r):
-                ordered = selection[j]
-                in_split = frozenset(ordered[t] for t in w.sets[j])
-                new_first.append(in_split)
-                new_second.append(frozenset(ordered) - in_split)
-            rows[i] = new_first
-            rows.append(new_second)
+            first = [frozenset(ordered[t] for t in w.sets[j])
+                     for j, ordered in enumerate(selection)]
+            rows[i] = first
+            rows.append([block - part for block, part in zip(row, first)])
             weights.append(weights[i] - w.p_prime)
             weights[i] = w.p_prime
-            events.append(SplitEvent(i, w.p_prime, d_s))
-            split_done = True
             break
-        if not split_done:
+        else:   # no row splits at this threshold
             break
 
     final = RowDecomposition(tuple(weights), n,
                              tuple(tuple(row) for row in rows))
-    return IterationResult(final, events, min_diagonal_density(g, final))
+    return IterationResult(final, min_diagonal_density(g, final))
 
 
 # -- integer lattices -------------------------------------------------------------
@@ -888,12 +859,12 @@ def merge_to_minimal(q: PartitionLabeling, lattice: IntegerLattice):
 # -- barrier constructions ---------------------------------------------------------
 
 
-def space_barrier_graph(r: int, p: int, n: int, j: int,
-                        extra: int = 0) -> tuple[MultipartiteGraph, list[list[int]]]:
+def space_barrier_graph(r: int, p: int, n: int,
+                        j: int) -> tuple[MultipartiteGraph, list[list[int]]]:
     """Graph on classes of size p*n in which every p-clique has at most j
-    vertices inside the planted set S (first j*n + extra offsets per class).
+    vertices inside the planted set S (the first j*n offsets per class).
 
-    Inside S, vertices carry one of j group labels (offset // n, capped) and
+    Inside S, vertices carry one of j group labels (offset // n) and
     same-label cross-class pairs are non-adjacent; every other cross-class
     pair is an edge.  Any clique within S therefore has pairwise-distinct
     labels, hence at most j vertices.  Returns the graph and S as per-class
@@ -902,22 +873,17 @@ def space_barrier_graph(r: int, p: int, n: int, j: int,
     if not (1 <= j < p):
         raise ValueError("need 1 <= j < p")
     size = p * n
-    s_size = j * n + extra
-    if s_size > size:
-        raise ValueError("planted set exceeds the class")
+    s_size = j * n
     from .graphs import complete_multipartite
     g = complete_multipartite([size] * r)
     masks = list(g._adj)
-
-    def label(o: int) -> int:
-        return min(o // n, j - 1)
 
     for c1 in range(r):
         for o1 in range(s_size):
             f1 = g.flat((c1, o1))
             for c2 in range(c1 + 1, r):
                 for o2 in range(s_size):
-                    if label(o1) == label(o2):
+                    if o1 // n == o2 // n:
                         f2 = g.flat((c2, o2))
                         masks[f1] &= ~(1 << f2)
                         masks[f2] &= ~(1 << f1)
@@ -985,8 +951,8 @@ def diagnose_barriers(g: MultipartiteGraph, p_weight: int, *,
     vertices in S; divisibility candidates are class refinements whose robust
     edge lattice is incomplete.  Enumeration is exhaustive within the budgets
     and flagged otherwise; a class whose candidates exceed a budget is never
-    listed in full.  Split and two-half detection search in
-    `detection_mode(g)`.
+    listed in full.  Split and two-half detection choose their search by
+    the class size, as in `is_splittable` and `is_pair_complete`.
     """
     sizes = set(g.class_sizes)
     if len(sizes) != 1:
@@ -1002,14 +968,13 @@ def diagnose_barriers(g: MultipartiteGraph, p_weight: int, *,
                     "space": [], "divisibility": [],
                     "space_exhaustive": True, "divisibility_exhaustive": True}
 
-    mode = detection_mode(g)
-    w = is_splittable(g, p_weight, d, mode, seed=seed)
+    w = is_splittable(g, p_weight, d, seed=seed)
     if w is not None:
         report["splittable"] = {"p_prime": w.p_prime,
                                 "sets": [list(s) for s in w.sets],
                                 "achieved": str(w.achieved)}
     if p_weight == 2 and size % 2 == 0:
-        pc = is_pair_complete(g, d, mode, seed=seed)
+        pc = is_pair_complete(g, d, seed=seed)
         if pc is not None:
             report["pair_complete"] = {
                 "halves": [list(h) for h in pc.halves],

@@ -468,7 +468,7 @@ def test_glue_50():
         assert asg.bad == set()
         packings = fix_row_parity_and_matchability(g, asg, decomp,
                                                    PipelineParams())
-        glue = glue_rows(g, decomp, packings, 3)
+        glue = glue_rows(g, decomp, packings)
         assert glue.packing.verify(g, perfect=True) == []
         s = decomp.s
         n_group = 3 * decomp.unit * factorial(3 - 3) // factorial(3)

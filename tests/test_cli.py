@@ -4,7 +4,8 @@ import json
 
 from partite_packing import structure
 from partite_packing.cli import main
-from partite_packing.graphs import build_gamma, graph_from_json, graph_to_json
+from partite_packing.graphs import (CliquePacking, build_gamma, graph_from_json,
+                                    graph_to_json, packing_to_json)
 from partite_packing.oracle import check_barrier
 from test_oracle import relabeled_copy
 
@@ -76,6 +77,21 @@ def test_verify_catches_tampering(tmp_path):
     assert run(["verify", "--packing", pk, "--graph", g_path, "-o", ver]) == 1
     out = json.loads(open(ver).read())
     assert not out["ok"] and out["violations"]
+
+
+def test_verify_rejects_mixed_clique_sizes(tmp_path):
+    # one triangle, one edge and four single vertices cover complete 3x3
+    g_path = str(tmp_path / "g.json")
+    pk = tmp_path / "pk.json"
+    ver = str(tmp_path / "v.json")
+    assert run(["gen", "complete", "--n", "3", "--r", "3", "-o", g_path]) == 0
+    pk.write_text(packing_to_json(CliquePacking(
+        [((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 1)), ((0, 2),), ((1, 2),),
+         ((2, 1),), ((2, 2),)])))
+    assert run(["verify", "--packing", str(pk), "--graph", g_path,
+                "-o", ver]) == 1
+    out = json.loads(open(ver).read())
+    assert not out["ok"] and len(out["violations"]) == 5
 
 
 def test_random_generation_is_byte_deterministic(tmp_path):

@@ -140,6 +140,7 @@ def _pc_key(w):
 
 @pytest.mark.parametrize("pivots", [True, False], ids=["pivots", "climb-only"])
 def test_split_heuristic_matches_fraction_reference(monkeypatch, pivots):
+    monkeypatch.setattr(structure, "EXACT_CLASS_CAP", 0)   # force the climb
     if not pivots:
         monkeypatch.setattr(structure, "_split_pivot_candidates", _no_pivots)
         monkeypatch.setattr(ref, "_split_pivot_candidates", _no_pivots)
@@ -149,7 +150,7 @@ def test_split_heuristic_matches_fraction_reference(monkeypatch, pivots):
     for name, g, p, d, seed in cases:
         n = g.class_sizes[0] // p
         want = ref._split_heuristic(g, p, n, d, seed, 8, 60)
-        got = structure.is_splittable(g, p, d, "heuristic", seed=seed)
+        got = structure.is_splittable(g, p, d, seed=seed)
         assert _split_key(got) == _split_key(want), name
         hits += want is not None
     # both outcomes occur, so the cases exercise the found and the absent path
@@ -158,6 +159,7 @@ def test_split_heuristic_matches_fraction_reference(monkeypatch, pivots):
 
 @pytest.mark.parametrize("pivots", [True, False], ids=["pivots", "climb-only"])
 def test_pc_heuristic_matches_fraction_reference(monkeypatch, pivots):
+    monkeypatch.setattr(structure, "EXACT_CLASS_CAP", 0)   # force the climb
     if not pivots:
         monkeypatch.setattr(structure, "_pc_pivot_candidates", _no_pivots)
         monkeypatch.setattr(ref, "_pc_pivot_candidates", _no_pivots)
@@ -167,7 +169,7 @@ def test_pc_heuristic_matches_fraction_reference(monkeypatch, pivots):
     for name, g, d, seed in cases:
         n = g.class_sizes[0] // 2
         want = ref._pc_heuristic(g, n, d, seed, 8, 60)
-        got = structure.is_pair_complete(g, d, "heuristic", seed=seed)
+        got = structure.is_pair_complete(g, d, seed=seed)
         assert _pc_key(got) == _pc_key(want), name
         hits += want is not None
     assert 10 <= hits <= len(cases) - 10

@@ -438,3 +438,14 @@ def test_packing_verify_and_json():
     assert any("misses edge" in p for p in broken.verify(sparse))
     gap = CliquePacking([((0, 0), (1, 0), (2, 0))])
     assert any("not covered" in p for p in gap.verify(g, perfect=True))
+
+
+def test_packing_verify_rejects_mixed_clique_sizes():
+    # a triangle, an edge and four single vertices cover complete 3x3
+    g = complete_multipartite([3, 3, 3])
+    mixed = CliquePacking([((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 1)),
+                           ((0, 2),), ((1, 2),), ((2, 1),), ((2, 2),)])
+    problems = mixed.verify(g, perfect=True)
+    assert problems == [f"clique {idx} has {size} vertices, clique 0 has 3"
+                        for idx, size in [(1, 2), (2, 1), (3, 1), (4, 1),
+                                          (5, 1)]]

@@ -125,6 +125,29 @@ def test_barrier_accepted_on_gamma(n, r, k):
     assert check_barrier(gam.graph, gam.subparts, gamma_weights(n, r, k)) == []
 
 
+def test_gamma_helpers_reject_k_zero():
+    g = build_gamma(3, 3, 3).graph
+    assert not is_isomorphic_to_gamma(g, 3, 3, 0)
+    assert not is_isomorphic_to_gamma(g, 3, 3, 1)
+    for n, r, k in [(3, 3, 0), (3, 3, 1), (3, 2, 3), (4, 3, 3)]:
+        with pytest.raises(ValueError, match="needs k >= 2"):
+            gamma_barrier(n, r, k)
+
+
+def test_check_barrier_reports_malformed_barriers():
+    gam = build_gamma(3, 5, 3)
+    good = gamma_weights(3, 5, 3)
+    for key in good:
+        barrier = {other: v for other, v in good.items() if other != key}
+        assert check_barrier(gam.graph, gam.subparts, barrier) == [
+            f"the barrier lacks {key}"]
+    assert check_barrier(gam.graph, gam.subparts, {}) == [
+        "the barrier lacks gamma, scale, y, p"]
+    assert check_barrier(gam.graph, gam.subparts,
+                         dict(good, gamma=[3, 5, 0])) == [
+        "k = 0 is not a clique size"]
+
+
 def moved(labels, v, part):
     rows = [list(row) for row in labels.part_of]
     rows[v[0]][v[1]] = part

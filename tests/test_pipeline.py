@@ -397,7 +397,7 @@ def test_glue_single_row_passthrough():
     decomp = RowDecomposition((3,), 2, (tuple(frozenset(range(6))
                                               for _ in range(3)),))
     res = exact_balanced_clique_packing(g, 3)
-    glue = glue_rows(g, decomp, {0: res.packing}, 3)
+    glue = glue_rows(g, decomp, {0: res.packing})
     assert glue.packing.verify(g, perfect=True) == []
 
 
@@ -405,7 +405,7 @@ def test_glue_two_rows_complete_diagonal():
     g, decomp = planted_two_row(r=3, k=3, n=6)
     asg = make_assignment(g, decomp)
     packs = fix_row_parity_and_matchability(g, asg, decomp, PipelineParams())
-    glue = glue_rows(g, decomp, packs, 3)
+    glue = glue_rows(g, decomp, packs)
     assert min(e["min_degree"] for e in glue.sigma_log) > 0
     assert glue.packing.verify(g, perfect=True) == []
     # every glued clique meets row i in exactly its weight
@@ -421,7 +421,7 @@ def test_glue_rejects_bad_unit():
     decomp = RowDecomposition(
         (2, 1), 2, ((frozenset({0, 1, 2, 3}),) * 3, (frozenset({4, 5}),) * 3))
     with pytest.raises(StageFailure):
-        glue_rows(g, decomp, {0: CliquePacking([]), 1: CliquePacking([])}, 3)
+        glue_rows(g, decomp, {0: CliquePacking([]), 1: CliquePacking([])})
 
 
 def test_fix_rows_pair_complete_path():
@@ -430,7 +430,7 @@ def test_fix_rows_pair_complete_path():
     asg = make_assignment(g, decomp, pc=pc)
     packs = fix_row_parity_and_matchability(g, asg, decomp, PipelineParams())
     assert set(packs[0].index_counts.values()) == {len(packs[0].cliques) // 3}
-    glue = glue_rows(g, decomp, packs, 3)
+    glue = glue_rows(g, decomp, packs)
     assert glue.packing.verify(g, perfect=True) == []
 
 
@@ -1070,7 +1070,7 @@ def three_unit_rows():
 def test_glue_three_unit_rows():
     # exercises the multi-way matcher
     g, decomp, packs = three_unit_rows()
-    glue = glue_rows(g, decomp, packs, 3)
+    glue = glue_rows(g, decomp, packs)
     assert glue.packing.verify(g, perfect=True) == []
     assert len(glue.sigma_log) == 6
     for entry in glue.sigma_log:
@@ -1093,7 +1093,7 @@ def test_compatibility_graph_matches_the_edge_list_construction(monkeypatch):
                  (blow_up(build_gamma(3, 4, 3).graph, 24), 3)]:
         assert solve(g, k).status == "packed"
     g, decomp, packs = three_unit_rows()
-    glue_rows(g, decomp, packs, 3)
+    glue_rows(g, decomp, packs)
     assert len(seen) == 24 + 24 + 6
     partial = 0
     for masks, common, n_group in seen:

@@ -104,9 +104,10 @@ def test_split_monotone_in_threshold():
             assert is_splittable(g, 2, d2) is not None
 
 
-def test_split_heuristic_witnesses_are_verified():
+def test_split_heuristic_witnesses_are_verified(monkeypatch):
+    monkeypatch.setattr(structure, "EXACT_CLASS_CAP", 0)   # force the climb
     g = complete_multipartite([6, 6, 6])
-    w = is_splittable(g, 2, Fraction(1, 100), mode="heuristic", seed=3)
+    w = is_splittable(g, 2, Fraction(1, 100), seed=3)
     assert w is not None
     assert verify_split_witness(g, w, Fraction(1, 100))
 
@@ -135,9 +136,10 @@ def test_split_witness_checker_rejects_bogus_sets():
 
 
 def test_split_witness_size_must_match_weight(monkeypatch):
+    monkeypatch.setattr(structure, "EXACT_CLASS_CAP", 0)   # force the climb
     g = complete_multipartite([12, 12, 12])
     d = Fraction(1, 100)
-    w = is_splittable(g, 3, d, "heuristic", seed=1)
+    w = is_splittable(g, 3, d, seed=1)
     assert w is not None and all(len(s) == w.p_prime * 4 for s in w.sets)
     # a searcher answering p_prime = 1 with sets of 2n offsets: the sets
     # pass the density check, the size check in is_splittable stops them
@@ -145,7 +147,40 @@ def test_split_witness_size_must_match_weight(monkeypatch):
     assert verify_split_witness(g, wrong, d)
     monkeypatch.setattr(structure, "_split_heuristic", lambda *args: wrong)
     with pytest.raises(AssertionError):
-        is_splittable(g, 3, d, "heuristic", seed=1)
+        is_splittable(g, 3, d, seed=1)
+
+
+def _no_exact_search(*args):
+    raise AssertionError("complete search above EXACT_CLASS_CAP")
+
+
+def test_split_climbs_above_the_class_cap(monkeypatch):
+    # classes of 12 exceed EXACT_CLASS_CAP: the seeded climb answers, and
+    # its witness is verified
+    monkeypatch.setattr(structure, "_split_exact", _no_exact_search)
+    g = complete_multipartite([12] * 3)
+    w = is_splittable(g, 2, Fraction(1, 4))
+    assert w is not None and verify_split_witness(g, w, Fraction(1, 4))
+
+
+def test_pair_complete_climbs_above_the_class_cap(monkeypatch):
+    monkeypatch.setattr(structure, "_pc_exact", _no_exact_search)
+    g, _ = divisibility_barrier_graph(3, 6)
+    w = is_pair_complete(g, Fraction(1, 100))
+    assert w is not None
+    assert verify_pair_complete_witness(g, w, Fraction(1, 100))
+
+
+def test_detection_searches_completely_up_to_the_class_cap(monkeypatch):
+    def no_climb(*args):
+        raise AssertionError("climb at most EXACT_CLASS_CAP")
+    monkeypatch.setattr(structure, "_split_heuristic", no_climb)
+    monkeypatch.setattr(structure, "_pc_heuristic", no_climb)
+    size = structure.EXACT_CLASS_CAP
+    assert is_splittable(complete_multipartite([size] * 3), 2,
+                         Fraction(1, 4)) is not None
+    g, _ = divisibility_barrier_graph(3, size // 2)
+    assert is_pair_complete(g, Fraction(1, 100)) is not None
 
 
 def test_split_rejects_uneven_classes():
@@ -158,8 +193,7 @@ def test_split_absent_on_empty_classes():
     # empty classes have no nonempty proper part to split off
     g = MultipartiteGraph([0, 0, 0])
     for p in (2, 3):
-        for mode in ("exact", "heuristic"):
-            assert is_splittable(g, p, Fraction(1, 4), mode) is None
+        assert is_splittable(g, p, Fraction(1, 4)) is None
 
 
 def test_split_robust_under_small_perturbation():
@@ -218,10 +252,11 @@ def test_threshold_graphs_refuted_without_split_search(monkeypatch, r, size, k):
     # refutes them (class sizes divide by k, so each graph is its own core)
     def no_search(*args):
         raise AssertionError("split heuristic reached")
+    monkeypatch.setattr(structure, "EXACT_CLASS_CAP", 0)   # force the climb
     monkeypatch.setattr(structure, "_split_heuristic", no_search)
     for seed in (1, 2, 3):
         g = random_min_degree_graph(r, size, k, seed)
-        assert is_splittable(g, k, Fraction(1, 100), "heuristic") is None
+        assert is_splittable(g, k, Fraction(1, 100)) is None
 
 
 # -- pair-completeness ----------------------------------------------------------------
@@ -336,15 +371,14 @@ def test_pivot_seeds_match_the_reference_once_per_neighbourhood(g, k):
 
 def test_iterate_complete_graph_splits_fully():
     g = complete_multipartite([4, 4, 4])
-    res = iterate_decomposition(g, 2, [Fraction(1, 100), Fraction(1, 10)])
+    res = iterate_decomposition(g, 2)
     assert res.decomposition.s == 2
     assert res.min_diagonal_density == 1
-    assert len(res.events) == 1
 
 
 def test_iterate_unsplittable_stays_single_row():
     g = random_equal_graph(3, 4, seed=5, keep=0.5)
-    res = iterate_decomposition(g, 2, [Fraction(1, 100), Fraction(1, 10)])
+    res = iterate_decomposition(g, 2)
     assert res.decomposition.s == 1
     assert res.min_diagonal_density == 1  # single-row convention
 
@@ -361,8 +395,7 @@ def test_iterate_recovers_planted_three_rows():
                     if o1 // n != o2 // n:
                         edges.append(((j1, o1), (j2, o2)))
     g = g.with_edges(edges)
-    res = iterate_decomposition(
-        g, 3, [Fraction(1, 100), Fraction(1, 10), Fraction(1, 4)])
+    res = iterate_decomposition(g, 3)
     assert res.decomposition.s == 3
     assert res.decomposition.weights == (1, 1, 1)
     got_rows = set()
@@ -371,13 +404,6 @@ def test_iterate_recovers_planted_three_rows():
         assert len(blocks) == 1  # same offsets in every class
         got_rows.add(blocks.pop())
     assert got_rows == {(0, 1), (2, 3), (4, 5)}
-    assert len(res.events) <= 2  # terminates within k-1 splits
-
-
-def test_iterate_requires_ascending_thresholds():
-    g = complete_multipartite([2, 2])
-    with pytest.raises(ValueError):
-        iterate_decomposition(g, 2, [Fraction(1, 10), Fraction(1, 10)])
 
 
 # -- integer lattices ------------------------------------------------------------------
