@@ -477,28 +477,37 @@ class CliquePacking:
         return len(counts) <= 1
 
     def verify(self, g: MultipartiteGraph, perfect: bool = False) -> list[str]:
-        """All violations (empty list means the packing is valid).  Every
-        clique must have the first clique's size."""
+        """All violations (empty list means the packing is valid), each
+        reported rather than raised: every clique must be nonempty and have
+        the first clique's size, and a vertex outside g is reported as out of
+        range and left out of the edge checks."""
         problems = []
         seen: set[Vertex] = set()
         for idx, clique in enumerate(self.cliques):
+            if not clique:
+                problems.append(f"clique {idx} is empty")
             if len(clique) != len(self.cliques[0]):
                 problems.append(f"clique {idx} has {len(clique)} vertices, "
                                 f"clique 0 has {len(self.cliques[0])}")
             classes = set()
+            inside = []
             for v in clique:
-                g.flat(v)
+                c, o = v
+                if not (0 <= c < g.r and 0 <= o < g.class_sizes[c]):
+                    problems.append(f"vertex {v} out of range")
+                else:
+                    inside.append(v)
                 if v in seen:
                     problems.append(f"vertex {v} covered twice")
                 seen.add(v)
                 if v[0] in classes:
                     problems.append(f"clique {idx} has two vertices of class {v[0]}")
                 classes.add(v[0])
-            for i in range(len(clique)):
-                for j in range(i + 1, len(clique)):
-                    if len(clique) > 1 and not g.has_edge(clique[i], clique[j]):
+            for i in range(len(inside)):
+                for j in range(i + 1, len(inside)):
+                    if not g.has_edge(inside[i], inside[j]):
                         problems.append(
-                            f"clique {idx} misses edge {clique[i]}-{clique[j]}")
+                            f"clique {idx} misses edge {inside[i]}-{inside[j]}")
         recount = Counter(index_set(c) for c in self.cliques)
         if recount != Counter(self.index_counts):
             problems.append("index_counts inconsistent with clique list")

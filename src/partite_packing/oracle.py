@@ -361,12 +361,28 @@ def check_barrier(g: MultipartiteGraph, subparts: PartitionLabeling,
     V/k cliques of a perfect packing would all lie on tight types
     (y(T) = scale); if p is even on every tight type but p.sizes is odd, they
     cannot.  Plain loops over vertex pairs and subpart sets, like
-    `CliquePacking.verify`.  A barrier that lacks a key or has k < 1 is
-    reported as a problem, not raised: barriers are read from outside."""
+    `CliquePacking.verify`.  A barrier that lacks a key, has a field of the
+    wrong shape (`gamma` not three ints, `scale` not an int, `y` or `p` not
+    a list of ints; a bool is not an int) or has k < 1 is reported as a
+    problem, not raised: barriers are read from outside."""
     missing = [key for key in ("gamma", "scale", "y", "p") if key not in barrier]
     if missing:
         return [f"the barrier lacks {', '.join(missing)}"]
-    k, scale, y, p = barrier["gamma"][2], barrier["scale"], barrier["y"], barrier["p"]
+    gamma, scale = barrier["gamma"], barrier["scale"]
+    y, p = barrier["y"], barrier["p"]
+
+    def ints(vec) -> bool:
+        return (isinstance(vec, (list, tuple))
+                and all(type(x) is int for x in vec))
+
+    shape = [f"{name} is not {want}" for name, ok, want in (
+        ("gamma", ints(gamma) and len(gamma) == 3, "three integers"),
+        ("scale", type(scale) is int, "an integer"),
+        ("y", ints(y), "a list of integers"),
+        ("p", ints(p), "a list of integers")) if not ok]
+    if shape:
+        return shape
+    k = gamma[2]
     if k < 1:
         return [f"k = {k} is not a clique size"]
     d = subparts.d

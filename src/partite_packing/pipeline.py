@@ -10,6 +10,12 @@ of its postcondition; a stage that cannot meet it raises StageFailure rather
 than passing silently, and the orchestrator falls back to the oracle or
 reports a structured diagnosis.
 
+The deletion stages, from `classify_bad_vertices` to `balance_blocks`,
+hold every vertex set as a mask of flat ids and every clique as a tuple of
+them; vertex names appear only in failure messages and in the packing that
+`solve` returns.  Ascending flat id is ascending (class, offset), so each
+"least vertex" choice is the one the names would give.
+
 Only the rows, prepare and cover stages delete cliques.  At desk scale the
 greedy column pattern that builds every deleted clique already leaves each
 class and each block even, so the columns and blocks stages only recount:
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import ceil, comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (CliquePacking, MultipartiteGraph, Vertex, index_set,
                      k_cliques, partite_min_degree)
@@ -71,27 +77,32 @@ class PipelineParams:
 # -- block assignment ---------------------------------------------------------
 
 
+def _ids(mask: int) -> Iterator[int]:
+    """The flat ids of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass
 class BlockAssignment:
-    """Mutable containers W^i_j derived from a row decomposition by moving
-    bad vertices; the X-blocks stay fixed and drive all badness queries."""
+    """The containers W^i_j that a row decomposition leaves once bad vertices
+    have moved rows, all as masks of flat ids.  w[i][j] lies in class j and
+    the containers partition the vertex set; `bad` marks the bad vertices and
+    `half` the half sides of the two-half rows, so the good vertices of W^i_j
+    are w[i][j] & ~bad and its half side is w[i][j] & half.  The X-blocks
+    stay fixed and drive all badness queries."""
 
     g: MultipartiteGraph
     decomp: RowDecomposition
-    w: list[list[set[Vertex]]]
-    y: list[list[set[Vertex]]]
-    bad: set[Vertex]
+    w: list[list[int]]
+    bad: int
     pc_rows: set[int]
-    s_half: dict[int, list[set[Vertex]]]
+    half: int
 
     def __post_init__(self):
         self._x_masks = block_masks(self.g, self.decomp)
-        self._bad_cache: dict[Vertex, frozenset] = {}
-        self.v_block: dict[Vertex, tuple[int, int]] = {}
-        for i in range(self.s):
-            for j in range(self.r):
-                for v in self.w[i][j]:
-                    self.v_block[v] = (i, j)
 
     @property
     def s(self) -> int:
@@ -109,33 +120,22 @@ class BlockAssignment:
     def weights(self):
         return self.decomp.weights
 
-    def row_vertices(self, i: int) -> set[Vertex]:
-        out: set[Vertex] = set()
-        for j in range(self.r):
-            out |= self.w[i][j]
-        return out
+    def row_of(self, f: int) -> int:
+        """The row whose container holds vertex f."""
+        j = self.g._class_of[f]
+        return next(i for i in range(self.s) if self.w[i][j] >> f & 1)
 
-    def is_block_bad_for(self, v: Vertex, i: int, j: int) -> bool:
-        """More than n/2 non-neighbors of v inside the fixed block X^i_j."""
-        mask = self._x_masks[i][j] & ~self.g.adj_mask(v)
-        mask &= ~(1 << self.g.flat(v))
+    def row_mask(self, i: int) -> int:
+        """The vertices of row i's containers."""
+        mask = 0
+        for block in self.w[i]:
+            mask |= block
+        return mask
+
+    def is_block_bad_for(self, f: int, i: int, j: int) -> bool:
+        """More than n/2 non-neighbours of vertex f inside the fixed block X^i_j."""
+        mask = self._x_masks[i][j] & ~self.g._adj[f] & ~(1 << f)
         return 2 * mask.bit_count() > self.n
-
-    def bad_blocks_of(self, v: Vertex) -> frozenset:
-        got = self._bad_cache.get(v)
-        if got is None:
-            got = frozenset((i, j) for i in range(self.s)
-                            for j in range(self.r)
-                            if j != v[0] and self.is_block_bad_for(v, i, j))
-            self._bad_cache[v] = got
-        return got
-
-    def in_s_half(self, v: Vertex) -> bool:
-        i, j = self.v_block[v]
-        return i in self.pc_rows and v in self.s_half[i][j]
-
-    def good_in_block(self, i: int, j: int) -> list[Vertex]:
-        return sorted(self.y[i][j])
 
 
 def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
@@ -143,18 +143,18 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
                           bad_slack: int) -> BlockAssignment:
     """Mark vertices bad (weak diagonal block, weak half in a two-half row,
     or outside the decomposition entirely), reassign each bad vertex to the
-    row holding the most blocks that are bad for it, and carry the half sets
-    forward using the majority-neighborhood rule."""
+    row holding the most blocks that are bad for it (ties to the lowest
+    row), and carry the half sets forward using the majority-neighbourhood
+    rule: a half holds its side T minus the bad vertices, plus each bad
+    vertex of a two-half container with at least n/2 neighbours in another
+    class's T."""
     s, r, n = decomp.s, decomp.r, decomp.unit
     weights = decomp.weights
-    x_masks = block_masks(g, decomp)
-    t_masks = {i: [g.mask_of([(j, o) for o in sorted(pc_halves[i][j])])
+    adj, class_of = g._adj, g._class_of
+    asg = BlockAssignment(g, decomp, [], 0, set(pc_halves), 0)
+    x_masks = asg._x_masks
+    t_masks = {i: [g.mask_of((j, o) for o in pc_halves[i][j])
                    for j in range(r)] for i in pc_halves}
-
-    in_x: set[Vertex] = set()
-    for i in range(s):
-        for j in range(r):
-            in_x.update(decomp.block_vertices(i, j))
 
     def weak(i, j, inside, nv):
         """Whether a vertex of block X^i_j with neighbourhood nv has a weak
@@ -178,68 +178,54 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
                 return True
         return False
 
-    bad: set[Vertex] = {v for v in g.vertices() if v not in in_x}
+    bad = (1 << g.n_vertices) - 1
+    for row in x_masks:
+        for block in row:
+            bad &= ~block
     verdicts: dict[tuple, bool] = {}   # twins in one block share a verdict
     for i in range(s):
         if s == 1 and i not in pc_halves:
             continue    # a single row without halves has nothing to audit
         for j in range(r):
-            half = pc_halves[i][j] if i in pc_halves else ()
-            for v in decomp.block_vertices(i, j):
-                key = (i, j, v[1] in half, g.adj_mask(v))
+            half = t_masks[i][j] if i in pc_halves else 0
+            for f in _ids(x_masks[i][j]):
+                key = (i, j, bool(half >> f & 1), adj[f])
                 verdict = verdicts.get(key)
                 if verdict is None:
                     verdict = verdicts[key] = weak(*key)
                 if verdict:
-                    bad.add(v)
+                    bad |= 1 << f
 
-    w = [[set() for _ in range(r)] for _ in range(s)]
-    y = [[set() for _ in range(r)] for _ in range(s)]
-    for i in range(s):
-        for j in range(r):
-            for v in decomp.block_vertices(i, j):
-                if v not in bad:
-                    w[i][j].add(v)
-                    y[i][j].add(v)
-
-    helper = BlockAssignment(g, decomp, [[set(b) for b in row] for row in w],
-                             [[set(b) for b in row] for row in y],
-                             set(bad), set(), {})
-    for v in sorted(bad):
-        counts = [sum(1 for (i2, j2) in helper.bad_blocks_of(v) if i2 == i)
+    asg.bad = bad
+    asg.w = [[block & ~bad for block in row] for row in x_masks]
+    for f in _ids(bad):
+        c = class_of[f]
+        counts = [sum(1 for j in range(r)
+                      if j != c and asg.is_block_bad_for(f, i, j))
                   for i in range(s)]
         target = max(range(s), key=lambda i: (counts[i], -i))
-        w[target][v[0]].add(v)
+        asg.w[target][c] |= 1 << f
 
-    s_half: dict[int, list[set[Vertex]]] = {}
     for i in pc_halves:
-        s_half[i] = []
         for j in range(r):
-            t_j = {(j, o) for o in pc_halves[i][j]}
-            half = {v for v in t_j if v not in bad}
-            for v in w[i][j]:
-                if v in bad:
-                    for j2 in range(r):
-                        if j2 == j:
-                            continue
-                        deg = (g.adj_mask(v) & t_masks[i][j2]).bit_count()
-                        if 2 * deg >= n:
-                            half.add(v)
-                            break
-            s_half[i].append(half)
-
-    return BlockAssignment(g, decomp, w, y, set(bad), set(pc_halves), s_half)
+            asg.half |= t_masks[i][j] & ~bad
+            for f in _ids(asg.w[i][j] & bad):
+                if any(2 * (adj[f] & t_masks[i][j2]).bit_count() >= n
+                       for j2 in range(r) if j2 != j):
+                    asg.half |= 1 << f
+    return asg
 
 
 # -- greedy clique extension -----------------------------------------------------
 
 
-def _extension_condition(asg: BlockAssignment, base: Sequence[Vertex],
+def _extension_condition(asg: BlockAssignment, base: Sequence[int],
                          a_sets: dict[int, tuple[int, ...]], i: int
                          ) -> str | None:
     """Which of the five supply conditions holds for row i, if any."""
     cols = a_sets.get(i, ())
-    base_blocks = {asg.v_block[v] for v in base if v in asg.v_block}
+    class_of = asg.g._class_of
+    base_blocks = {(asg.row_of(f), class_of[f]) for f in base}
     base_cols_in_row = {j for (i2, j) in base_blocks if i2 == i}
     if cols and all(j in base_cols_in_row for j in cols):
         return "a"
@@ -250,9 +236,9 @@ def _extension_condition(asg: BlockAssignment, base: Sequence[Vertex],
         for j in cols:
             if (i, j) in base_blocks:
                 continue
-            if not asg.is_block_bad_for(v1, i, j) and j != v1[0]:
+            if not asg.is_block_bad_for(v1, i, j) and j != class_of[v1]:
                 return "c"
-        if v1 in asg.v_block and asg.v_block[v1][0] == i:
+        if asg.row_of(v1) == i:
             return "d"
     if len(cols) < asg.weights[i]:
         return "e"
@@ -260,39 +246,40 @@ def _extension_condition(asg: BlockAssignment, base: Sequence[Vertex],
 
 
 def extend_clique(g: MultipartiteGraph, asg: BlockAssignment,
-                  base: Sequence[Vertex], a_sets: dict[int, tuple[int, ...]],
-                  *, forbidden: Iterable[Vertex] = ()):
-    """Extend a partial clique to one meeting exactly the blocks (i, j) for
-    j in a_sets[i], choosing the least admissible good vertex at each step.
+                  base: Sequence[int], a_sets: dict[int, tuple[int, ...]],
+                  *, forbidden: int = 0) -> tuple[int, ...] | None:
+    """Extend a partial clique (flat ids) to one meeting exactly the blocks
+    (i, j) for j in a_sets[i], choosing the least admissible good vertex
+    outside the mask `forbidden` at each step.
 
     Two-half rows keep even half-intersections when both of their columns are
-    filled here.  Returns the full clique, or None when a step finds no
-    admissible vertex.
+    filled here.  Returns the full clique as ascending flat ids, or None when
+    a step finds no admissible vertex.
     """
     base = list(base)
     cols_needed = {i: tuple(cols) for i, cols in a_sets.items() if cols}
     all_cols = [j for cols in cols_needed.values() for j in cols]
     if len(all_cols) != len(set(all_cols)):
         raise ValueError("column sets must be pairwise disjoint")
-    for v in base:
-        blk = asg.v_block.get(v)
-        if blk is None:
-            raise ValueError(f"base vertex {v} is outside the assignment")
-        if blk[0] not in cols_needed or blk[1] not in cols_needed[blk[0]]:
-            raise ValueError(f"base vertex {v} not covered by the column sets")
+    adj, class_of = g._adj, g._class_of
+    base_rows = [asg.row_of(f) for f in base]
+    for f, i in zip(base, base_rows):
+        if i not in cols_needed or class_of[f] not in cols_needed[i]:
+            raise ValueError(f"base vertex {g.vertex(f)} not covered by the "
+                             "column sets")
     for i in cols_needed:
         cond = _extension_condition(asg, base, cols_needed, i)
         if cond is None:
             raise ValueError(f"no supply condition holds for row {i}")
 
-    forbid_mask = g.mask_of(forbidden) | g.mask_of(base)
-
+    forbid_mask = forbidden
     need_mask = (1 << g.n_vertices) - 1
-    for v in base:
-        need_mask &= g.adj_mask(v)
+    for f in base:
+        forbid_mask |= 1 << f
+        need_mask &= adj[f]
 
-    chosen: list[Vertex] = []
-    base_cols = {asg.v_block[v][1] for v in base}
+    chosen: list[int] = []
+    base_cols = {class_of[f] for f in base}
     v1 = base[0] if base else None
 
     for i in sorted(cols_needed):
@@ -305,26 +292,25 @@ def extend_clique(g: MultipartiteGraph, asg: BlockAssignment,
                 j_last = good_last[-1]
                 row_cols = [j for j in row_cols if j != j_last] + [j_last]
         row_first_half: bool | None = None
-        base_in_row = any(asg.v_block[v][0] == i for v in base)
+        base_in_row = i in base_rows
         for j in row_cols:
-            pool_mask = g.mask_of(asg.y[i][j]) & need_mask & ~forbid_mask
+            pool_mask = asg.w[i][j] & ~asg.bad & need_mask & ~forbid_mask
             if (i in asg.pc_rows and len(cols_needed[i]) == 2
                     and not base_in_row and row_first_half is not None):
-                s_mask = g.mask_of(asg.s_half[i][j])
-                pool_mask &= s_mask if row_first_half else ~s_mask
+                pool_mask &= asg.half if row_first_half else ~asg.half
             if pool_mask == 0:
                 return None
-            fid = (pool_mask & -pool_mask).bit_length() - 1
-            v = g.vertex(fid)
+            low = pool_mask & -pool_mask
             if i in asg.pc_rows and row_first_half is None:
-                row_first_half = v in asg.s_half[i][j]
-            chosen.append(v)
-            need_mask &= g.adj_mask(v)
-            forbid_mask |= 1 << fid
+                row_first_half = bool(asg.half & low)
+            f = low.bit_length() - 1
+            chosen.append(f)
+            need_mask &= adj[f]
+            forbid_mask |= low
 
     clique = tuple(sorted(base + chosen))
     for a, b in combinations(clique, 2):
-        if not g.has_edge(a, b):
+        if not adj[a] >> b & 1:
             raise AssertionError("greedy extension produced a non-clique")
     return clique
 
@@ -332,7 +318,7 @@ def extend_clique(g: MultipartiteGraph, asg: BlockAssignment,
 # -- pattern selection and building blocks ------------------------------------------
 
 
-def _greedy_pattern(asg: BlockAssignment, covered: set[Vertex],
+def _greedy_pattern(asg: BlockAssignment, covered: int,
                     sizes: dict[int, int],
                     anchors: dict[int, tuple[int, ...]]):
     """Disjoint column sets per row.  Columns are preferred globally by
@@ -340,7 +326,7 @@ def _greedy_pattern(asg: BlockAssignment, covered: set[Vertex],
     rows by largest uncovered block; non-anchored picks must have uncovered
     vertices left, with backtracking over column subsets when the preferred
     choice is infeasible.  Anchored columns are forced."""
-    left = [[len(block - covered) for block in row] for row in asg.w]
+    left = [[(block & ~covered).bit_count() for block in row] for row in asg.w]
     forced: set[int] = set()
     for cols in anchors.values():
         forced.update(cols)
@@ -390,17 +376,19 @@ def _greedy_pattern(asg: BlockAssignment, covered: set[Vertex],
     return None
 
 
-def _transversal_anchors(asg: BlockAssignment, v: Vertex,
+
+
+def _transversal_anchors(asg: BlockAssignment, v: int,
                          skip_rows: Iterable[int], skip_cols: Iterable[int],
-                         forbidden: set[Vertex]):
-    """One block per remaining row, good for v and with a good vertex left
-    outside `forbidden`, no two in one column, from a maximum matching of
-    rows to allowed columns; None if a row is left out."""
+                         forbidden: int):
+    """One block per remaining row, good for vertex v and with a good vertex
+    left outside the mask `forbidden`, no two in one column, from a maximum
+    matching of rows to allowed columns; None if a row is left out."""
     rows = [i for i in range(asg.s) if i not in set(skip_rows)]
     cols = [j for j in range(asg.r) if j not in set(skip_cols)]
     allowed = [[ci for ci, j in enumerate(cols)
                 if not asg.is_block_bad_for(v, i, j)
-                and not asg.y[i][j] <= forbidden] for i in rows]
+                and asg.w[i][j] & ~asg.bad & ~forbidden] for i in rows]
     t = bipartite_maximum_matching(len(rows), len(cols), allowed)
     if len(t) < len(rows):
         return None
@@ -409,12 +397,13 @@ def _transversal_anchors(asg: BlockAssignment, v: Vertex,
 
 def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
                    rows: tuple[int, int] | None = None,
-                   vertex: Vertex | None = None,
-                   edge: tuple[Vertex, Vertex] | None = None,
+                   vertex: int | None = None,
+                   edge: tuple[int, int] | None = None,
                    parity: int | None = None,
-                   forbidden: Iterable[Vertex] = ()):
-    """One clique of the requested distribution, or None with the obstruction
-    implicit in the failed search.
+                   forbidden: int = 0) -> tuple[int, ...] | None:
+    """One clique of the requested distribution, as ascending flat ids
+    avoiding the mask `forbidden`, or None with the obstruction implicit in
+    the failed search.  `vertex` is a flat id and `edge` a pair of them.
 
     kinds: "proper" (p_i vertices per row, even half-intersections),
     "through_vertex" (proper, containing the given vertex), "ij" (one extra
@@ -437,27 +426,24 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
     test_solve_packs_complete_graphs_with_trimmed_offsets,
     test_solve_builds_through_edge_near_gamma).
     """
-    forbidden = set(forbidden)
-    weights = asg.weights
+    weights, class_of = asg.weights, g._class_of
     sizes = dict(enumerate(weights))
-    base: list[Vertex] = []
+    base: list[int] = []
     anchors: dict[int, tuple[int, ...]] | None = {}
     if kind == "through_vertex":
         v = vertex
-        if v is None or v not in asg.v_block:
-            raise ValueError("through_vertex needs an assigned vertex")
-        li, lj = asg.v_block[v]
+        if v is None:
+            raise ValueError("through_vertex needs a vertex")
+        li, lj = asg.row_of(v), class_of[v]
         if li in asg.pc_rows:
             # pick a good partner on the same side of the half split
-            same_side = asg.in_s_half(v)
+            side = asg.half if asg.half >> v & 1 else ~asg.half
             for j2 in range(asg.r):
                 if j2 == lj:
                     continue
-                for u in asg.good_in_block(li, j2):
-                    if u in forbidden or not g.has_edge(u, v):
-                        continue
-                    if (u in asg.s_half[li][j2]) != same_side:
-                        continue
+                partners = (asg.w[li][j2] & ~asg.bad & ~forbidden
+                            & g._adj[v] & side)
+                for u in _ids(partners):
                     got = building_block(g, asg, "outside_row", edge=(u, v),
                                          forbidden=forbidden)
                     if got is not None:
@@ -472,19 +458,14 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
         i, j = rows
         if weights[i] < 2:
             raise ValueError("ij building block needs a heavy source row")
-        pool = 0
-        for c in range(asg.r):
-            block = g.mask_of(asg.y[i][c])
-            if i in asg.pc_rows and parity is not None:
-                half = g.mask_of(asg.s_half[i][c])
-                block &= half if parity >= 1 else ~half
-            pool |= block
-        seed = next(k_cliques(g._adj, pool & ~g.mask_of(forbidden),
-                              weights[i] + 1), None)
+        pool = asg.row_mask(i) & ~asg.bad & ~forbidden
+        if i in asg.pc_rows and parity is not None:
+            pool &= asg.half if parity >= 1 else ~asg.half
+        seed = next(k_cliques(g._adj, pool, weights[i] + 1), None)
         if seed is None:
             return None
-        base = [g.vertex(f) for f in seed]
-        anchors = {i: tuple(sorted(v[0] for v in base))}
+        base = list(seed)
+        anchors = {i: tuple(class_of[f] for f in base)}   # ascending
         sizes[i] += 1
         sizes[j] -= 1
     elif kind in ("through_edge", "outside_row"):
@@ -498,15 +479,16 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
             sizes[i] += 1
             sizes[j] -= 1
         else:
-            i = asg.v_block[u][0]
+            i = asg.row_of(u)
             if weights[i] != 2:
                 raise ValueError("outside_row extends an edge in a weight-2 row")
             skip_rows = [i]
-        anchors = _transversal_anchors(asg, v if v in asg.bad else u,
-                                       skip_rows, (u[0], v[0]), forbidden)
+        cols = (class_of[u], class_of[v])
+        anchors = _transversal_anchors(asg, v if asg.bad >> v & 1 else u,
+                                       skip_rows, cols, forbidden)
         if anchors is None:
             return None
-        anchors[i] = (u[0], v[0])
+        anchors[i] = cols
     elif kind != "proper":
         raise ValueError(f"unknown building block kind {kind!r}")
 
@@ -522,27 +504,33 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
 
 @dataclass
 class LedgerEntry:
-    clique: tuple[Vertex, ...]
+    clique: tuple[int, ...]     # ascending flat ids
     stage: str
     tag: str
 
 
 class DeletionLedger:
-    """All cliques deleted so far, tagged by stage and distribution kind;
-    re-verifiable for pairwise disjointness and completeness at any time."""
+    """All cliques deleted so far, as ascending flat-id tuples tagged by
+    stage and distribution kind, and `covered`, the mask of their vertices.
+    `add` refuses a clique that meets an earlier one; the assembled
+    packing's final check re-verifies every clique against the graph."""
 
     def __init__(self, g: MultipartiteGraph):
         self.g = g
         self.entries: list[LedgerEntry] = []
-        self.covered: set[Vertex] = set()
+        self.covered = 0
 
-    def add(self, clique: Sequence[Vertex], stage: str, tag: str) -> None:
+    def add(self, clique: Sequence[int], stage: str, tag: str) -> None:
         clique = tuple(sorted(clique))
-        overlap = set(clique) & self.covered
+        mask = 0
+        for f in clique:
+            mask |= 1 << f
+        overlap = mask & self.covered
         if overlap:
-            raise StageFailure(stage, f"clique overlaps ledger at {sorted(overlap)[0]}")
+            first = self.g.vertex((overlap & -overlap).bit_length() - 1)
+            raise StageFailure(stage, f"clique overlaps ledger at {first}")
         self.entries.append(LedgerEntry(clique, stage, tag))
-        self.covered.update(clique)
+        self.covered |= mask
 
     def stage_cliques(self, stage: str) -> list[LedgerEntry]:
         return [e for e in self.entries if e.stage == stage]
@@ -550,100 +538,68 @@ class DeletionLedger:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def verify(self) -> list[str]:
-        problems = []
-        seen: set[Vertex] = set()
-        for e in self.entries:
-            for v in e.clique:
-                if v in seen:
-                    problems.append(f"vertex {v} deleted twice")
-                seen.add(v)
-            for a, b in combinations(e.clique, 2):
-                if not self.g.has_edge(a, b):
-                    problems.append(f"ledger clique {e.clique} misses {a}-{b}")
-        if seen != self.covered:
-            problems.append("covered set out of sync")
-        return problems
+
+def _clique_row_profile(asg: BlockAssignment, clique: Sequence[int]) -> Counter:
+    return Counter(asg.row_of(f) for f in clique)
 
 
-def _clique_row_profile(asg: BlockAssignment, clique: Sequence[Vertex]) -> Counter:
-    prof: Counter = Counter()
-    for v in clique:
-        prof[asg.v_block[v][0]] += 1
-    return prof
+def _half_hits(asg: BlockAssignment, clique: Sequence[int], i: int) -> int:
+    """The number of the clique's vertices on row i's half side."""
+    return sum(1 for f in clique if asg.half >> f & 1 and asg.row_of(f) == i)
 
 
-def is_properly_distributed(asg: BlockAssignment, clique: Sequence[Vertex]) -> bool:
+def is_properly_distributed(asg: BlockAssignment, clique: Sequence[int]) -> bool:
     prof = _clique_row_profile(asg, clique)
     if any(prof[i] != asg.weights[i] for i in range(asg.s)):
         return False
-    for i in asg.pc_rows:
-        if sum(1 for v in clique if asg.in_s_half(v)
-               and asg.v_block[v][0] == i) % 2:
-            return False
-    return True
+    return not any(_half_hits(asg, clique, i) % 2 for i in asg.pc_rows)
 
 
-def is_ij_distributed(asg: BlockAssignment, clique: Sequence[Vertex],
+def is_ij_distributed(asg: BlockAssignment, clique: Sequence[int],
                       i: int, j: int) -> bool:
-    """Whether the clique has one vertex more than proper in row i, one fewer
-    in row j, and even half-intersections in the other two-half rows."""
+    """Whether the clique (flat ids) has one vertex more than proper in row
+    i, one fewer in row j, and even half-intersections in the other two-half
+    rows."""
     prof = _clique_row_profile(asg, clique)
     for l in range(asg.s):
         want = asg.weights[l] + (1 if l == i else 0) - (1 if l == j else 0)
         if prof[l] != want:
             return False
-    for l in asg.pc_rows:
-        if l in (i, j):
-            continue
-        if sum(1 for v in clique if asg.v_block[v][0] == l
-               and asg.in_s_half(v)) % 2:
-            return False
-    return True
+    return not any(_half_hits(asg, clique, l) % 2
+                   for l in asg.pc_rows if l not in (i, j))
 
 
 # -- stage 1: balancing rows -------------------------------------------------------
 
 
 def _row_edge_matching(g: MultipartiteGraph, asg: BlockAssignment, i: int,
-                       size: int, forbidden: set[Vertex]):
-    """Matching of the given size inside row i, every edge holding at least
-    one good vertex, grown greedily by the least free edge; None when the
-    greedy matching stops short.  Weight-1 rows with positive excess need
-    it, as in complete graphs whose trimmed offsets are reassigned to a
-    weight-1 row, and there the greedy growth has never stopped short."""
-    edges: list[tuple[Vertex, Vertex]] = []
-    used: set[Vertex] = set(forbidden)
-
-    def grow_one() -> bool:
-        for j1 in range(asg.r):
-            for u in sorted(asg.w[i][j1]):
-                if u in used or u in asg.bad:
-                    continue
-                for j2 in range(asg.r):
-                    if j2 == j1:
-                        continue
-                    for v in sorted(asg.w[i][j2]):
-                        if v in used or not g.has_edge(u, v):
-                            continue
-                        edges.append((u, v))
-                        used.update((u, v))
-                        return True
-        return False
-
+                       size: int, forbidden: int):
+    """Matching of the given size inside row i, as flat-id pairs outside the
+    mask `forbidden`, every edge holding at least one good vertex, grown
+    greedily by the least free edge; None when the greedy matching stops
+    short.  Weight-1 rows with positive excess need it, as in complete
+    graphs whose trimmed offsets are reassigned to a weight-1 row, and there
+    the greedy growth has never stopped short."""
+    edges: list[tuple[int, int]] = []
+    row, used = asg.row_mask(i), forbidden
     while len(edges) < size:
-        if not grow_one():
+        for u in _ids(row & ~used & ~asg.bad):
+            free = row & ~used & g._adj[u]
+            if free:
+                v = (free & -free).bit_length() - 1
+                edges.append((u, v))
+                used |= 1 << u | 1 << v
+                break
+        else:
             return None
     return edges
 
 
 def _covered_s_parity(asg: BlockAssignment, ledger: DeletionLedger,
                       i_star: int) -> int:
-    total = sum(len(asg.s_half[i_star][j]) for j in range(asg.r))
-    covered = sum(1 for v in ledger.covered
-                  if asg.v_block.get(v, (None,))[0] == i_star
-                  and asg.in_s_half(v))
-    return (total - covered) % 2
+    """The parity of row i_star's half side left outside the ledger."""
+    return sum((block & asg.half & ~ledger.covered).bit_count()
+               for block in asg.w[i_star]) % 2
 
 
 def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
@@ -663,7 +619,7 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
     before any route runs, so an odd half that nothing fixes fails the stage
     like any other shortfall."""
     s = asg.s
-    a_i = [len(asg.row_vertices(i)) - asg.weights[i] * total_target
+    a_i = [asg.row_mask(i).bit_count() - asg.weights[i] * total_target
            for i in range(s)]
     if sum(a_i) != 0:
         raise RecountFailure("rows", f"row excesses {a_i} do not cancel")
@@ -677,7 +633,7 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
         i_star = next(i for i in range(s) if asg.weights[i] == 2)
 
     matchings: dict[int, list] = {}
-    reserved: set[Vertex] = set()
+    reserved = 0
     for i in sorted(set(seq_plus)):
         if asg.weights[i] == 1:
             m = _row_edge_matching(g, asg, i, a_i[i], ledger.covered | reserved)
@@ -685,16 +641,17 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
                 raise StageFailure("rows", f"no usable matching of size {a_i[i]} "
                                            f"in row {i}")
             matchings[i] = m
-            for e in m:
-                reserved.update(e)
+            for u, v in m:
+                reserved |= 1 << u | 1 << v
 
     for i_from, i_to in zip(seq_plus, seq_minus):
         forb = ledger.covered | reserved
         if asg.weights[i_from] == 1:
             e = matchings[i_from].pop(0)
-            reserved.difference_update(e)
+            ends = 1 << e[0] | 1 << e[1]
+            reserved &= ~ends
             got = building_block(g, asg, "through_edge", rows=(i_from, i_to),
-                                 edge=e, forbidden=forb - set(e))
+                                 edge=e, forbidden=forb & ~ends)
         else:
             got = building_block(g, asg, "ij", rows=(i_from, i_to),
                                  forbidden=forb)
@@ -706,7 +663,7 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
 
     m1 = len(ledger.entries)
     for i in range(s):
-        got = len(asg.row_vertices(i) - ledger.covered)
+        got = (asg.row_mask(i) & ~ledger.covered).bit_count()
         want = asg.weights[i] * (total_target - m1)
         if got != want:
             raise RecountFailure("rows", f"row {i} has {got} vertices left, "
@@ -718,54 +675,43 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
 def _extremal_zero_excess_fix(g, asg, ledger, i_star):
     """Zero row excess but odd half size: trade one clique in and one out of
     the heavy row, or use one clique free of the half-parity demand;
-    StageFailure when no edge at a good vertex does either.  Γ itself never
+    StageFailure when no edge at a good vertex does either.  Edges (u, v)
+    are tried with u a good vertex, by ascending flat ids.  Γ itself never
     gets here: `solve` answers it before any route."""
+    adj, covered = g._adj, ledger.covered
     for i in range(asg.s):
         if i == i_star:
             continue
-        for j1 in range(asg.r):
-            for u in sorted(asg.y[i][j1] - ledger.covered):
-                for j2 in range(asg.r):
-                    if j2 == j1:
-                        continue
-                    for v in sorted(asg.w[i][j2] - ledger.covered):
-                        if not g.has_edge(u, v):
-                            continue
-                        k1 = building_block(
-                            g, asg, "through_edge", rows=(i, i_star),
-                            edge=(u, v), forbidden=ledger.covered - {u, v})
-                        if k1 is None:
-                            continue
-                        need = (_covered_s_parity(asg, ledger, i_star)
-                                + sum(1 for x in k1
-                                      if asg.v_block[x][0] == i_star
-                                      and asg.in_s_half(x))) % 2
-                        k2 = building_block(
-                            g, asg, "ij", rows=(i_star, i),
-                            parity=3 if need else 0,
-                            forbidden=ledger.covered | set(k1))
-                        if k2 is None:
-                            continue
-                        ledger.add(k1, "rows", f"dist:{i}->{i_star}")
-                        ledger.add(k2, "rows", f"dist:{i_star}->{i}")
-                        return
-    # an edge inside the heavy row crossing the half split
-    for j1 in range(asg.r):
-        for u in sorted(asg.y[i_star][j1] - ledger.covered):
-            for j2 in range(asg.r):
-                if j2 == j1:
+        row = asg.row_mask(i) & ~covered
+        for u in _ids(row & ~asg.bad):
+            for v in _ids(row & adj[u]):
+                k1 = building_block(g, asg, "through_edge", rows=(i, i_star),
+                                    edge=(u, v), forbidden=covered)
+                if k1 is None:
                     continue
-                for v in sorted(asg.w[i_star][j2] - ledger.covered):
-                    if not g.has_edge(u, v):
-                        continue
-                    if (asg.in_s_half(u) + asg.in_s_half(v)) != 1:
-                        continue
-                    k = building_block(
-                        g, asg, "outside_row", edge=(u, v),
-                        forbidden=ledger.covered - {u, v})
-                    if k is not None:
-                        ledger.add(k, "rows", f"halffix:{i_star}")
-                        return
+                need = (_covered_s_parity(asg, ledger, i_star)
+                        + _half_hits(asg, k1, i_star)) % 2
+                k1_mask = 0
+                for f in k1:
+                    k1_mask |= 1 << f
+                k2 = building_block(g, asg, "ij", rows=(i_star, i),
+                                    parity=3 if need else 0,
+                                    forbidden=covered | k1_mask)
+                if k2 is None:
+                    continue
+                ledger.add(k1, "rows", f"dist:{i}->{i_star}")
+                ledger.add(k2, "rows", f"dist:{i_star}->{i}")
+                return
+    # an edge inside the heavy row crossing the half split
+    row = asg.row_mask(i_star) & ~covered
+    for u in _ids(row & ~asg.bad):
+        across = ~asg.half if asg.half >> u & 1 else asg.half
+        for v in _ids(row & adj[u] & across):
+            k = building_block(g, asg, "outside_row", edge=(u, v),
+                               forbidden=covered)
+            if k is not None:
+                ledger.add(k, "rows", f"halffix:{i_star}")
+                return
     raise StageFailure(
         "rows", "no parity-fixing edge exists; structure matches the "
                 "extremal construction")
@@ -791,15 +737,16 @@ def prepare_multirow(g: MultipartiteGraph, asg: BlockAssignment,
                 if got is None:
                     raise StageFailure("prepare",
                                        f"spare clique shortfall for pair {(i, j)}")
-                if any(v in asg.bad for v in got):
+                if any(asg.bad >> f & 1 for f in got):
                     raise StageFailure("prepare", "spare clique touched a bad vertex")
                 if not is_ij_distributed(asg, got, i, j):
-                    raise RecountFailure("prepare", f"clique {got} is not "
+                    named = tuple(map(g.vertex, got))
+                    raise RecountFailure("prepare", f"clique {named} is not "
                                                     f"{(i, j)}-distributed")
                 ledger.add(got, "prepare", f"ij:{i},{j}")
     m12 = len(ledger.entries)
     for i in range(asg.s):
-        got = len(asg.row_vertices(i) - ledger.covered)
+        got = (asg.row_mask(i) & ~ledger.covered).bit_count()
         want = asg.weights[i] * (total_target - m12)
         if got != want:
             raise RecountFailure("prepare", f"row {i} off target after spares")
@@ -817,15 +764,17 @@ def cover_and_divisibility(g: MultipartiteGraph, asg: BlockAssignment,
     modulus = r * factorial(r)
     m12 = len(ledger.entries)
     count = 0
-    for v in sorted(asg.bad):
-        if v in ledger.covered:
+    for v in _ids(asg.bad):
+        if ledger.covered >> v & 1:
             continue
         got = building_block(g, asg, "through_vertex", vertex=v,
                              forbidden=ledger.covered)
         if got is None:
-            raise StageFailure("cover", f"bad vertex {v} cannot be covered")
+            raise StageFailure("cover",
+                               f"bad vertex {g.vertex(v)} cannot be covered")
         if not is_properly_distributed(asg, got):
-            raise RecountFailure("cover", f"covering clique {got} not proper")
+            raise RecountFailure("cover", "covering clique "
+                                          f"{tuple(map(g.vertex, got))} not proper")
         ledger.add(got, "cover", "proper")
         count += 1
     residue = (total_target - m12) % modulus
@@ -841,17 +790,23 @@ def cover_and_divisibility(g: MultipartiteGraph, asg: BlockAssignment,
         if got is None:
             raise StageFailure("cover", "proper filler clique unavailable")
         if not is_properly_distributed(asg, got):
-            raise RecountFailure("cover", f"filler clique {got} not proper")
+            raise RecountFailure("cover", "filler clique "
+                                          f"{tuple(map(g.vertex, got))} not proper")
         ledger.add(got, "cover", "proper")
         count += 1
-    leftover = set(asg.bad) - ledger.covered
+    leftover = asg.bad & ~ledger.covered
     if leftover:
-        raise RecountFailure("cover", f"bad vertices uncovered: {sorted(leftover)[:3]}")
+        raise RecountFailure("cover", "bad vertices uncovered: "
+                                      f"{[g.vertex(f) for f in _ids(leftover)][:3]}")
     if (total_target - len(ledger.entries)) % modulus:
         raise RecountFailure("cover", "remaining clique count misses the modulus")
 
 
 # -- stage 4: balancing columns -------------------------------------------------------
+
+
+def _covered_per_class(g: MultipartiteGraph, ledger: DeletionLedger) -> list[int]:
+    return [(ledger.covered & g.class_mask(j)).bit_count() for j in range(g.r)]
 
 
 def balance_columns(g: MultipartiteGraph, asg: BlockAssignment,
@@ -862,8 +817,7 @@ def balance_columns(g: MultipartiteGraph, asg: BlockAssignment,
     the greedy column pattern that builds every deleted clique already keeps
     the classes even, so this stage deletes nothing; uneven classes raise
     StageFailure and leave the graph to the fallback."""
-    per_class = [sum(1 for v in ledger.covered if v[0] == j)
-                 for j in range(asg.r)]
+    per_class = _covered_per_class(g, ledger)
     if len(set(per_class)) > 1:
         raise StageFailure("columns", f"classes uneven: {per_class}",
                            detail=per_class)
@@ -890,23 +844,24 @@ def balance_blocks(g: MultipartiteGraph, asg: BlockAssignment,
     if m_rem % (r * factorial(r)):
         raise RecountFailure("blocks", "remaining clique count misses r*r!")
     n_prime = m_rem // r
-    rows = tuple(tuple(frozenset(v[1] for v in asg.w[i][j] - ledger.covered)
-                       for j in range(r)) for i in range(s))
-    q = [[len(rows[i][j]) - asg.weights[i] * n_prime for j in range(r)]
+    left = [[block & ~ledger.covered for block in row] for row in asg.w]
+    q = [[left[i][j].bit_count() - asg.weights[i] * n_prime for j in range(r)]
          for i in range(s)]
     if any(map(any, q)):
         raise StageFailure("blocks", "block sizes miss weight * unit", detail=q)
-    survivors_bad = [v for v in asg.bad if v not in ledger.covered]
+    survivors_bad = asg.bad & ~ledger.covered
     if survivors_bad:
-        raise RecountFailure("blocks", f"bad vertex survived: {survivors_bad[:3]}")
-    xprime = RowDecomposition(asg.weights, n_prime, rows)
+        named = [g.vertex(f) for f in _ids(survivors_bad)]
+        raise RecountFailure("blocks", f"bad vertex survived: {named[:3]}")
+    xprime = RowDecomposition(asg.weights, n_prime, tuple(
+        tuple(frozenset(f - g._off[j] for f in _ids(left[i][j]))
+              for j in range(r)) for i in range(s)))
     audit = None
     if s > 1 and n_prime > 0:
-        masks = block_masks(g, xprime)
         audit = min(    # twins share a row: read each distinct row once
-            (row & masks[i2][j2]).bit_count()
+            (row & left[i2][j2]).bit_count()
             for i in range(s) for j in range(r)
-            for row in {g._adj[g._off[j] + o] for o in xprime.rows[i][j]}
+            for row in {g._adj[f] for f in _ids(left[i][j])}
             for i2 in range(s) if i2 != i for j2 in range(r) if j2 != j)
     return xprime, audit
 
@@ -923,9 +878,9 @@ def _pair_complete_row_packing(g, asg, xprime, i) -> CliquePacking:
     sub, to_sub, _ = _induced_row(g, xprime, i)
     halves = []
     for j in range(xprime.r):
-        half = sorted(to_sub[v][1] for v in asg.s_half[i][j]
-                      if v[1] in xprime.rows[i][j] and v[0] == j)
-        halves.append(half)
+        side = asg.half >> g._off[j]
+        halves.append([t for t, o in enumerate(sorted(xprime.rows[i][j]))
+                       if side >> o & 1])
     try:
         packing = pair_complete_balanced_matching(sub, halves)
     except ObstructionError as e:
@@ -1254,7 +1209,7 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
                             for j in range(r)]
     bad_slack = max(1, (2 * decomp.unit) // 5)   # per-unit non-neighbours
     asg = classify_bad_vertices(g, decomp, pc_halves, bad_slack)
-    stages.append({"name": "classify", "bad": len(asg.bad),
+    stages.append({"name": "classify", "bad": asg.bad.bit_count(),
                    "pair_complete_rows": sorted(asg.pc_rows)})
 
     ledger = DeletionLedger(g)
@@ -1265,8 +1220,8 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
     balance_rows(g, asg, ledger, total_target, extremal)
     m1 = len(ledger.stage_cliques("rows"))
     stages.append({"name": "rows", "deleted": m1,
-                   "recounts": {"rows_left": [len(asg.row_vertices(i)
-                                                  - ledger.covered)
+                   "recounts": {"rows_left": [(asg.row_mask(i)
+                                               & ~ledger.covered).bit_count()
                                               for i in range(decomp.s)]}})
     prepare_multirow(g, asg, ledger, total_target)
     stages.append({"name": "prepare",
@@ -1278,15 +1233,11 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
     balance_columns(g, asg, ledger, total_target)
     stages.append({"name": "columns", "deleted": 0,
                    "recounts": {"covered_per_class":
-                                [sum(1 for v in ledger.covered if v[0] == j)
-                                 for j in range(r)]}})
+                                _covered_per_class(g, ledger)}})
     xprime, audit = balance_blocks(g, asg, ledger, total_target)
     stages.append({"name": "blocks", "deleted": 0,
                    "unit": xprime.unit, "min_diagonal_degree": audit,
                    "recounts": {"block_sizes_ok": True}})
-    problems = ledger.verify()
-    if problems:
-        raise RecountFailure("ledger", problems[0])
 
     row_packings = fix_row_parity_and_matchability(g, asg, xprime, params)
     stages.append({"name": "rowpack", "unit": xprime.unit})
@@ -1294,7 +1245,8 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
     stages.append({"name": "glue",
                    "sigma_min_degrees": [e["min_degree"] for e in glue.sigma_log]})
 
-    cliques = list(glue.packing.cliques) + [e.clique for e in ledger.entries]
+    cliques = list(glue.packing.cliques) + [tuple(map(g.vertex, e.clique))
+                                            for e in ledger.entries]
     packing = CliquePacking(sorted(cliques))
     problems = packing.verify(g, perfect=True)
     if problems:

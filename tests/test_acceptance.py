@@ -10,8 +10,9 @@ from math import factorial
 import pytest
 
 from partite_packing.cli import main as cli_main
-from partite_packing.graphs import (MultipartiteGraph, build_gamma,
-                                    complete_multipartite, packing_from_json,
+from partite_packing.graphs import (CliquePacking, MultipartiteGraph,
+                                    build_gamma, complete_multipartite,
+                                    packing_from_json,
                                     packing_to_json, partite_min_degree)
 from partite_packing.matching import (ParityObstruction,
                                       bipartite_maximum_matching,
@@ -400,16 +401,16 @@ def test_stage_recounts_100():
         balance_rows(g, asg, ledger, total_target, False)
         m1 = len(ledger)
         for i in range(2):
-            assert len(asg.row_vertices(i) - ledger.covered) \
+            assert (asg.row_mask(i) & ~ledger.covered).bit_count() \
                 == decomp.weights[i] * (total_target - m1)
 
         prepare_multirow(g, asg, ledger, total_target)
         cover_and_divisibility(g, asg, ledger, total_target)
-        assert all(v in ledger.covered for v in asg.bad)
+        assert asg.bad & ~ledger.covered == 0
         assert (total_target - len(ledger)) % (r * factorial(r)) == 0
 
         balance_columns(g, asg, ledger, total_target)
-        per_class = [sum(1 for v in ledger.covered if v[0] == j)
+        per_class = [(ledger.covered & g.class_mask(j)).bit_count()
                      for j in range(r)]
         assert len(set(per_class)) == 1
         assert ledger.stage_cliques("columns") == []
@@ -420,7 +421,8 @@ def test_stage_recounts_100():
         for i in range(xprime.s):
             for j in range(r):
                 assert len(xprime.rows[i][j]) == xprime.weights[i] * xprime.unit
-        assert ledger.verify() == []
+        assert CliquePacking([tuple(g.vertex(f) for f in e.clique)
+                              for e in ledger.entries]).verify(g) == []
 
 
 # -- 9. gluing ------------------------------------------------------------------------------------
@@ -465,7 +467,7 @@ def test_glue_50():
         g, decomp, pc_halves = _glue_instance(seed)
         asg = classify_bad_vertices(g, decomp, pc_halves,
                                     max(1, 2 * decomp.unit // 5))
-        assert asg.bad == set()
+        assert asg.bad == 0
         packings = fix_row_parity_and_matchability(g, asg, decomp,
                                                    PipelineParams())
         glue = glue_rows(g, decomp, packings)

@@ -79,6 +79,26 @@ def test_verify_catches_tampering(tmp_path):
     assert not out["ok"] and out["violations"]
 
 
+def test_verify_reports_out_of_range_vertices_and_empty_cliques(tmp_path):
+    # a packing naming a vertex outside the graph, or holding an empty
+    # clique, gets a written report with ok false and exit 1
+    g_path = str(tmp_path / "g.json")
+    pk = tmp_path / "pk.json"
+    ver = tmp_path / "v.json"
+    assert run(["gen", "complete", "--n", "2", "--r", "2", "-o", g_path]) == 0
+    pk.write_text(json.dumps({"cliques": [[[0, 0], [1, 5]], [[0, 1], [1, 0]]]}))
+    assert run(["verify", "--packing", str(pk), "--graph", g_path,
+                "-o", str(ver)]) == 1
+    out = json.loads(ver.read_text())
+    assert not out["ok"] and "vertex (1, 5) out of range" in out["violations"]
+    ver.unlink()
+    pk.write_text(json.dumps({"cliques": [[]]}))
+    assert run(["verify", "--packing", str(pk), "--graph", g_path, "--partial",
+                "-o", str(ver)]) == 1
+    assert json.loads(ver.read_text()) == {"ok": False,
+                                           "violations": ["clique 0 is empty"]}
+
+
 def test_verify_rejects_mixed_clique_sizes(tmp_path):
     # one triangle, one edge and four single vertices cover complete 3x3
     g_path = str(tmp_path / "g.json")

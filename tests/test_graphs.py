@@ -440,6 +440,20 @@ def test_packing_verify_and_json():
     assert any("not covered" in p for p in gap.verify(g, perfect=True))
 
 
+def test_packing_verify_reports_out_of_range_vertices_and_empty_cliques():
+    # a vertex outside the graph is a violation, not an exception, and its
+    # pairs are left out of the edge check; an empty clique is a violation
+    g = complete_multipartite([2, 2])
+    stray = CliquePacking([((0, 0), (1, 5)), ((0, 1), (-1, 0))])
+    assert stray.verify(g) == ["vertex (1, 5) out of range",
+                               "vertex (-1, 0) out of range"]
+    assert stray.verify(g, perfect=True)[:2] == ["vertex (1, 5) out of range",
+                                                 "vertex (-1, 0) out of range"]
+    assert CliquePacking([()]).verify(g) == ["clique 0 is empty"]
+    assert CliquePacking([((0, 0), (1, 0)), ()]).verify(g) == [
+        "clique 1 is empty", "clique 1 has 0 vertices, clique 0 has 2"]
+
+
 def test_packing_verify_rejects_mixed_clique_sizes():
     # a triangle, an edge and four single vertices cover complete 3x3
     g = complete_multipartite([3, 3, 3])

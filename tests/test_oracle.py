@@ -146,6 +146,23 @@ def test_check_barrier_reports_malformed_barriers():
     assert check_barrier(gam.graph, gam.subparts,
                          dict(good, gamma=[3, 5, 0])) == [
         "k = 0 is not a clique size"]
+    # fields of the wrong shape or type, as a JSON document may hold them
+    for change, want in [
+            ({"gamma": [3, 5]}, "gamma is not three integers"),
+            ({"gamma": "x"}, "gamma is not three integers"),
+            ({"gamma": [3, 5, "3"]}, "gamma is not three integers"),
+            ({"gamma": [3, 5, True]}, "gamma is not three integers"),
+            ({"scale": None}, "scale is not an integer"),
+            ({"scale": False}, "scale is not an integer"),
+            ({"p": None}, "p is not a list of integers"),
+            ({"y": good["y"][:-1] + ["a"]}, "y is not a list of integers"),
+            ({"y": good["y"][:-1] + [1.0]}, "y is not a list of integers"),
+            ({"p": 7}, "p is not a list of integers")]:
+        assert check_barrier(gam.graph, gam.subparts,
+                             dict(good, **change)) == [want], change
+    assert check_barrier(gam.graph, gam.subparts,
+                         dict(good, scale="1", y=None)) == [
+        "scale is not an integer", "y is not a list of integers"]
 
 
 def moved(labels, v, part):

@@ -60,16 +60,32 @@ def make_assignment(g, decomp, pc=None, bad_slack=None):
     return classify_bad_vertices(g, decomp, pc or {}, bad_slack)
 
 
+def bad_blocks_of(g, asg, v):
+    """The blocks (i, j), j not v's class, that are bad for vertex v."""
+    return {(i, j) for i in range(asg.s) for j in range(asg.r)
+            if j != v[0] and asg.is_block_bad_for(g.flat(v), i, j)}
+
+
+def has(mask, g, v):
+    """Whether the flat-id mask holds vertex v."""
+    return bool(mask >> g.flat(v) & 1)
+
+
+def half_hits(asg, clique, i):
+    """Plain count of the clique's vertices on row i's half side."""
+    return sum(1 for f in clique if asg.row_of(f) == i and asg.half >> f & 1)
+
+
 # -- classification ------------------------------------------------------------------
 
 
 def test_classify_clean_blow_up():
     g, decomp = planted_two_row(n=2)
     asg = make_assignment(g, decomp)
-    assert asg.bad == set()
+    assert asg.bad == 0
     for i in range(2):
         for j in range(4):
-            assert asg.w[i][j] == set(decomp.block_vertices(i, j))
+            assert asg.w[i][j] == g.mask_of(decomp.block_vertices(i, j))
 
 
 def test_classify_planted_bad_vertex_moves_rows():
@@ -78,10 +94,10 @@ def test_classify_planted_bad_vertex_moves_rows():
     drop = [((0, 0), (1, o)) for o in range(4, 6)]
     g = g.without_edges(drop)
     asg = make_assignment(g, decomp, bad_slack=1)
-    assert (0, 0) in asg.bad
-    assert (0, 0) in asg.w[1][0]       # reassigned to the row it is bad for
-    assert (0, 0) not in asg.w[0][0]
-    assert asg.bad_blocks_of((0, 0)) == frozenset({(1, 1)})
+    assert has(asg.bad, g, (0, 0))
+    assert has(asg.w[1][0], g, (0, 0))  # reassigned to the row it is bad for
+    assert not has(asg.w[0][0], g, (0, 0))
+    assert bad_blocks_of(g, asg, (0, 0)) == {(1, 1)}
 
 
 def test_classify_fill_vertices_are_bad():
@@ -90,7 +106,7 @@ def test_classify_fill_vertices_are_bad():
         (2, 1), 2, ((frozenset(range(4)), frozenset(range(4))),
                     (frozenset(range(4, 6)), frozenset(range(4, 6)))))
     asg = make_assignment(g, decomp)
-    assert (0, 6) in asg.bad and (1, 6) in asg.bad
+    assert has(asg.bad, g, (0, 6)) and has(asg.bad, g, (1, 6))
 
 
 def test_classify_pc_half_membership_rule():
@@ -101,11 +117,11 @@ def test_classify_pc_half_membership_rule():
     add = [((0, 0), (j, o)) for j in range(1, 4) for o in range(2, 4)]
     g = g.without_edges(drop).with_edges(add)
     asg = make_assignment(g, decomp, pc=pc, bad_slack=1)
-    assert (0, 0) in asg.bad
+    assert has(asg.bad, g, (0, 0))
     assert 0 in asg.pc_rows
-    i, j = asg.v_block[(0, 0)]
+    i, j = asg.row_of(g.flat((0, 0))), 0
     if i == 0:
-        assert (0, 0) not in asg.s_half[0][j]
+        assert not has(asg.half & asg.w[0][j], g, (0, 0))
 
 
 def test_bad_block_table_at_most_one_per_column():
@@ -114,7 +130,7 @@ def test_bad_block_table_at_most_one_per_column():
         asg = make_assignment(g, decomp)
         for v in g.vertices():
             per_col = {}
-            for (i, j) in asg.bad_blocks_of(v):
+            for (i, j) in bad_blocks_of(g, asg, v):
                 per_col[j] = per_col.get(j, 0) + 1
             assert all(c <= 1 for c in per_col.values())
 
@@ -149,12 +165,61 @@ def recount_bad(g, decomp, pc, bad_slack):
     return bad
 
 
+def recount_placement(g, decomp, pc, bad):
+    """Plain-loop containers and half side for the given bad set: a bad
+    vertex goes to the row holding the most blocks bad for it (more than n/2
+    non-neighbours in X^i2_j2, j2 not its class), ties to the lowest row; a
+    two-half row's half holds its side T minus the bad vertices, plus each
+    bad vertex of its containers with at least n/2 neighbours in another
+    class's T.  Returns (w, half) as sets of vertices."""
+    s, r, n = decomp.s, decomp.r, decomp.unit
+    w = [[{v for v in decomp.block_vertices(i, j) if v not in bad}
+          for j in range(r)] for i in range(s)]
+    for v in sorted(bad):
+        counts = [0] * s
+        for i in range(s):
+            for j in range(r):
+                misses = sum(1 for u in decomp.block_vertices(i, j)
+                             if u != v and not g.has_edge(v, u))
+                if j != v[0] and 2 * misses > n:
+                    counts[i] += 1
+        target = 0
+        for i in range(s):
+            if counts[i] > counts[target]:
+                target = i
+        w[target][v[0]].add(v)
+    half = set()
+    for i in pc:
+        for j in range(r):
+            half |= {(j, o) for o in pc[i][j]} - bad
+            for v in w[i][j] & bad:
+                for j2 in range(r):
+                    deg = sum(1 for o in pc[i][j2] if g.has_edge(v, (j2, o)))
+                    if j2 != j and 2 * deg >= n:
+                        half.add(v)
+    return w, half
+
+
+def check_classified(g, decomp, pc, bad_slack, want):
+    """classify_bad_vertices against the plain-loop recounts: its bad set is
+    `want`, and its containers and half side are `recount_placement`'s.
+    Returns the recounted containers and half side."""
+    asg = classify_bad_vertices(g, decomp, pc, bad_slack)
+    assert asg.bad == g.mask_of(want)
+    w, half = recount_placement(g, decomp, pc, want)
+    assert asg.w == [[g.mask_of(block) for block in blocks] for blocks in w]
+    assert asg.half == g.mask_of(half)
+    return w, half
+
+
 def test_classify_bad_set_matches_recount():
     """`classify_bad_vertices` decides once per block and neighbourhood; on
     twin-heavy two-row graphs with planted bad twins, weak halves and noise,
-    its bad set equals a `has_edge` recount."""
+    its bad set equals a `has_edge` recount, and so do the containers its
+    bad vertices move to and its half side."""
     n, r = 4, 4
     sizes = []
+    half_bad = Counter()    # bad vertices of two-half containers: in half?
     for seed in range(6):
         g, decomp = planted_two_row(r=r, n=n, seed=seed, pc_row=True,
                                     diag_delete=0.04 * (seed % 2))
@@ -166,6 +231,12 @@ def test_classify_bad_set_matches_recount():
         v = (2, n + seed % n)
         drop += [(v, (j, o)) for j in (0, 1, 3) for o in range(n, 2 * n)]
         add = [(v, (j, o)) for j in (0, 1, 3) for o in range(n)]
+        # a vertex outside the half of class 1 loses its side and keeps
+        # exactly n/2 neighbours in the half of class 0: bad, and on the half
+        # side by the rule's bound
+        u = (1, n + (seed + 1) % n)
+        drop += [(u, (j, o)) for j in (0, 2, 3) for o in range(n, 2 * n)]
+        add += [(u, (0, o)) for o in range(n // 2)]
         g = g.without_edges(drop).with_edges(add)
         # row 0 alone: no diagonal blocks, so only its halves can be weak
         row, _, _ = g.induced([range(2 * n)] * r)
@@ -173,15 +244,33 @@ def test_classify_bad_set_matches_recount():
                                                for _ in range(r)),))
         for bad_slack in (1, 2):
             want = recount_bad(g, decomp, pc, bad_slack)
-            assert classify_bad_vertices(g, decomp, pc, bad_slack).bad == want
-            assert {(0, seed), (0, seed + 1), v} <= want
+            w, half = check_classified(g, decomp, pc, bad_slack, want)
+            half_bad.update(u in half for block in w[0] for u in block & want)
+            assert {(0, seed), (0, seed + 1), v, u} <= want and u in half
             sizes.append(len(want))
             want = recount_bad(row, one, pc, bad_slack)
-            assert classify_bad_vertices(row, one, pc, bad_slack).bad == want
+            check_classified(row, one, pc, bad_slack, want)
             assert v in want
-            assert classify_bad_vertices(row, one, {}, bad_slack).bad == set()
+            assert classify_bad_vertices(row, one, {}, bad_slack).bad == 0
     # the planted vertices are not all: noise and slack 1 add more
     assert max(sizes) > 3 and min(sizes) < g.n_vertices
+    # the half rule both admits and leaves out bad vertices
+    assert half_bad[True] and half_bad[False]
+
+    # without halves, noise sends bad vertices from each row to the other,
+    # and leaves some (ties included) in their own row
+    moves = Counter()
+    for seed in range(6):
+        g, decomp = planted_two_row(r=r, n=n, seed=seed, diag_delete=0.2)
+        home = {u: i for i in range(2) for j in range(r)
+                for u in decomp.block_vertices(i, j)}
+        for bad_slack in (1, 2):
+            want = recount_bad(g, decomp, {}, bad_slack)
+            w, half = check_classified(g, decomp, {}, bad_slack, want)
+            assert half == set()
+            moves.update((home[u], i) for i in range(2) for block in w[i]
+                         for u in block & want)
+    assert moves[0, 1] and moves[1, 0] and moves[0, 0]
 
 
 # -- building blocks ------------------------------------------------------------------
@@ -199,7 +288,8 @@ def test_extend_clique_reports_failing_step():
     g, decomp = planted_two_row(n=2)
     asg = make_assignment(g, decomp)
     forbidden = set(decomp.block_vertices(1, 2))
-    got = extend_clique(g, asg, [], {0: (0, 1), 1: (2,)}, forbidden=forbidden)
+    got = extend_clique(g, asg, [], {0: (0, 1), 1: (2,)},
+                        forbidden=g.mask_of(forbidden))
     assert got is None
 
 
@@ -214,14 +304,14 @@ def test_extend_clique_checks_conditions():
 def test_building_block_through_vertex_and_ij():
     g, decomp = planted_two_row(n=2)
     asg = make_assignment(g, decomp)
-    v = (2, 0)
+    v = g.flat((2, 0))
     got = building_block(g, asg, "through_vertex", vertex=v)
     assert got is not None and v in got and is_properly_distributed(asg, got)
 
     got = building_block(g, asg, "ij", rows=(0, 1))
     assert got is not None and is_ij_distributed(asg, got, 0, 1)
 
-    u, w = (0, 4), (1, 5)   # both in the weight-1 row
+    u, w = g.flat((0, 4)), g.flat((1, 5))   # both in the weight-1 row
     got = building_block(g, asg, "through_edge", rows=(1, 0), edge=(u, w))
     assert got is not None and is_ij_distributed(asg, got, 1, 0)
     assert u in got and w in got
@@ -235,9 +325,7 @@ def test_building_block_pc_parity_controls():
     for b in (0, 3):
         got = building_block(g, asg, "ij", rows=(0, 1), parity=b)
         assert got is not None
-        in_s = sum(1 for v in got if asg.v_block[v][0] == 0
-                   and asg.in_s_half(v))
-        assert in_s == b
+        assert half_hits(asg, got, 0) == b
     proper = building_block(g, asg, "proper")
     assert proper is not None and is_properly_distributed(asg, proper)
 
@@ -254,7 +342,8 @@ def run_stages(g, decomp, pc=None, extremal=False):
     cover_and_divisibility(g, asg, ledger, total_target)
     balance_columns(g, asg, ledger, total_target)
     xprime, audit = balance_blocks(g, asg, ledger, total_target)
-    assert ledger.verify() == []
+    assert CliquePacking([tuple(g.vertex(f) for f in e.clique)
+                          for e in ledger.entries]).verify(g) == []
     return asg, ledger, xprime, audit
 
 
@@ -281,7 +370,7 @@ def test_stage_rows_corrects_one_moved_vertex():
     drop = [((0, 0), (1, o)) for o in range(16, 24)]
     g = g.without_edges(drop)
     asg = make_assignment(g, decomp, bad_slack=3)
-    assert asg.v_block[(0, 0)] == (1, 0)
+    assert has(asg.w[1][0], g, (0, 0))
     ledger = DeletionLedger(g)
     total_target = g.r * g.class_sizes[0] // 3
     balance_rows(g, asg, ledger, total_target, False)
@@ -289,7 +378,7 @@ def test_stage_rows_corrects_one_moved_vertex():
     clique = ledger.entries[0].clique
     assert is_ij_distributed(asg, clique, 1, 0)
     for i in range(2):
-        left = len(asg.row_vertices(i) - ledger.covered)
+        left = (asg.row_mask(i) & ~ledger.covered).bit_count()
         assert left == decomp.weights[i] * (total_target - 1)
 
 
@@ -298,7 +387,8 @@ def test_stage_cover_divisibility_and_columns():
     asg, ledger, xprime, audit = run_stages(g, decomp)
     r = 4
     assert (g.r * g.class_sizes[0] // 3 - len(ledger)) % (r * factorial(r)) == 0
-    per_class = [sum(1 for v in ledger.covered if v[0] == j) for j in range(r)]
+    per_class = [(ledger.covered & g.class_mask(j)).bit_count()
+                 for j in range(r)]
     assert len(set(per_class)) == 1
     assert xprime.unit % factorial(r) == 0
     assert xprime.unit >= 8
@@ -336,8 +426,9 @@ def test_stage_columns_fails_on_skewed_classes():
     pairs += [((0, 20 + t), (1, 26 + t)) for t in range(2)]
     pairs += [((0, 30 + t), (2, 26 + t)) for t in range(2)]
     for u, v in pairs:
-        ledger.add((u, v), "cover", "proper")
-    per_class = [sum(1 for v in ledger.covered if v[0] == j) for j in range(r)]
+        ledger.add((g.flat(u), g.flat(v)), "cover", "proper")
+    per_class = [(ledger.covered & g.class_mask(j)).bit_count()
+                 for j in range(r)]
     assert per_class == [8, 6, 4]
     with pytest.raises(StageFailure) as err:
         balance_columns(g, asg, ledger, total_target)
@@ -377,7 +468,8 @@ def test_stage_blocks_fails_on_block_skew():
         for _ in range(count):
             got = extend_clique(g, asg, [], pattern, forbidden=ledger.covered)
             ledger.add(got, "cover", "proper")
-    per_class = [sum(1 for v in ledger.covered if v[0] == j) for j in range(r)]
+    per_class = [(ledger.covered & g.class_mask(j)).bit_count()
+                 for j in range(r)]
     assert len(set(per_class)) == 1
     with pytest.raises(StageFailure) as err:
         balance_blocks(g, asg, ledger, total_target)
@@ -710,8 +802,8 @@ def test_solve_builds_through_edge_near_gamma(monkeypatch):
     assert counts == {("through_edge", True, True): 1, ("ij", True, True): 1,
                       ("proper", True, False): 13}
     gamma = build_gamma(9, 5, 3).graph
-    assert any(not gamma.has_edge(a, b) for a in through[0] for b in through[0]
-               if a < b)
+    assert any(not gamma.has_edge(g.vertex(a), g.vertex(b))
+               for a in through[0] for b in through[0] if a < b)
     stages = {s["name"]: s for s in res.stages}
     assert stages["classify"]["pair_complete_rows"] == [1]
     assert stages["rows"]["deleted"] == 2
@@ -816,9 +908,8 @@ def test_balance_rows_extremal_parity_fix_via_mixed_edge():
     balance_rows(g, asg, ledger, total_target, extremal=True)
     assert len(ledger) == 1
     clique = ledger.entries[0].clique
-    s_hit = sum(1 for v in clique if asg.v_block[v][0] == 0
-                and asg.in_s_half(v))
-    assert s_hit % 2 == 1  # the parity-fixing clique crosses the half split
+    # the parity-fixing clique crosses the half split
+    assert half_hits(asg, clique, 0) % 2 == 1
 
 
 def test_balance_rows_extremal_candidate_report():
@@ -844,7 +935,7 @@ def test_balance_rows_extremal_positive_excess_fails():
                       for o in range(n, 2 * n)])
     g = g.without_edges([((0, 0), (1, o)) for o in range(2 * n, 3 * n)])
     asg = make_assignment(g, decomp, pc=pc)
-    assert asg.bad == {(0, 0)} and asg.v_block[(0, 0)] == (1, 0)
+    assert asg.bad == g.mask_of([(0, 0)]) and has(asg.w[1][0], g, (0, 0))
     ledger = DeletionLedger(g)
     with pytest.raises(StageFailure) as err:
         balance_rows(g, asg, ledger, r * n, extremal=True)
@@ -924,7 +1015,7 @@ def test_rowpack_fails_on_a_row_without_a_balanced_packing():
     # perfect matchings but no balanced one, and rowpack does not repair it
     g, decomp = _embed_heavy_row(twisted_two_half_row(5, 2), 1, 2)
     asg = make_assignment(g, decomp)
-    assert asg.bad == set() and asg.pc_rows == set()
+    assert asg.bad == 0 and asg.pc_rows == set()
     with pytest.raises(StageFailure) as err:
         fix_row_parity_and_matchability(g, asg, decomp, PipelineParams())
     assert err.value.stage == "rowpack"
@@ -946,7 +1037,7 @@ def test_rowpack_fails_on_an_odd_surviving_half():
                     tuple(frozenset(range(8, 11)) for _ in range(r))))
     # the surviving half holds three vertices of each of five classes
     assert sum(1 for j in range(r) for o in xprime.rows[0][j]
-               if (j, o) in asg.s_half[0][j]) == 15
+               if has(asg.half & asg.w[0][j], g, (j, o))) == 15
     with pytest.raises(StageFailure) as err:
         fix_row_parity_and_matchability(g, asg, xprime, PipelineParams())
     assert err.value.stage == "rowpack"
@@ -967,7 +1058,7 @@ def test_rowpack_routes_a_two_half_row_around_missing_edges(monkeypatch):
                                               for _ in range(3)),))
     asg = make_assignment(g, decomp, pc={0: [{0, 1} for _ in range(3)]},
                           bad_slack=2)
-    assert asg.bad == set() and asg.pc_rows == {0}
+    assert asg.bad == 0 and asg.pc_rows == {0}
     packs = fix_row_parity_and_matchability(g, asg, decomp, PipelineParams())
     assert packs[0].verify(g, perfect=True) == []
     assert packs[0].is_balanced()
@@ -982,9 +1073,8 @@ def test_extremal_zero_excess_fix_via_unit_row_edge():
     ledger = DeletionLedger(g)
     balance_rows(g, asg, ledger, r * 3 * n // 3, extremal=True)
     assert len(ledger) == 2
-    s_total = sum(len(asg.s_half[0][j]) for j in range(r))
-    covered_s = sum(1 for v in ledger.covered
-                    if asg.v_block[v][0] == 0 and asg.in_s_half(v))
+    s_total = sum((asg.half & asg.w[0][j]).bit_count() for j in range(r))
+    covered_s = (ledger.covered & asg.half & asg.row_mask(0)).bit_count()
     assert (s_total - covered_s) % 2 == 0
 
 
@@ -1032,9 +1122,8 @@ def test_balance_columns_fails_on_tiny_skewed_classes():
     decomp = RowDecomposition((1, 1), n, rows)
     asg = make_assignment(g, decomp)
     ledger = DeletionLedger(g)
-    ledger.add(((0, 0), (1, 0)), "cover", "proper")
-    ledger.add(((0, 1), (1, 1)), "cover", "proper")
-    ledger.add(((0, 2), (2, 0)), "cover", "proper")
+    for u, v in [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (2, 0))]:
+        ledger.add((g.flat(u), g.flat(v)), "cover", "proper")
     with pytest.raises(StageFailure) as err:
         balance_columns(g, asg, ledger, r * size // k)
     assert (err.value.stage, err.value.reason, err.value.detail) == (
