@@ -2,8 +2,9 @@
 
 Generation of extremal and barrier instances, structural detection
 (splittability, two-half rows, index-lattice obstructions), constructive
-matching subroutines, a staged deletion pipeline with exact recounts, and an
-exhaustive oracle for desk-scale ground truth.
+matching subroutines, a staged deletion pipeline whose assembled packing is
+checked once by plain loops, and an exhaustive oracle for desk-scale ground
+truth.
 """
 
 from .graphs import (CliquePacking, GammaGraph, MultipartiteGraph,

@@ -113,10 +113,7 @@ def _solve_result_json(res) -> str:
 
 def cmd_solve(args) -> int:
     g, _ = _read_graph(args.input)
-    params = PipelineParams(budget=args.budget, seed=args.seed)
-    if args.threshold_d is not None:
-        params.pc_threshold = args.threshold_d
-    res = solve(g, args.k, params)
+    res = solve(g, args.k, PipelineParams(budget=args.budget, seed=args.seed))
     _write_atomic(args.output, _solve_result_json(res))
     return {"packed": 0, "extremal": 2, "diagnosis": 3}[res.status]
 
@@ -180,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--input", required=True)
     sol.add_argument("--k", type=int, required=True)
     sol.add_argument("--budget", type=int, default=2_000_000)
-    sol.add_argument("--threshold-d", type=_rational, default=None)
     sol.add_argument("--seed", type=int, default=0)
     sol.add_argument("--output", "-o", default="-")
     sol.set_defaults(func=cmd_solve)

@@ -271,19 +271,20 @@ def index_set(s: Iterable[Vertex]) -> frozenset[int]:
 
 
 def partite_min_degree(g: MultipartiteGraph) -> int:
-    """min over vertices v and classes c != class(v) of |N(v) & V_c|."""
+    """min over vertices v and classes c != class(v) of |N(v) & V_c|.  The
+    degrees depend only on v's class and adjacency row, so each distinct
+    (class, row) pair is counted once."""
     if g.r < 2:
         raise ValueError("needs at least two classes")
-    best = None
-    for v in g.vertices():
-        for c in range(g.r):
-            if c == v[0]:
-                continue
-            d = g.degree_in_class(v, c)
+    masks, best = g._class_masks, None
+    for c, size in enumerate(g.class_sizes):
+        others, start = masks[:c] + masks[c + 1:], g._off[c]
+        for row in set(g._adj[start:start + size]):
+            d = min((row & m).bit_count() for m in others)
+            if d == 0:
+                return 0
             if best is None or d < best:
                 best = d
-                if best == 0:
-                    return 0
     return 0 if best is None else best
 
 

@@ -211,10 +211,6 @@ def pair_complete_balanced_matching(g: MultipartiteGraph,
 
     x_rest = [[o for o in x_sets[j] if (j, o) not in used] for j in range(r)]
     y_rest = [[o for o in y_sets[j] if (j, o) not in used] for j in range(r)]
-    assert all(len(x_rest[j]) == n_prime for j in range(r))
-    m_y = len(y_rest[0])
-    assert all(len(y_rest[j]) == m_y for j in range(r))
-    assert m_y % (r - 1) == 0
 
     edges += _chunked_index_matchings(g, x_rest, "X")
     edges += _chunked_index_matchings(g, y_rest, "Y")

@@ -99,6 +99,25 @@ def test_min_degree_at_most_min_class_size():
         assert partite_min_degree(g) <= min(sizes)
 
 
+def test_partite_min_degree_matches_a_plain_loop():
+    # the plain definition: every vertex against every other class, through
+    # degree_in_class; empty classes count as degree 0 for everyone else
+    def plain(g):
+        degrees = [g.degree_in_class(v, c) for v in g.vertices()
+                   for c in range(g.r) if c != v[0]]
+        return min(degrees, default=0)
+
+    for seed in range(300):
+        rng = random.Random(f"min-degree:{seed}")
+        sizes = [rng.randint(0, 5) for _ in range(rng.randint(2, 5))]
+        keep = rng.choice([0.3, 0.7, 0.95, 1.0])
+        g = complete_multipartite(sizes)
+        g = g.without_edges([e for e in g.edges() if rng.random() > keep])
+        assert partite_min_degree(g) == plain(g), (seed, sizes)
+    with pytest.raises(ValueError, match="at least two classes"):
+        partite_min_degree(complete_multipartite([3]))
+
+
 def test_density_examples():
     g = complete_multipartite([2, 3])
     a = [(0, 0), (0, 1)]

@@ -627,6 +627,29 @@ def test_graphs_below_36_vertices_take_the_oracle_route():
     assert res.status == "packed" and res.stages[0]["name"] == "decompose"
 
 
+def test_stage_failure_falls_back_to_the_oracle():
+    # 36 vertices, within FALLBACK_CUTOFF: the one pipeline shape small
+    # enough for the fallback (r = 4, class size 9 = k*k).  Cover runs out
+    # of proper filler cliques, and the oracle then decides the graph
+    assert pipeline.FALLBACK_CUTOFF == 40
+    g = random_min_degree_graph(4, 9, 3, 1)
+    res = solve(g, 3)
+    verdict = brute_force_packing(g, 3)
+    assert verdict.completed and verdict.exists
+    assert res.stages[-2:] == [
+        {"name": "cover", "failed": "proper filler clique unavailable"},
+        {"name": "oracle", "completed": True,
+         "nodes": verdict.nodes_explored}]
+    assert res.status == "packed"
+    edges = {frozenset(e) for e in g.edges()}
+    assert sorted(v for c in res.packing.cliques for v in c) == sorted(g.vertices())
+    for clique in res.packing.cliques:
+        assert len(clique) == 3
+        assert all(frozenset((clique[a], clique[b])) in edges
+                   for a in range(3) for b in range(a + 1, 3))
+    assert res.packing.verify(g, perfect=True) == []
+
+
 def test_random_graphs_pack_through_the_balanced_row_search(monkeypatch):
     # no split is found on these 288-vertex graphs, so rowpack's balanced
     # exact search packs the one row that is left after the earlier stages
@@ -1097,6 +1120,14 @@ def test_prepare_multirow_two_heavy_rows_and_shortfall(monkeypatch):
     for e in spares:
         i, j = map(int, e.tag.split(":")[1].split(","))
         assert is_ij_distributed(asg, e.clique, i, j)
+    # each spare moves one vertex between the two heavy rows, so every row
+    # still keeps its weight times the cliques left
+    assert asg.bad == 0
+    covered = {g.vertex(f) for e in ledger.entries for f in e.clique}
+    for i in range(decomp.s):
+        left = sum(1 for j in range(r) for o in decomp.rows[i][j]
+                   if (j, o) not in covered)
+        assert left == decomp.weights[i] * (total_target - len(ledger))
 
     # a single heavy row: nothing to prepare
     g2, decomp2 = planted_two_row(n=2)
