@@ -123,34 +123,32 @@ class MultipartiteGraph:
 
     # -- derived graphs -----------------------------------------------------
 
-    def induced(self, keep: Sequence[Iterable[int]]):
-        """Induced subgraph on per-class offset selections.
+    def induced(self, keep: int):
+        """Induced subgraph on the vertices of the flat-id mask `keep`.
 
-        Returns (subgraph, to_sub, from_sub) where to_sub maps old vertices to
-        new ones and from_sub is the inverse.
+        Returns (subgraph, from_sub), where from_sub[f] is the flat id in
+        this graph of the subgraph's vertex f.  Both graphs order their
+        vertices by flat id, so each class keeps its vertices in order.
         """
-        if len(keep) != self.r:
-            raise ValueError("need one offset selection per class")
-        chosen = [sorted(set(sel)) for sel in keep]
-        for c, sel in enumerate(chosen):
-            if sel and not (0 <= sel[0] and sel[-1] < self.class_sizes[c]):
-                raise ValueError(f"offsets out of range in class {c}")
-        sizes = [len(sel) for sel in chosen]
-        to_sub: dict[Vertex, Vertex] = {}
-        from_sub: list[Vertex] = []
-        runs = []   # maximal runs of consecutive kept vertices: old, new, ones
-        for c, sel in enumerate(chosen):
-            for new_o, old_o in enumerate(sel):
-                to_sub[(c, old_o)] = (c, new_o)
-                if new_o and old_o == sel[new_o - 1] + 1:
-                    runs[-1][2] = runs[-1][2] << 1 | 1
-                else:
-                    runs.append([self._off[c] + old_o, len(from_sub), 1])
-                from_sub.append((c, old_o))
+        if keep < 0 or keep >> self.n_vertices:
+            raise ValueError("mask holds ids outside the graph")
+        sizes = [(keep & m).bit_count() for m in self._class_masks]
+        from_sub: list[int] = []
+        runs = []   # maximal runs of consecutive kept ids: old, new, ones
+        rest = keep
+        while rest:
+            low = rest & -rest
+            f = low.bit_length() - 1
+            if from_sub and f == from_sub[-1] + 1:
+                runs[-1][2] = runs[-1][2] << 1 | 1
+            else:
+                runs.append([f, len(from_sub), 1])
+            from_sub.append(f)
+            rest ^= low
         sub = MultipartiteGraph(sizes)
         gathered: dict[int, int] = {}   # twins share a row: gather it once
-        for new_fu, (c, old_o) in enumerate(from_sub):
-            row = self._adj[self._off[c] + old_o]
+        for new_fu, old_fu in enumerate(from_sub):
+            row = self._adj[old_fu]
             mask = gathered.get(row)
             if mask is None:
                 mask = 0
@@ -158,7 +156,7 @@ class MultipartiteGraph:
                     mask |= (row >> old_at & ones) << new_at
                 gathered[row] = mask
             sub._adj[new_fu] = mask
-        return sub, to_sub, from_sub
+        return sub, from_sub
 
     def without_edges(self, drop: Iterable[tuple[Vertex, Vertex]]) -> "MultipartiteGraph":
         masks = list(self._adj)
@@ -466,12 +464,6 @@ class CliquePacking:
     def __post_init__(self):
         if not self.index_counts:
             self.index_counts = Counter(index_set(c) for c in self.cliques)
-
-    def covered(self) -> set[Vertex]:
-        out: set[Vertex] = set()
-        for c in self.cliques:
-            out.update(c)
-        return out
 
     def is_balanced(self) -> bool:
         counts = set(self.index_counts.values())

@@ -255,13 +255,12 @@ def _chunked_index_matchings(g: MultipartiteGraph, rest: list[list[int]],
             out.extend((left[u], right[v]) for u, v in pm)
         if ok:
             return out
-    sub, _, from_sub = g.induced(rest)
+    sub, from_sub = g.induced(g.mask_of((j, o) for j, offsets in enumerate(rest)
+                                        for o in offsets))
     res = exact_balanced_clique_packing(sub, 2, budget=500_000)
     if res.packing is not None:
-        back = {}
-        for new_f, old_v in enumerate(from_sub):
-            back[sub.vertex(new_f)] = old_v
-        return [(back[a], back[b]) for a, b in res.packing.cliques]
+        return [tuple(g.vertex(from_sub[sub.flat(v)]) for v in edge)
+                for edge in res.packing.cliques]
     raise SupplyObstruction(
         f"residue of side {side_name} admits no per-index perfect matchings "
         "under any chunk rotation, and the exact balanced residue search "

@@ -28,11 +28,11 @@ there is no bad vertex, no row excess and at most one heavy row, so only
 test_solve_reaches_the_building_block_kinds have bad vertices, positive row
 excesses and two heavy two-half rows.  In complete graphs whose class size
 is not a multiple of k (test_solve_packs_complete_graphs_with_trimmed_offsets),
-the trimmed offsets give a weight-1 row positive excess, which the rows
-stage removes with `_row_edge_matching` and "through_edge" cliques.  In the
-graph near Γ(9, 5, 3) of test_solve_builds_through_edge_near_gamma,
-`_extremal_zero_excess_fix` extends an added edge inside a weight-1 row to
-a clique.
+the vertices beyond the first k·⌊n/k⌋ of each class give a weight-1 row
+positive excess, which the rows stage removes with `_row_edge_matching` and
+"through_edge" cliques.  In the graph near Γ(9, 5, 3) of
+test_solve_builds_through_edge_near_gamma, `_extremal_zero_excess_fix`
+extends an added edge inside a weight-1 row to a clique.
 """
 
 from __future__ import annotations
@@ -40,8 +40,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from math import ceil, comb, factorial
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (CliquePacking, MultipartiteGraph, Vertex, index_set,
@@ -51,8 +53,7 @@ from .matching import (bipartite_maximum_matching,
                        pair_complete_balanced_matching, ObstructionError)
 from .oracle import (brute_force_packing, exact_cover, gamma_barrier,
                      is_isomorphic_to_gamma)
-from .structure import (RowDecomposition, block_masks, is_pair_complete,
-                        iterate_decomposition)
+from .structure import RowDecomposition, is_pair_complete, iterate_decomposition
 
 
 class StageFailure(RuntimeError):
@@ -103,9 +104,6 @@ class BlockAssignment:
     pc_rows: set[int]
     half: int
 
-    def __post_init__(self):
-        self._x_masks = block_masks(self.g, self.decomp)
-
     @property
     def s(self) -> int:
         return self.decomp.s
@@ -136,12 +134,12 @@ class BlockAssignment:
 
     def is_block_bad_for(self, f: int, i: int, j: int) -> bool:
         """More than n/2 non-neighbours of vertex f inside the fixed block X^i_j."""
-        mask = self._x_masks[i][j] & ~self.g._adj[f] & ~(1 << f)
+        mask = self.decomp.rows[i][j] & ~self.g._adj[f] & ~(1 << f)
         return 2 * mask.bit_count() > self.n
 
 
 def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
-                          pc_halves: dict[int, list[set[int]]],
+                          pc_halves: dict[int, list[int]],
                           bad_slack: int) -> BlockAssignment:
     """Mark vertices bad (weak diagonal block, weak half in a two-half row,
     or outside the decomposition entirely), reassign each bad vertex to the
@@ -149,14 +147,17 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
     row), and carry the half sets forward using the majority-neighbourhood
     rule: a half holds its side T minus the bad vertices, plus each bad
     vertex of a two-half container with at least n/2 neighbours in another
-    class's T."""
+    class's T.  pc_halves[i][j] is the mask of T^i_j inside block X^i_j; a
+    block with a vertex outside its class raises ValueError."""
     s, r, n = decomp.s, decomp.r, decomp.unit
     weights = decomp.weights
     adj, class_of = g._adj, g._class_of
+    x_masks = decomp.rows
+    for i, row in enumerate(x_masks):
+        for j, block in enumerate(row):
+            if block & ~g.class_mask(j):
+                raise ValueError(f"block ({i},{j}) has a vertex outside class {j}")
     asg = BlockAssignment(g, decomp, [], 0, set(pc_halves), 0)
-    x_masks = asg._x_masks
-    t_masks = {i: [g.mask_of((j, o) for o in pc_halves[i][j])
-                   for j in range(r)] for i in pc_halves}
 
     def weak(i, j, inside, nv):
         """Whether a vertex of block X^i_j with neighbourhood nv has a weak
@@ -174,8 +175,8 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
         for j2 in range(r):
             if j2 == j:
                 continue
-            ref = (t_masks[i][j2] if inside
-                   else x_masks[i][j2] & ~t_masks[i][j2])
+            ref = (pc_halves[i][j2] if inside
+                   else x_masks[i][j2] & ~pc_halves[i][j2])
             if (ref & ~nv).bit_count() > bad_slack:
                 return True
         return False
@@ -189,7 +190,7 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
         if s == 1 and i not in pc_halves:
             continue    # a single row without halves has nothing to audit
         for j in range(r):
-            half = t_masks[i][j] if i in pc_halves else 0
+            half = pc_halves[i][j] if i in pc_halves else 0
             for f in _ids(x_masks[i][j]):
                 key = (i, j, bool(half >> f & 1), adj[f])
                 verdict = verdicts.get(key)
@@ -210,9 +211,9 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
 
     for i in pc_halves:
         for j in range(r):
-            asg.half |= t_masks[i][j] & ~bad
+            asg.half |= pc_halves[i][j] & ~bad
             for f in _ids(asg.w[i][j] & bad):
-                if any(2 * (adj[f] & t_masks[i][j2]).bit_count() >= n
+                if any(2 * (adj[f] & pc_halves[i][j2]).bit_count() >= n
                        for j2 in range(r) if j2 != j):
                     asg.half |= 1 << f
     return asg
@@ -580,8 +581,9 @@ def _row_edge_matching(g: MultipartiteGraph, asg: BlockAssignment, i: int,
     mask `forbidden`, every edge holding at least one good vertex, grown
     greedily by the least free edge; None when the greedy matching stops
     short.  Weight-1 rows with positive excess need it, as in complete
-    graphs whose trimmed offsets are reassigned to a weight-1 row, and there
-    the greedy growth has never stopped short."""
+    graphs whose vertices beyond the first k·⌊n/k⌋ of each class are
+    reassigned to a weight-1 row, and there the greedy growth has never
+    stopped short."""
     edges: list[tuple[int, int]] = []
     row, used = asg.row_mask(i), forbidden
     while len(edges) < size:
@@ -721,7 +723,7 @@ def _extremal_zero_excess_fix(g, asg, ledger, i_star):
 
 
 def prepare_multirow(g: MultipartiteGraph, asg: BlockAssignment,
-                     ledger: DeletionLedger, total_target: int) -> None:
+                     ledger: DeletionLedger) -> None:
     """Spare (i, j)-distributed cliques for every ordered pair of heavy rows;
     nothing with fewer than two heavy rows."""
     heavy = [i for i in range(asg.s) if asg.weights[i] >= 2]
@@ -795,8 +797,7 @@ def _covered_per_class(g: MultipartiteGraph, ledger: DeletionLedger) -> list[int
     return [(ledger.covered & g.class_mask(j)).bit_count() for j in range(g.r)]
 
 
-def balance_columns(g: MultipartiteGraph, asg: BlockAssignment,
-                    ledger: DeletionLedger, total_target: int) -> None:
+def balance_columns(g: MultipartiteGraph, ledger: DeletionLedger) -> None:
     """Recount that every class has lost the same number of vertices.
 
     The paper's stage deletes index-swapping cliques here.  At desk scale
@@ -832,9 +833,8 @@ def balance_blocks(g: MultipartiteGraph, asg: BlockAssignment,
          for i in range(s)]
     if any(map(any, q)):
         raise StageFailure("blocks", "block sizes miss weight * unit", detail=q)
-    xprime = RowDecomposition(asg.weights, n_prime, tuple(
-        tuple(frozenset(f - g._off[j] for f in _ids(left[i][j]))
-              for j in range(r)) for i in range(s)))
+    xprime = RowDecomposition(asg.weights, n_prime,
+                              tuple(tuple(row) for row in left))
     audit = None
     if s > 1 and n_prime > 0:
         audit = min(    # twins share a row: read each distinct row once
@@ -848,25 +848,22 @@ def balance_blocks(g: MultipartiteGraph, asg: BlockAssignment,
 # -- per-row balanced packings ----------------------------------------------------------
 
 
-def _induced_row(g: MultipartiteGraph, xprime: RowDecomposition, i: int):
-    selection = [sorted(xprime.rows[i][j]) for j in range(xprime.r)]
-    return g.induced(selection)
+def _named(g: MultipartiteGraph, sub: MultipartiteGraph, from_sub: list[int],
+           packing: CliquePacking) -> CliquePacking:
+    """The cliques of a packing of the induced subgraph `sub`, named in g."""
+    return CliquePacking([tuple(sorted(g.vertex(from_sub[sub.flat(u)]) for u in c))
+                          for c in packing.cliques])
 
 
 def _pair_complete_row_packing(g, asg, xprime, i) -> CliquePacking:
-    sub, to_sub, _ = _induced_row(g, xprime, i)
-    halves = []
-    for j in range(xprime.r):
-        side = asg.half >> g._off[j]
-        halves.append([t for t, o in enumerate(sorted(xprime.rows[i][j]))
-                       if side >> o & 1])
+    sub, from_sub = g.induced(reduce(or_, xprime.rows[i]))
+    halves = [[t for t in range(size) if asg.half >> from_sub[sub._off[j] + t] & 1]
+              for j, size in enumerate(sub.class_sizes)]
     try:
         packing = pair_complete_balanced_matching(sub, halves)
     except ObstructionError as e:
         raise StageFailure("rowpack", f"two-half row {i}: {e}") from e
-    back = {to_sub[v]: v for v in to_sub}
-    return CliquePacking([tuple(sorted(back[u] for u in c))
-                          for c in packing.cliques])
+    return _named(g, sub, from_sub, packing)
 
 
 def fix_row_parity_and_matchability(g: MultipartiteGraph, asg: BlockAssignment,
@@ -890,19 +887,17 @@ def fix_row_parity_and_matchability(g: MultipartiteGraph, asg: BlockAssignment,
         w_i = xprime.weights[i]
         if w_i == 1:
             packings[i] = CliquePacking(
-                [(v,) for v in sorted(xprime.row_vertices(i))])
+                [(g.vertex(f),) for f in _ids(reduce(or_, xprime.rows[i]))])
         elif i in asg.pc_rows:
             packings[i] = _pair_complete_row_packing(g, asg, xprime, i)
         else:
-            sub, to_sub, _ = _induced_row(g, xprime, i)
-            back = {to_sub[v]: v for v in to_sub}
+            sub, from_sub = g.induced(reduce(or_, xprime.rows[i]))
             res = exact_balanced_clique_packing(sub, w_i, budget=params.budget)
             if res.packing is None:
                 kind = "proven absent" if res.completed else "budget exhausted"
                 raise StageFailure("rowpack",
                                    f"row {i}: balanced packing {kind}")
-            packings[i] = CliquePacking([tuple(sorted(back[u] for u in c))
-                                         for c in res.packing.cliques])
+            packings[i] = _named(g, sub, from_sub, res.packing)
     return packings
 
 
@@ -1147,27 +1142,23 @@ def _fallback(g, k, params, stages, err) -> SolveResult:
 def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
                     stages: list[dict]) -> SolveResult:
     r = g.r
-    n_plus = g.class_sizes[0]
-    n = n_plus // k
-    total_target = r * n_plus // k
+    total_target = r * g.class_sizes[0] // k
 
-    trimmed = g if k * n == n_plus else g.induced([range(k * n)] * r)[0]
-    iteration = iterate_decomposition(trimmed, k, seed=params.seed)
+    iteration = iterate_decomposition(g, k, seed=params.seed)
     decomp = iteration.decomposition
     stages.append({"name": "decompose", "s": decomp.s,
                    "weights": list(decomp.weights),
                    "min_diagonal_density": str(iteration.min_diagonal_density)})
 
-    pc_halves: dict[int, list[set[int]]] = {}
+    pc_halves: dict[int, list[int]] = {}
     for i in range(decomp.s):
         if decomp.weights[i] != 2:
             continue
-        selection = [sorted(decomp.rows[i][j]) for j in range(r)]
-        sub, _, _ = trimmed.induced(selection)
+        sub, from_sub = g.induced(reduce(or_, decomp.rows[i]))
         w = is_pair_complete(sub, PC_THRESHOLD, seed=params.seed)
         if w is not None:
-            pc_halves[i] = [set(selection[j][o] for o in w.halves[j])
-                            for j in range(r)]
+            pc_halves[i] = [sum(1 << from_sub[sub._off[j] + t] for t in half)
+                            for j, half in enumerate(w.halves)]
     bad_slack = max(1, (2 * decomp.unit) // 5)   # per-unit non-neighbours
     asg = classify_bad_vertices(g, decomp, pc_halves, bad_slack)
     stages.append({"name": "classify", "bad": asg.bad.bit_count(),
@@ -1184,14 +1175,14 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
                    "recounts": {"rows_left": [(asg.row_mask(i)
                                                & ~ledger.covered).bit_count()
                                               for i in range(decomp.s)]}})
-    prepare_multirow(g, asg, ledger, total_target)
+    prepare_multirow(g, asg, ledger)
     stages.append({"name": "prepare",
                    "deleted": len(ledger.stage_cliques("prepare"))})
     cover_and_divisibility(g, asg, ledger, total_target)
     stages.append({"name": "cover", "deleted": len(ledger.stage_cliques("cover")),
                    "recounts": {"cliques_left": total_target - len(ledger),
                                 "modulus": r * factorial(r)}})
-    balance_columns(g, asg, ledger, total_target)
+    balance_columns(g, ledger)
     stages.append({"name": "columns", "deleted": 0,
                    "recounts": {"covered_per_class":
                                 _covered_per_class(g, ledger)}})

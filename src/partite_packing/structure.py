@@ -23,7 +23,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, islice, product
+from operator import or_
 from typing import Iterable, Sequence
 
 from .graphs import (MultipartiteGraph, PartitionLabeling, Vertex,
@@ -41,31 +43,28 @@ DIVISIBILITY_BUDGET = 20_000  # divisibility-barrier candidates, likewise
 
 @dataclass(frozen=True)
 class RowDecomposition:
-    """Blocks rows[i][j] partitioning each class j into s rows of weight p_i.
+    """Blocks rows[i][j] partitioning (part of) each class j into s rows of
+    weight p_i, each block a mask of flat ids of the decomposed graph.
 
-    Every block in row i has exactly weights[i] * unit vertices.
+    Every block in row i has exactly weights[i] * unit vertices, and no two
+    blocks share a vertex.
     """
 
     weights: tuple[int, ...]
     unit: int
-    rows: tuple[tuple[frozenset[int], ...], ...]  # rows[i][j]: offsets in class j
+    rows: tuple[tuple[int, ...], ...]  # rows[i][j]: flat-id mask in class j
 
     def __post_init__(self):
+        seen = 0
         for i, row in enumerate(self.rows):
             for j, block in enumerate(row):
-                if len(block) != self.weights[i] * self.unit:
+                if block.bit_count() != self.weights[i] * self.unit:
                     raise ValueError(
-                        f"block ({i},{j}) has {len(block)} vertices, "
+                        f"block ({i},{j}) has {block.bit_count()} vertices, "
                         f"expected {self.weights[i] * self.unit}")
-        r = len(self.rows[0])
-        for j in range(r):
-            all_offsets: set[int] = set()
-            total = 0
-            for i in range(self.s):
-                all_offsets |= self.rows[i][j]
-                total += len(self.rows[i][j])
-            if total != len(all_offsets):
-                raise ValueError(f"rows overlap in class {j}")
+                if block & seen:
+                    raise ValueError(f"block ({i},{j}) overlaps another block")
+                seen |= block
 
     @property
     def s(self) -> int:
@@ -75,31 +74,17 @@ class RowDecomposition:
     def r(self) -> int:
         return len(self.rows[0])
 
-    def block_vertices(self, i: int, j: int) -> list[Vertex]:
-        return [(j, o) for o in sorted(self.rows[i][j])]
-
-    def row_vertices(self, i: int) -> list[Vertex]:
-        out = []
-        for j in range(self.r):
-            out.extend(self.block_vertices(i, j))
-        return out
-
 
 def trivial_decomposition(g: MultipartiteGraph, k: int) -> RowDecomposition:
-    sizes = set(g.class_sizes)
-    if len(sizes) != 1 or g.class_sizes[0] % k != 0:
-        raise ValueError("classes must have equal size divisible by k")
+    """One row of weight k holding the first k·⌊n/k⌋ vertices of each class
+    (n the class size); the vertices beyond the first k·⌊n/k⌋ of each class
+    stay outside every block."""
+    if len(set(g.class_sizes)) != 1:
+        raise ValueError("classes must have equal size")
     n = g.class_sizes[0] // k
     return RowDecomposition(
         (k,), n,
-        (tuple(frozenset(range(g.class_sizes[0])) for _ in range(g.r)),))
-
-
-def block_masks(g: MultipartiteGraph, decomp: RowDecomposition) -> list[list[int]]:
-    """masks[i][j]: the vertex mask of block X^i_j.  The one place that builds
-    a decomposition's block masks; callers build them once per decomposition."""
-    return [[g.mask_of(decomp.block_vertices(i, j)) for j in range(decomp.r)]
-            for i in range(decomp.s)]
+        (tuple(((1 << k * n) - 1) << g._off[j] for j in range(g.r)),))
 
 
 def min_diagonal_density(g: MultipartiteGraph, decomp: RowDecomposition) -> Fraction:
@@ -107,7 +92,7 @@ def min_diagonal_density(g: MultipartiteGraph, decomp: RowDecomposition) -> Frac
     the decomposition has a single row."""
     if decomp.s == 1:
         return Fraction(1)
-    masks = block_masks(g, decomp)
+    masks = decomp.rows
     sizes = [w * decomp.unit for w in decomp.weights]
     best_e, best_den = 1, 1
     for i in range(decomp.s):
@@ -633,6 +618,9 @@ def iterate_decomposition(g: MultipartiteGraph, k: int, *,
                           seed: int = 0) -> IterationResult:
     """Refine the trivial one-row decomposition by splitting rows while any
     row is splittable at the `ladder(k)` threshold for the current row count.
+    Each row is searched as the subgraph `induced` on its blocks, and the
+    witness's offsets into it are mapped back to flat ids of g.  The
+    vertices beyond the first k·⌊n/k⌋ of each class stay in no block.
 
     Tie-breaking is deterministic: the lowest-index splittable row splits
     first, using the lexicographically least witness the searcher finds.
@@ -641,22 +629,21 @@ def iterate_decomposition(g: MultipartiteGraph, k: int, *,
     decomp = trivial_decomposition(g, k)
     n = decomp.unit
     weights = [k]
-    rows: list[list[frozenset[int]]] = [list(decomp.rows[0])]
+    rows: list[list[int]] = [list(decomp.rows[0])]
 
     while len(weights) < k:
         d_s = thresholds[len(weights) - 1]
         for i, row in enumerate(rows):
             if weights[i] < 2:
                 continue
-            selection = [sorted(block) for block in row]
-            sub, _, _ = g.induced(selection)
+            sub, from_sub = g.induced(reduce(or_, row))
             w = is_splittable(sub, weights[i], d_s, seed=seed)
             if w is None:
                 continue
-            first = [frozenset(ordered[t] for t in w.sets[j])
-                     for j, ordered in enumerate(selection)]
+            first = [sum(1 << from_sub[sub._off[j] + t] for t in part)
+                     for j, part in enumerate(w.sets)]
             rows[i] = first
-            rows.append([block - part for block, part in zip(row, first)])
+            rows.append([block & ~part for block, part in zip(row, first)])
             weights.append(weights[i] - w.p_prime)
             weights[i] = w.p_prime
             break

@@ -28,12 +28,12 @@ from partite_packing.pipeline import (DeletionLedger, PipelineParams,
                                       cover_and_divisibility,
                                       fix_row_parity_and_matchability,
                                       glue_rows, prepare_multirow, solve)
-from partite_packing.structure import (RowDecomposition,
-                                       divisibility_barrier_graph,
+from partite_packing.structure import (divisibility_barrier_graph,
                                        is_complete_wrt, is_pair_complete,
                                        is_splittable, robust_edge_lattice)
 from partite_packing.graphs import clique_complex_edges
 from detection_reference import naive_is_pair_complete, naive_is_splittable
+from test_structure import offset_decomposition, row_masks
 
 
 def criterion(name):
@@ -355,9 +355,8 @@ def _dense_pipeline_instance(seed):
     r, k, n = 4, 3, 26
     size = k * n
     g = complete_multipartite([size] * r)
-    rows = (tuple(frozenset(range(2 * n)) for _ in range(r)),
-            tuple(frozenset(range(2 * n, size)) for _ in range(r)))
-    decomp = RowDecomposition((2, 1), n, rows)
+    decomp = offset_decomposition(g, (2, 1), n,
+                                  ([range(2 * n)] * r, [range(2 * n, size)] * r))
     drop = []
     for j1 in range(r):
         for j2 in range(j1 + 1, r):
@@ -389,8 +388,8 @@ def test_stage_recounts_100():
                 for j2 in range(r):
                     if j == j2:
                         continue
-                    a = g.mask_of(decomp.block_vertices(i, j))
-                    b = g.mask_of(decomp.block_vertices(i2, j2))
+                    a = decomp.rows[i][j]
+                    b = decomp.rows[i2][j2]
                     e = g.edge_count_between(a, b)
                     assert Fraction(e, a.bit_count() * b.bit_count()) \
                         >= Fraction(9, 10)
@@ -404,12 +403,12 @@ def test_stage_recounts_100():
             assert (asg.row_mask(i) & ~ledger.covered).bit_count() \
                 == decomp.weights[i] * (total_target - m1)
 
-        prepare_multirow(g, asg, ledger, total_target)
+        prepare_multirow(g, asg, ledger)
         cover_and_divisibility(g, asg, ledger, total_target)
         assert asg.bad & ~ledger.covered == 0
         assert (total_target - len(ledger)) % (r * factorial(r)) == 0
 
-        balance_columns(g, asg, ledger, total_target)
+        balance_columns(g, ledger)
         per_class = [(ledger.covered & g.class_mask(j)).bit_count()
                      for j in range(r)]
         assert len(set(per_class)) == 1
@@ -420,7 +419,7 @@ def test_stage_recounts_100():
         assert xprime.unit >= 8
         for i in range(xprime.s):
             for j in range(r):
-                assert len(xprime.rows[i][j]) == xprime.weights[i] * xprime.unit
+                assert xprime.rows[i][j].bit_count() == xprime.weights[i] * xprime.unit
         assert CliquePacking([tuple(g.vertex(f) for f in e.clique)
                               for e in ledger.entries]).verify(g) == []
 
@@ -437,9 +436,8 @@ def _glue_instance(seed):
     n_prime = 12 if pc else 6
     size = 3 * n_prime
     g = complete_multipartite([size] * r)
-    rows = (tuple(frozenset(range(2 * n_prime)) for _ in range(r)),
-            tuple(frozenset(range(2 * n_prime, size)) for _ in range(r)))
-    decomp = RowDecomposition((2, 1), n_prime, rows)
+    decomp = offset_decomposition(
+        g, (2, 1), n_prime, ([range(2 * n_prime)] * r, [range(2 * n_prime, size)] * r))
     drop = []
     if pc:
         for j1 in range(r):
@@ -457,7 +455,7 @@ def _glue_instance(seed):
                     right = rng.sample(range(base, base + n_prime), m)
                     drop.extend(((j1, a), (j2, b)) for a, b in zip(left, right))
     g = g.without_edges(drop)
-    pc_halves = {0: [set(range(n_prime)) for _ in range(r)]} if pc else {}
+    pc_halves = {0: row_masks(g, [range(n_prime)] * r)} if pc else {}
     return g, decomp, pc_halves
 
 

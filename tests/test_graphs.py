@@ -170,14 +170,9 @@ def test_density_errors():
 
 
 def induced_by_pairs(g, keep):
-    """Reference: the induced subgraph's masks from a plain loop over every
-    pair of kept vertices."""
-    from_sub = [(c, o) for c, sel in enumerate(keep) for o in sorted(set(sel))]
-    to_sub = {}
-    for c, sel in enumerate(keep):
-        for new_o, old_o in enumerate(sorted(set(sel))):
-            to_sub[(c, old_o)] = (c, new_o)
-    keep_flat = [g.flat(v) for v in from_sub]
+    """Reference: the kept flat ids in order, and the induced subgraph's
+    masks from a plain loop over every pair of kept vertices."""
+    keep_flat = [f for f in range(g.n_vertices) if keep >> f & 1]
     masks = []
     for old_fu in keep_flat:
         mask = 0
@@ -185,7 +180,13 @@ def induced_by_pairs(g, keep):
             if g._adj[old_fu] >> old_fv & 1:
                 mask |= 1 << new_fv
         masks.append(mask)
-    return masks, to_sub, from_sub
+    return masks, keep_flat
+
+
+def selection_mask(g, keep):
+    """The flat-id mask of per-class offset selections (keep[c]: offsets of
+    class c, repeats allowed)."""
+    return g.mask_of((c, o) for c, sel in enumerate(keep) for o in sel)
 
 
 def test_induced_matches_pair_loop():
@@ -204,13 +205,17 @@ def test_induced_matches_pair_loop():
                 keep.append([o for o in range(12) if (o // width + phase) % 2])
         selections.append(keep)
     for keep in selections:
-        sub, to_sub, from_sub = g.induced(keep)
-        masks, ref_to, ref_from = induced_by_pairs(g, keep)
+        sub, from_sub = g.induced(selection_mask(g, keep))
+        masks, ref_from = induced_by_pairs(g, selection_mask(g, keep))
         assert sub._adj == masks
         assert sub.class_sizes == tuple(len(set(sel)) for sel in keep)
-        assert to_sub == ref_to and from_sub == ref_from
+        assert from_sub == ref_from
+        assert [g.vertex(f) for f in from_sub] == [
+            (c, o) for c, sel in enumerate(keep) for o in sorted(set(sel))]
+    with pytest.raises(ValueError):     # id 48 lies past the last class
+        g.induced(1 << 48)
     with pytest.raises(ValueError):
-        g.induced([[12], [], [], []])
+        g.induced(-1)
 
 
 def test_induced_on_twins_matches_edge_list():
@@ -236,10 +241,11 @@ def test_induced_on_twins_matches_edge_list():
                 [len(sel) for sel in chosen],
                 [(relabel[u], relabel[v]) for u, v in g.edges()
                  if u in relabel and v in relabel])
-            sub, to_sub, from_sub = g.induced(keep)
+            sub, from_sub = g.induced(selection_mask(g, keep))
             assert sub == want, keep
-            assert to_sub == relabel
-            assert from_sub == sorted(relabel)
+            assert {g.vertex(f): sub.vertex(t)
+                    for t, f in enumerate(from_sub)} == relabel
+            assert [g.vertex(f) for f in from_sub] == sorted(relabel)
             rows = [g.adj_mask(v) for v in relabel]
             twin_picks += len(set(rows)) < len(rows)
     # most selections hold twins, so the once-per-row path is exercised

@@ -24,6 +24,7 @@ from partite_packing.pipeline import (DeletionLedger, PipelineParams,
                                       prepare_multirow, solve)
 from partite_packing.structure import RowDecomposition
 from test_oracle import relabeled_copy
+from test_structure import members, offset_decomposition, row_masks
 
 
 def planted_two_row(r=4, k=3, n=8, seed=None, diag_delete=0.0,
@@ -33,9 +34,8 @@ def planted_two_row(r=4, k=3, n=8, seed=None, diag_delete=0.0,
     two-half structure (halves = first/second n offsets)."""
     size = k * n
     g = complete_multipartite([size] * r)
-    rows = (tuple(frozenset(range(2 * n)) for _ in range(r)),
-            tuple(frozenset(range(2 * n, size)) for _ in range(r)))
-    decomp = RowDecomposition((2, 1), n, rows)
+    decomp = offset_decomposition(g, (2, 1), n,
+                                  ([range(2 * n)] * r, [range(2 * n, size)] * r))
     drop = []
     rng = random.Random(f"p2r:{seed}")
     for j1 in range(r):
@@ -85,7 +85,7 @@ def test_classify_clean_blow_up():
     assert asg.bad == 0
     for i in range(2):
         for j in range(4):
-            assert asg.w[i][j] == g.mask_of(decomp.block_vertices(i, j))
+            assert asg.w[i][j] == decomp.rows[i][j]
 
 
 def test_classify_planted_bad_vertex_moves_rows():
@@ -102,16 +102,28 @@ def test_classify_planted_bad_vertex_moves_rows():
 
 def test_classify_fill_vertices_are_bad():
     g = complete_multipartite([7, 7])
-    decomp = RowDecomposition(
-        (2, 1), 2, ((frozenset(range(4)), frozenset(range(4))),
-                    (frozenset(range(4, 6)), frozenset(range(4, 6)))))
+    decomp = offset_decomposition(g, (2, 1), 2,
+                                  ([range(4)] * 2, [range(4, 6)] * 2))
     asg = make_assignment(g, decomp)
     assert has(asg.bad, g, (0, 6)) and has(asg.bad, g, (1, 6))
 
 
+def test_classify_rejects_a_block_outside_its_class():
+    # a block is a flat-id mask, so nothing but this check ties it to its class
+    g = complete_multipartite([4, 4])
+    class0, class1 = row_masks(g, [range(4)] * 2)
+    swapped = RowDecomposition((2,), 2, ((class1, class0),))
+    straddling = RowDecomposition((2,), 2, (
+        (g.mask_of([(0, 0), (0, 1), (0, 2), (1, 0)]),
+         g.mask_of([(1, 1), (1, 2), (1, 3), (0, 3)])),))
+    for decomp in (swapped, straddling):
+        with pytest.raises(ValueError, match="outside class 0"):
+            make_assignment(g, decomp)
+
+
 def test_classify_pc_half_membership_rule():
     g, decomp = planted_two_row(n=2, pc_row=True)
-    pc = {0: [set(range(2)) for _ in range(4)]}
+    pc = {0: row_masks(g, [range(2)] * 4)}
     # a half vertex that lost its within-half edges lands on the other side
     drop = [((0, 0), (j, o)) for j in range(1, 4) for o in range(2)]
     add = [((0, 0), (j, o)) for j in range(1, 4) for o in range(2, 4)]
@@ -141,24 +153,24 @@ def recount_bad(g, decomp, pc, bad_slack):
     or, in a two-half row, one with more than bad_slack non-neighbours on
     its own side (half or rest of the row's block) of another class."""
     placed = {v for i in range(decomp.s) for j in range(decomp.r)
-              for v in decomp.block_vertices(i, j)}
+              for v in members(g, decomp.rows[i][j])}
     bad = {v for v in g.vertices() if v not in placed}
     for i in range(decomp.s):
         for j in range(decomp.r):
-            for v in decomp.block_vertices(i, j):
+            for v in members(g, decomp.rows[i][j]):
                 for i2 in range(decomp.s):
                     for j2 in range(decomp.r):
-                        misses = sum(1 for u in decomp.block_vertices(i2, j2)
+                        misses = sum(1 for u in members(g, decomp.rows[i2][j2])
                                      if not g.has_edge(v, u))
                         if (i2 != i and j2 != j
                                 and misses > bad_slack * decomp.weights[i2]):
                             bad.add(v)
                 if i not in pc:
                     continue
-                inside = v[1] in pc[i][j]
+                inside = has(pc[i][j], g, v)
                 for j2 in range(decomp.r):
-                    side = [u for u in decomp.block_vertices(i, j2)
-                            if (u[1] in pc[i][j2]) == inside]
+                    side = [u for u in members(g, decomp.rows[i][j2])
+                            if has(pc[i][j2], g, u) == inside]
                     misses = sum(1 for u in side if not g.has_edge(v, u))
                     if j2 != j and misses > bad_slack:
                         bad.add(v)
@@ -173,13 +185,13 @@ def recount_placement(g, decomp, pc, bad):
     bad vertex of its containers with at least n/2 neighbours in another
     class's T.  Returns (w, half) as sets of vertices."""
     s, r, n = decomp.s, decomp.r, decomp.unit
-    w = [[{v for v in decomp.block_vertices(i, j) if v not in bad}
+    w = [[{v for v in members(g, decomp.rows[i][j]) if v not in bad}
           for j in range(r)] for i in range(s)]
     for v in sorted(bad):
         counts = [0] * s
         for i in range(s):
             for j in range(r):
-                misses = sum(1 for u in decomp.block_vertices(i, j)
+                misses = sum(1 for u in members(g, decomp.rows[i][j])
                              if u != v and not g.has_edge(v, u))
                 if j != v[0] and 2 * misses > n:
                     counts[i] += 1
@@ -191,10 +203,10 @@ def recount_placement(g, decomp, pc, bad):
     half = set()
     for i in pc:
         for j in range(r):
-            half |= {(j, o) for o in pc[i][j]} - bad
+            half |= set(members(g, pc[i][j])) - bad
             for v in w[i][j] & bad:
                 for j2 in range(r):
-                    deg = sum(1 for o in pc[i][j2] if g.has_edge(v, (j2, o)))
+                    deg = sum(1 for u in members(g, pc[i][j2]) if g.has_edge(v, u))
                     if j2 != j and 2 * deg >= n:
                         half.add(v)
     return w, half
@@ -223,7 +235,7 @@ def test_classify_bad_set_matches_recount():
     for seed in range(6):
         g, decomp = planted_two_row(r=r, n=n, seed=seed, pc_row=True,
                                     diag_delete=0.04 * (seed % 2))
-        pc = {0: [set(range(n)) for _ in range(r)]}
+        pc = {0: row_masks(g, [range(n)] * r)}
         # two twins of row 0 lose their edges into the block X^1_1
         drop = [((0, o), (1, o2)) for o in (seed, seed + 1)
                 for o2 in range(2 * n, 3 * n)]
@@ -239,17 +251,18 @@ def test_classify_bad_set_matches_recount():
         add += [(u, (0, o)) for o in range(n // 2)]
         g = g.without_edges(drop).with_edges(add)
         # row 0 alone: no diagonal blocks, so only its halves can be weak
-        row, _, _ = g.induced([range(2 * n)] * r)
-        one = RowDecomposition((2,), n, (tuple(frozenset(range(2 * n))
-                                               for _ in range(r)),))
+        row, _ = g.induced(g.mask_of((j, o) for j in range(r)
+                                     for o in range(2 * n)))
+        one = offset_decomposition(row, (2,), n, ([range(2 * n)] * r,))
+        pc_one = {0: row_masks(row, [range(n)] * r)}
         for bad_slack in (1, 2):
             want = recount_bad(g, decomp, pc, bad_slack)
             w, half = check_classified(g, decomp, pc, bad_slack, want)
             half_bad.update(u in half for block in w[0] for u in block & want)
             assert {(0, seed), (0, seed + 1), v, u} <= want and u in half
             sizes.append(len(want))
-            want = recount_bad(row, one, pc, bad_slack)
-            check_classified(row, one, pc, bad_slack, want)
+            want = recount_bad(row, one, pc_one, bad_slack)
+            check_classified(row, one, pc_one, bad_slack, want)
             assert v in want
             assert classify_bad_vertices(row, one, {}, bad_slack).bad == 0
     # the planted vertices are not all: noise and slack 1 add more
@@ -263,7 +276,7 @@ def test_classify_bad_set_matches_recount():
     for seed in range(6):
         g, decomp = planted_two_row(r=r, n=n, seed=seed, diag_delete=0.2)
         home = {u: i for i in range(2) for j in range(r)
-                for u in decomp.block_vertices(i, j)}
+                for u in members(g, decomp.rows[i][j])}
         for bad_slack in (1, 2):
             want = recount_bad(g, decomp, {}, bad_slack)
             w, half = check_classified(g, decomp, {}, bad_slack, want)
@@ -287,9 +300,8 @@ def test_extend_clique_proper_on_clean_instance():
 def test_extend_clique_reports_failing_step():
     g, decomp = planted_two_row(n=2)
     asg = make_assignment(g, decomp)
-    forbidden = set(decomp.block_vertices(1, 2))
     got = extend_clique(g, asg, [], {0: (0, 1), 1: (2,)},
-                        forbidden=g.mask_of(forbidden))
+                        forbidden=decomp.rows[1][2])
     assert got is None
 
 
@@ -319,7 +331,7 @@ def test_building_block_through_vertex_and_ij():
 
 def test_building_block_pc_parity_controls():
     g, decomp = planted_two_row(n=2, pc_row=True)
-    pc = {0: [set(range(2)) for _ in range(4)]}
+    pc = {0: row_masks(g, [range(2)] * 4)}
     asg = make_assignment(g, decomp, pc=pc)
     assert asg.pc_rows == {0}
     for b in (0, 3):
@@ -338,9 +350,9 @@ def run_stages(g, decomp, pc=None, extremal=False):
     ledger = DeletionLedger(g)
     total_target = g.r * g.class_sizes[0] // sum(decomp.weights)
     balance_rows(g, asg, ledger, total_target, extremal)
-    prepare_multirow(g, asg, ledger, total_target)
+    prepare_multirow(g, asg, ledger)
     cover_and_divisibility(g, asg, ledger, total_target)
-    balance_columns(g, asg, ledger, total_target)
+    balance_columns(g, ledger)
     xprime, audit = balance_blocks(g, asg, ledger, total_target)
     assert CliquePacking([tuple(g.vertex(f) for f in e.clique)
                           for e in ledger.entries]).verify(g) == []
@@ -350,9 +362,9 @@ def run_stages(g, decomp, pc=None, extremal=False):
 def recount_audit(g, xprime):
     """Plain-loop diagonal degree: least number of neighbours a vertex of
     X'^i_j has in a block X'^i2_j2 with i2 != i and j2 != j."""
-    return min(sum(1 for u in xprime.block_vertices(i2, j2) if g.has_edge(v, u))
+    return min(sum(1 for u in members(g, xprime.rows[i2][j2]) if g.has_edge(v, u))
                for i in range(xprime.s) for j in range(xprime.r)
-               for v in xprime.block_vertices(i, j)
+               for v in members(g, xprime.rows[i][j])
                for i2 in range(xprime.s) if i2 != i
                for j2 in range(xprime.r) if j2 != j)
 
@@ -403,7 +415,7 @@ def test_stage_blocks_recount_against_planted_bad():
         asg, ledger, xprime, audit = run_stages(g, decomp)
         for i in range(xprime.s):
             for j in range(xprime.r):
-                assert len(xprime.rows[i][j]) == xprime.weights[i] * xprime.unit
+                assert xprime.rows[i][j].bit_count() == xprime.weights[i] * xprime.unit
         assert audit == recount_audit(g, xprime)
 
 
@@ -413,12 +425,7 @@ def test_stage_columns_fails_on_skewed_classes():
     r, k, n = 3, 2, 20
     size = k * n
     g = complete_multipartite([size] * r)
-    rows = (tuple(frozenset(range(n)) for _ in range(r)),
-            tuple(frozenset(range(n, size)) for _ in range(r)))
-    decomp = RowDecomposition((1, 1), n, rows)
-    asg = make_assignment(g, decomp)
     ledger = DeletionLedger(g)
-    total_target = r * size // k
     # nine hand-placed edges covering classes (8, 6, 4): a' = (+2, 0, -2)
     pairs = [((0, 2 * t), (1, 2 * t + 1)) for t in range(3)]
     pairs += [((0, 10 + 2 * t), (2, 2 * t + 1)) for t in range(1)]
@@ -431,7 +438,7 @@ def test_stage_columns_fails_on_skewed_classes():
                  for j in range(r)]
     assert per_class == [8, 6, 4]
     with pytest.raises(StageFailure) as err:
-        balance_columns(g, asg, ledger, total_target)
+        balance_columns(g, ledger)
     assert (err.value.stage, err.value.reason, err.value.detail) == (
         "columns", "classes uneven: [8, 6, 4]", [8, 6, 4])
     assert len(ledger) == 9
@@ -456,9 +463,8 @@ def test_stage_blocks_fails_on_block_skew():
     r, k, n = 3, 3, 12
     size = k * n
     g = complete_multipartite([size] * r)
-    rows = (tuple(frozenset(range(2 * n)) for _ in range(r)),
-            tuple(frozenset(range(2 * n, size)) for _ in range(r)))
-    decomp = RowDecomposition((2, 1), n, rows)
+    decomp = offset_decomposition(g, (2, 1), n,
+                                  ([range(2 * n)] * r, [range(2 * n, size)] * r))
     asg = make_assignment(g, decomp)
     ledger = DeletionLedger(g)
     total_target = r * size // k
@@ -486,8 +492,7 @@ def test_stage_blocks_fails_on_block_skew():
 
 def test_glue_single_row_passthrough():
     g = complete_multipartite([6, 6, 6])
-    decomp = RowDecomposition((3,), 2, (tuple(frozenset(range(6))
-                                              for _ in range(3)),))
+    decomp = offset_decomposition(g, (3,), 2, ([range(6)] * 3,))
     res = exact_balanced_clique_packing(g, 3)
     glue = glue_rows(g, decomp, {0: res.packing})
     assert glue.packing.verify(g, perfect=True) == []
@@ -503,22 +508,21 @@ def test_glue_two_rows_complete_diagonal():
     # every glued clique meets row i in exactly its weight
     for clique in glue.packing.cliques:
         for i in range(decomp.s):
-            hit = sum(1 for (c, o) in clique if o in decomp.rows[i][c])
+            hit = sum(1 for v in clique if has(decomp.rows[i][v[0]], g, v))
             assert hit == decomp.weights[i]
 
 
 def test_glue_rejects_bad_unit():
     # unit 2 is not divisible by r! = 6
     g = complete_multipartite([6, 6, 6])
-    decomp = RowDecomposition(
-        (2, 1), 2, ((frozenset({0, 1, 2, 3}),) * 3, (frozenset({4, 5}),) * 3))
+    decomp = offset_decomposition(g, (2, 1), 2, ([{0, 1, 2, 3}] * 3, [{4, 5}] * 3))
     with pytest.raises(StageFailure):
         glue_rows(g, decomp, {0: CliquePacking([]), 1: CliquePacking([])})
 
 
 def test_fix_rows_pair_complete_path():
     g, decomp = planted_two_row(r=3, k=3, n=6, pc_row=True)
-    pc = {0: [set(range(6)) for _ in range(3)]}
+    pc = {0: row_masks(g, [range(6)] * 3)}
     asg = make_assignment(g, decomp, pc=pc)
     packs = fix_row_parity_and_matchability(g, asg, decomp, PipelineParams())
     assert set(packs[0].index_counts.values()) == {len(packs[0].cliques) // 3}
@@ -677,6 +681,30 @@ def test_random_graphs_pack_through_the_balanced_row_search(monkeypatch):
                     assert frozenset((clique[a], clique[b])) in edges
             covered.extend(clique)
         assert sorted(covered) == sorted(g.vertices())
+
+
+@pytest.mark.parametrize("factor, excess", [(25, [2, 2, 2, 2]), (26, [1, 1, 1, 1])],
+                         ids=["x25", "x26"])
+def test_solve_runs_the_two_half_correction_matching(monkeypatch, factor, excess):
+    # the halves that survive in the two-half row of Γ(3,4,3) blown up 25 or
+    # 26 times are uneven against the unit 24, so the matcher realizes their
+    # excesses and covers each realized pair with its correction matching
+    sequences = []
+    real = matching.realize_multigraph
+
+    def spy(seq):
+        sequences.append(list(seq))
+        return real(seq)
+
+    monkeypatch.setattr(matching, "realize_multigraph", spy)
+    g = blow_up(build_gamma(3, 4, 3).graph, factor)
+    res = solve(g, 3)
+    assert res.status == "packed"
+    assert res.packing.verify(g, perfect=True) == []
+    stages = {s["name"]: s for s in res.stages}
+    assert stages["classify"]["pair_complete_rows"] == [1]
+    assert stages["rowpack"]["unit"] == 24
+    assert sequences == [excess]
 
 
 def test_deep_balanced_row_search_packs():
@@ -842,11 +870,10 @@ def test_solve_builds_through_edge_near_gamma(monkeypatch):
 def per_vertex_audit(g, xprime):
     """The blocks stage's diagonal degree audit, one vertex at a time."""
     s, r = xprime.s, xprime.r
-    masks = [[g.mask_of(xprime.block_vertices(i, j)) for j in range(r)]
-             for i in range(s)]
+    masks = xprime.rows
     return min((g.adj_mask(v) & masks[i2][j2]).bit_count()
                for i in range(s) for j in range(r)
-               for v in xprime.block_vertices(i, j)
+               for v in members(g, masks[i][j])
                for i2 in range(s) if i2 != i for j2 in range(r) if j2 != j)
 
 
@@ -914,10 +941,9 @@ def planted_extremal(r, n, mixed_edge=False):
     g = g.with_edges(edges)
     if mixed_edge:
         g = g.with_edges([((0, 0), (1, n))])
-    rows = (tuple(frozenset(range(2 * n)) for _ in range(r)),
-            tuple(frozenset(range(2 * n, size)) for _ in range(r)))
-    decomp = RowDecomposition((2, 1), n, rows)
-    pc = {0: [set(range(n)) for _ in range(r)]}
+    decomp = offset_decomposition(g, (2, 1), n,
+                                  ([range(2 * n)] * r, [range(2 * n, size)] * r))
+    pc = {0: row_masks(g, [range(n)] * r)}
     return g, decomp, pc
 
 
@@ -1025,12 +1051,11 @@ def _embed_heavy_row(row_graph, extra_rows, n_prime):
                         edges.append(((j1, o1), (j2, o2)))
     g = g.with_edges(edges)
     weights = (2,) + (1,) * extra_rows
-    rows = [tuple(frozenset(range(2 * n_prime)) for _ in range(r))]
+    rows = [[range(2 * n_prime)] * r]
     for t in range(extra_rows):
         base = 2 * n_prime + t * n_prime
-        rows.append(tuple(frozenset(range(base, base + n_prime))
-                          for _ in range(r)))
-    return g, RowDecomposition(weights, n_prime, tuple(rows))
+        rows.append([range(base, base + n_prime)] * r)
+    return g, offset_decomposition(g, weights, n_prime, rows)
 
 
 def test_rowpack_fails_on_a_row_without_a_balanced_packing():
@@ -1049,18 +1074,14 @@ def test_rowpack_fails_on_an_odd_surviving_half():
     r = 5
     size = 12   # rows (2,1) of unit 4; the surviving region uses unit 3
     g = complete_multipartite([size] * r)
-    decomp = RowDecomposition(
-        (2, 1), 4, (tuple(frozenset(range(8)) for _ in range(r)),
-                    tuple(frozenset(range(8, 12)) for _ in range(r))))
-    pc = {0: [{0, 1, 2} for _ in range(r)]}
+    decomp = offset_decomposition(g, (2, 1), 4, ([range(8)] * r, [range(8, 12)] * r))
+    pc = {0: row_masks(g, [{0, 1, 2}] * r)}
     asg = make_assignment(g, decomp, pc=pc)
     assert 0 in asg.pc_rows
-    xprime = RowDecomposition(
-        (2, 1), 3, (tuple(frozenset(range(6)) for _ in range(r)),
-                    tuple(frozenset(range(8, 11)) for _ in range(r))))
+    xprime = offset_decomposition(g, (2, 1), 3, ([range(6)] * r, [range(8, 11)] * r))
     # the surviving half holds three vertices of each of five classes
-    assert sum(1 for j in range(r) for o in xprime.rows[0][j]
-               if has(asg.half & asg.w[0][j], g, (j, o))) == 15
+    assert sum(1 for j in range(r) for v in members(g, xprime.rows[0][j])
+               if has(asg.half & asg.w[0][j], g, v)) == 15
     with pytest.raises(StageFailure) as err:
         fix_row_parity_and_matchability(g, asg, xprime, PipelineParams())
     assert err.value.stage == "rowpack"
@@ -1077,9 +1098,8 @@ def test_rowpack_routes_a_two_half_row_around_missing_edges(monkeypatch):
     monkeypatch.setattr(matching, "exact_balanced_clique_packing", no_search)
     g = complete_multipartite([4] * 3).without_edges(
         [((0, 0), (1, 0)), ((0, 0), (1, 1))])
-    decomp = RowDecomposition((2,), 2, (tuple(frozenset(range(4))
-                                              for _ in range(3)),))
-    asg = make_assignment(g, decomp, pc={0: [{0, 1} for _ in range(3)]},
+    decomp = offset_decomposition(g, (2,), 2, ([range(4)] * 3,))
+    asg = make_assignment(g, decomp, pc={0: row_masks(g, [{0, 1}] * 3)},
                           bad_slack=2)
     assert asg.bad == 0 and asg.pc_rows == {0}
     packs = fix_row_parity_and_matchability(g, asg, decomp, PipelineParams())
@@ -1105,14 +1125,13 @@ def test_prepare_multirow_two_heavy_rows_and_shortfall(monkeypatch):
     r, n = 5, 3
     size = 4 * n
     g = complete_multipartite([size] * r)
-    rows = (tuple(frozenset(range(2 * n)) for _ in range(r)),
-            tuple(frozenset(range(2 * n, size)) for _ in range(r)))
-    decomp = RowDecomposition((2, 2), n, rows)
+    decomp = offset_decomposition(g, (2, 2), n,
+                                  ([range(2 * n)] * r, [range(2 * n, size)] * r))
     asg = make_assignment(g, decomp)
     ledger = DeletionLedger(g)
     total_target = r * size // 4
     assert pipeline.ETA_COUNT == 1
-    prepare_multirow(g, asg, ledger, total_target)
+    prepare_multirow(g, asg, ledger)
     spares = ledger.stage_cliques("prepare")
     assert len(spares) == 2
     tags = sorted(e.tag for e in spares)
@@ -1125,8 +1144,8 @@ def test_prepare_multirow_two_heavy_rows_and_shortfall(monkeypatch):
     assert asg.bad == 0
     covered = {g.vertex(f) for e in ledger.entries for f in e.clique}
     for i in range(decomp.s):
-        left = sum(1 for j in range(r) for o in decomp.rows[i][j]
-                   if (j, o) not in covered)
+        left = sum(1 for j in range(r) for v in members(g, decomp.rows[i][j])
+                   if v not in covered)
         assert left == decomp.weights[i] * (total_target - len(ledger))
 
     # a single heavy row: nothing to prepare
@@ -1134,13 +1153,13 @@ def test_prepare_multirow_two_heavy_rows_and_shortfall(monkeypatch):
     asg2 = make_assignment(g2, decomp2)
     ledger2 = DeletionLedger(g2)
     monkeypatch.setattr(pipeline, "ETA_COUNT", 5)
-    prepare_multirow(g2, asg2, ledger2, g2.r * g2.class_sizes[0] // 3)
+    prepare_multirow(g2, asg2, ledger2)
     assert len(ledger2) == 0
 
     # demanding more spares than the rows can supply fails loudly
     monkeypatch.setattr(pipeline, "ETA_COUNT", 50)
     with pytest.raises(StageFailure):
-        prepare_multirow(g, asg, DeletionLedger(g), total_target)
+        prepare_multirow(g, asg, DeletionLedger(g))
 
 
 def test_balance_columns_fails_on_tiny_skewed_classes():
@@ -1148,15 +1167,11 @@ def test_balance_columns_fails_on_tiny_skewed_classes():
     r, k, n = 3, 2, 4
     size = k * n
     g = complete_multipartite([size] * r)
-    rows = (tuple(frozenset(range(n)) for _ in range(r)),
-            tuple(frozenset(range(n, size)) for _ in range(r)))
-    decomp = RowDecomposition((1, 1), n, rows)
-    asg = make_assignment(g, decomp)
     ledger = DeletionLedger(g)
     for u, v in [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (2, 0))]:
         ledger.add((g.flat(u), g.flat(v)), "cover", "proper")
     with pytest.raises(StageFailure) as err:
-        balance_columns(g, asg, ledger, r * size // k)
+        balance_columns(g, ledger)
     assert (err.value.stage, err.value.reason, err.value.detail) == (
         "columns", "classes uneven: [3, 2, 1]", [3, 2, 1])
 
@@ -1168,11 +1183,9 @@ def three_unit_rows():
     r, n_prime = 3, 6
     size = 3 * n_prime
     g = complete_multipartite([size] * r)
-    rows = tuple(
-        tuple(frozenset(range(t * n_prime, (t + 1) * n_prime))
-              for _ in range(r))
-        for t in range(3))
-    decomp = RowDecomposition((1, 1, 1), n_prime, rows)
+    decomp = offset_decomposition(
+        g, (1, 1, 1), n_prime,
+        [[range(t * n_prime, (t + 1) * n_prime)] * r for t in range(3)])
     rng = random.Random(9)
     drop = []
     for j1 in range(r):
@@ -1182,7 +1195,8 @@ def three_unit_rows():
                     if o1 // n_prime != o2 // n_prime and rng.random() < 0.02:
                         drop.append(((j1, o1), (j2, o2)))
     g = g.without_edges(drop)
-    packs = {i: CliquePacking([(v,) for v in sorted(decomp.row_vertices(i))])
+    packs = {i: CliquePacking([(v,) for j in range(r)
+                               for v in members(g, decomp.rows[i][j])])
              for i in range(3)}
     return g, decomp, packs
 

@@ -29,6 +29,24 @@ from test_detection_differential import planted_split_graph
 from test_oracle import relabeled_copy
 
 
+def row_masks(g, row):
+    """Per-class offset selections (row[j]: offsets in class j) as the
+    flat-id masks a RowDecomposition of g holds."""
+    return tuple(g.mask_of((j, o) for o in sel) for j, sel in enumerate(row))
+
+
+def offset_decomposition(g, weights, unit, rows):
+    """The RowDecomposition of g whose block (i, j) holds the offsets
+    rows[i][j] of class j."""
+    return RowDecomposition(weights, unit,
+                            tuple(row_masks(g, row) for row in rows))
+
+
+def members(g, mask):
+    """The vertices of a flat-id mask of g, ascending."""
+    return [g.vertex(f) for f in range(g.n_vertices) if mask >> f & 1]
+
+
 def two_row_graph(r: int, n: int, row_internal: bool = False):
     """Rows A (first n offsets) and B (last n): complete between blocks in
     different rows and columns; row-internal edges optional."""
@@ -305,7 +323,8 @@ def test_pair_complete_on_gamma_double_row():
     # first two subparts of each class, as a standalone graph
     gam = build_gamma(6, 3, 3)
     keep = [range(4)] * 3   # subpart size 2: offsets 0..3 are subparts 1, 2
-    sub, _, _ = gam.graph.induced(keep)
+    sub, _ = gam.graph.induced(gam.graph.mask_of(
+        (j, o) for j, sel in enumerate(keep) for o in sel))
     w = is_pair_complete(sub, Fraction(0))
     assert w is not None
     halves = [set(h) for h in w.halves]
@@ -400,7 +419,8 @@ def test_iterate_recovers_planted_three_rows():
     assert res.decomposition.weights == (1, 1, 1)
     got_rows = set()
     for i in range(3):
-        blocks = {tuple(sorted(res.decomposition.rows[i][j])) for j in range(r)}
+        blocks = {tuple(o for _, o in members(g, res.decomposition.rows[i][j]))
+                  for j in range(r)}
         assert len(blocks) == 1  # same offsets in every class
         got_rows.add(blocks.pop())
     assert got_rows == {(0, 1), (2, 3), (4, 5)}
@@ -526,18 +546,17 @@ def test_diagnosis_budget_draws_no_more_candidates_than_it_must():
 
 
 def test_row_decomposition_validation():
-    with pytest.raises(ValueError):
-        RowDecomposition((1, 1), 2, ((frozenset({0, 1}), frozenset({0, 1})),
-                                     (frozenset({0, 1}), frozenset({2, 3}))))
-    d = RowDecomposition((1, 1), 2,
-                         ((frozenset({0, 1}), frozenset({0, 1})),
-                          (frozenset({2, 3}), frozenset({2, 3}))))
-    assert d.row_vertices(1) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+    g = MultipartiteGraph([4, 4])
+    with pytest.raises(ValueError):     # rows overlap in class 0
+        offset_decomposition(g, (1, 1), 2, (({0, 1}, {0, 1}), ({0, 1}, {2, 3})))
+    with pytest.raises(ValueError):     # a block of three vertices, not two
+        offset_decomposition(g, (1, 1), 2, (({0, 1}, {0, 1}), ({2, 3}, {1, 2, 3})))
+    d = offset_decomposition(g, (1, 1), 2, (({0, 1}, {0, 1}), ({2, 3}, {2, 3})))
+    assert [v for block in d.rows[1] for v in members(g, block)] == [
+        (0, 2), (0, 3), (1, 2), (1, 3)]
 
 
 def test_min_diagonal_density_two_rows():
     g = two_row_graph(3, 2)
-    d = RowDecomposition((1, 1), 2,
-                         (tuple(frozenset({0, 1}) for _ in range(3)),
-                          tuple(frozenset({2, 3}) for _ in range(3))))
+    d = offset_decomposition(g, (1, 1), 2, ([{0, 1}] * 3, [{2, 3}] * 3))
     assert min_diagonal_density(g, d) == 1
