@@ -3,8 +3,8 @@
 Generation of extremal and barrier instances, structural detection
 (splittability, two-half rows, index-lattice obstructions), constructive
 matching subroutines, a staged deletion pipeline whose assembled packing is
-checked once by plain loops, and an exhaustive oracle for desk-scale ground
-truth.
+checked once by the package's one packing checker, and an exhaustive oracle
+for desk-scale ground truth.
 """
 
 from .graphs import (CliquePacking, GammaGraph, MultipartiteGraph,

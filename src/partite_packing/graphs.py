@@ -12,6 +12,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 Vertex = tuple[int, int]
@@ -399,6 +400,14 @@ def build_gamma(n: int, r: int, k: int) -> GammaGraph:
 # -- clique enumeration and components -----------------------------------------
 
 
+def mask_ids(mask: int) -> Iterator[int]:
+    """The flat ids of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def k_cliques(adj: Sequence[int], pool: int, k: int,
               stack: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
     """The k-cliques that extend the clique `stack` by vertices of `pool`, as
@@ -454,9 +463,54 @@ def clique_complex_edges(g: MultipartiteGraph, p: int) -> list[tuple[Vertex, ...
 # -- packings -----------------------------------------------------------------
 
 
+def packing_problems(g: MultipartiteGraph, cliques: Sequence[Sequence[int]]
+                     ) -> tuple[list[str], list[str]]:
+    """The package's one packing checker, on flat ids: (violations of the
+    cliques, vertices left uncovered), two empty lists for a perfect packing
+    of g.  Cliques must be nonempty and of one size; disjointness is a
+    running mask, distinct classes a mask of classes, and each clique's
+    edges one AND of its mask against each member's row, a pair being named
+    only when an edge is missing.  Id -1 stands for a vertex outside g that
+    the caller has reported: it counts toward its clique's size only."""
+    adj, class_of, name = g._adj, g._class_of, g.vertex
+    problems: list[str] = []
+    covered = 0
+    for idx, clique in enumerate(cliques):
+        if not clique:
+            problems.append(f"clique {idx} is empty")
+        if len(clique) != len(cliques[0]):
+            problems.append(f"clique {idx} has {len(clique)} vertices, "
+                            f"clique 0 has {len(cliques[0])}")
+        inside = [f for f in clique if f >= 0]
+        mask = classes = 0
+        for f in inside:
+            bit, class_bit = 1 << f, 1 << class_of[f]
+            if covered & bit:
+                problems.append(f"vertex {name(f)} covered twice")
+            if classes & class_bit:
+                problems.append(f"clique {idx} has two vertices of class "
+                                f"{class_of[f]}")
+            covered |= bit
+            classes |= class_bit
+            mask |= bit
+        if (mask.bit_count() != len(inside)
+                or any(mask & ~adj[f] != 1 << f for f in inside)):
+            for i, f in enumerate(inside):
+                for h in inside[i + 1:]:
+                    if not adj[f] >> h & 1:
+                        problems.append(f"clique {idx} misses edge "
+                                        f"{name(f)}-{name(h)}")
+    missing = ~covered & ((1 << g.n_vertices) - 1)
+    uncovered = [f"vertex {name(f)} not covered"
+                 for f in islice(mask_ids(missing), 5)]
+    if missing.bit_count() > 5:
+        uncovered.append(f"... and {missing.bit_count() - 5} more uncovered")
+    return problems, uncovered
+
+
 @dataclass
 class CliquePacking:
-    """A set of pairwise vertex-disjoint cliques with per-index counts."""
+    """Disjoint cliques named by vertex, as a packing leaves the package."""
 
     cliques: list[tuple[Vertex, ...]]
     index_counts: Counter = field(default_factory=Counter)
@@ -465,52 +519,29 @@ class CliquePacking:
         if not self.index_counts:
             self.index_counts = Counter(index_set(c) for c in self.cliques)
 
-    def is_balanced(self) -> bool:
-        counts = set(self.index_counts.values())
-        return len(counts) <= 1
-
     def verify(self, g: MultipartiteGraph, perfect: bool = False) -> list[str]:
         """All violations (empty list means the packing is valid), each
-        reported rather than raised: every clique must be nonempty and have
-        the first clique's size, and a vertex outside g is reported as out of
-        range and left out of the edge checks."""
-        problems = []
-        seen: set[Vertex] = set()
-        for idx, clique in enumerate(self.cliques):
-            if not clique:
-                problems.append(f"clique {idx} is empty")
-            if len(clique) != len(self.cliques[0]):
-                problems.append(f"clique {idx} has {len(clique)} vertices, "
-                                f"clique 0 has {len(self.cliques[0])}")
-            classes = set()
-            inside = []
+        reported rather than raised: each vertex outside g first, as out of
+        range, then what `packing_problems` finds on the flat ids of the
+        rest, and the index counts recounted from the names."""
+        r, sizes, off = g.r, g.class_sizes, g._off
+        problems, ids = [], []
+        for clique in self.cliques:
+            row = []
             for v in clique:
                 c, o = v
-                if not (0 <= c < g.r and 0 <= o < g.class_sizes[c]):
-                    problems.append(f"vertex {v} out of range")
+                if 0 <= c < r and 0 <= o < sizes[c]:
+                    row.append(off[c] + o)
                 else:
-                    inside.append(v)
-                if v in seen:
-                    problems.append(f"vertex {v} covered twice")
-                seen.add(v)
-                if v[0] in classes:
-                    problems.append(f"clique {idx} has two vertices of class {v[0]}")
-                classes.add(v[0])
-            for i in range(len(inside)):
-                for j in range(i + 1, len(inside)):
-                    if not g.has_edge(inside[i], inside[j]):
-                        problems.append(
-                            f"clique {idx} misses edge {inside[i]}-{inside[j]}")
+                    problems.append(f"vertex {v} out of range")
+                    row.append(-1)
+            ids.append(row)
+        found, uncovered = packing_problems(g, ids)
+        problems += found
         recount = Counter(index_set(c) for c in self.cliques)
         if recount != Counter(self.index_counts):
             problems.append("index_counts inconsistent with clique list")
-        if perfect:
-            missing = [v for v in g.vertices() if v not in seen]
-            for v in missing[:5]:
-                problems.append(f"vertex {v} not covered")
-            if len(missing) > 5:
-                problems.append(f"... and {len(missing) - 5} more uncovered")
-        return problems
+        return problems + uncovered if perfect else problems
 
 
 # -- JSON interchange ---------------------------------------------------------

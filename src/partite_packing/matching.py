@@ -1,19 +1,21 @@
 """Constructive matching subroutines: degree-sequence realization, bipartite
 matchings, the balanced matching builder for two-half rows, and the balanced
 clique-packing entry point into the oracle's exact-cover search.  The last
-two are the only ways `solve` balances a row.  The two-half builder takes
-only the row and its halves, and verifies what it builds.
+two are the only ways `solve` balances a row.  Both return flat-id cliques;
+the two-half builder takes only the row and its half side as a flat-id
+mask, and verifies what it builds.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .graphs import CliquePacking, MultipartiteGraph, Vertex
+from .graphs import MultipartiteGraph, mask_ids, packing_problems
 from .oracle import exact_cover
 
 
@@ -120,21 +122,21 @@ def regular_bipartite_perfect_matching(n_left: int, n_right: int,
 # -- balanced perfect matchings in two-half rows -----------------------------------
 
 
-def _pick_edge(g: MultipartiteGraph, left: list[Vertex], right: list[Vertex],
-               used: set[Vertex]):
-    for u in left:
-        if u in used:
-            continue
-        for v in right:
-            if v not in used and g.has_edge(u, v):
-                return u, v
+def _pick_edge(g: MultipartiteGraph, left: int, right: int):
+    """The edge from the least vertex of the mask `left` with a neighbour in
+    the mask `right` to its least such neighbour, or None."""
+    for u in mask_ids(left):
+        free = g._adj[u] & right
+        if free:
+            return u, (free & -free).bit_length() - 1
     return None
 
 
 def pair_complete_balanced_matching(g: MultipartiteGraph,
-                                    halves: Sequence[Iterable[int]]) -> CliquePacking:
-    """Perfect matching with equally many edges of every index, in a graph
-    whose classes split into two near-complete halves X and Y.
+                                    half: int) -> list[tuple[int, int]]:
+    """Perfect matching with equally many edges of every index, as ascending
+    flat-id pairs, in a graph whose classes split into two near-complete
+    halves: X, the vertices of the flat-id mask `half`, and Y, the rest.
 
     Construction: pick a unit n' divisible by r-1, realize the per-class
     excesses |X_j| - n' as a loopless multigraph, cover each realized pair
@@ -150,13 +152,13 @@ def pair_complete_balanced_matching(g: MultipartiteGraph,
         raise ValueError("classes must have equal even size")
     if r < 2:
         raise ValueError("need at least two classes")
+    if half < 0 or half >> g.n_vertices:
+        raise ValueError("half mask holds ids outside the graph")
     size = g.class_sizes[0]
 
-    x_sets = [sorted(set(h)) for h in halves]
-    if len(x_sets) != r:
-        raise ValueError("need one half per class")
-    y_sets = [[o for o in range(size) if o not in set(x_sets[j])] for j in range(r)]
-    x_total = sum(len(s) for s in x_sets)
+    x_sets = [half & cm for cm in g._class_masks]
+    y_sets = [cm & ~half for cm in g._class_masks]
+    x_total = half.bit_count()
     if x_total % 2:
         raise ParityObstruction(
             f"parity obstruction: |X| = {x_total} is odd, X cannot be "
@@ -167,10 +169,10 @@ def pair_complete_balanced_matching(g: MultipartiteGraph,
     # largest feasible unit: divisible by r-1, no negative excess, excesses
     # realizable as a loopless multigraph, and a nonnegative residue on the
     # other side
-    min_x = min(len(s) for s in x_sets)
-    n_prime = min_x // (r - 1) * (r - 1)
+    x_sizes = [x.bit_count() for x in x_sets]
+    n_prime = min(x_sizes) // (r - 1) * (r - 1)
     while n_prime > 0:
-        a_j = [len(x_sets[j]) - n_prime for j in range(r)]
+        a_j = [x_sizes[j] - n_prime for j in range(r)]
         if is_multigraphic(sorted(a_j, reverse=True)):
             covered_per_class = (r - 1) * sum(a_j) // 2
             m_y = size - n_prime - covered_per_class
@@ -181,86 +183,73 @@ def pair_complete_balanced_matching(g: MultipartiteGraph,
         raise SizingObstruction(
             "no feasible unit n' (divisible by r-1 with realizable excesses)")
 
-    a_j = [len(x_sets[j]) - n_prime for j in range(r)]
     order = sorted(range(r), key=lambda j: (-a_j[j], j))
     realized = realize_multigraph([a_j[j] for j in order])
     pair_list = [(min(order[u], order[v]), max(order[u], order[v]))
                  for u, v in realized]
 
-    used: set[Vertex] = set()
-    edges: list[tuple[Vertex, Vertex]] = []
-    all_indices = [tuple(c) for c in combinations(range(r), 2)]
-    for (i_l, j_l) in pair_list:
-        picked = _pick_edge(g, [(i_l, o) for o in x_sets[i_l]],
-                            [(j_l, o) for o in x_sets[j_l]], used)
-        if picked is None:
-            raise SupplyObstruction(
-                f"no free X-edge of index {(i_l, j_l)} for a correction matching")
-        used.update(picked)
-        edges.append(picked)
-        for (u_c, v_c) in all_indices:
-            if (u_c, v_c) == (i_l, j_l):
-                continue
-            picked = _pick_edge(g, [(u_c, o) for o in y_sets[u_c]],
-                                [(v_c, o) for o in y_sets[v_c]], used)
+    used = 0
+    edges: list[tuple[int, int]] = []
+    all_indices = list(combinations(range(r), 2))
+    for pair in pair_list:
+        # one X-edge of the pair's index, then one Y-edge of every other
+        for side, sets, (a, b) in [("X", x_sets, pair)] + [
+                ("Y", y_sets, idx) for idx in all_indices if idx != pair]:
+            picked = _pick_edge(g, sets[a] & ~used, sets[b] & ~used)
             if picked is None:
-                raise SupplyObstruction(
-                    f"no free Y-edge of index {(u_c, v_c)} for a correction matching")
-            used.update(picked)
+                raise SupplyObstruction(f"no free {side}-edge of index {(a, b)} "
+                                        "for a correction matching")
+            used |= 1 << picked[0] | 1 << picked[1]
             edges.append(picked)
 
-    x_rest = [[o for o in x_sets[j] if (j, o) not in used] for j in range(r)]
-    y_rest = [[o for o in y_sets[j] if (j, o) not in used] for j in range(r)]
+    edges += _chunked_index_matchings(g, [x & ~used for x in x_sets], "X")
+    edges += _chunked_index_matchings(g, [y & ~used for y in y_sets], "Y")
 
-    edges += _chunked_index_matchings(g, x_rest, "X")
-    edges += _chunked_index_matchings(g, y_rest, "Y")
-
-    packing = CliquePacking([tuple(sorted(e)) for e in edges])
-    problems = packing.verify(g, perfect=True)
+    problems = sum(packing_problems(g, edges), [])
     if problems:
         raise AssertionError(f"balanced matching failed verification: {problems[:3]}")
-    if not packing.is_balanced():
+    counts = Counter((g._class_of[u], g._class_of[v]) for u, v in edges)
+    if len(set(counts.values())) > 1:
         raise AssertionError("matching is not balanced after assembly")
-    return packing
+    return edges
 
 
-def _chunked_index_matchings(g: MultipartiteGraph, rest: list[list[int]],
-                             side_name: str):
-    """Split each class's residue into r-1 per-index chunks and perfectly
-    match each index's bipartite pair (an empty residue gives no edges);
-    cyclic rotations are retried on failure and an exact balanced search
-    over the whole residue is the last resort."""
-    r = g.r
-    chunk = len(rest[0]) // (r - 1)
+def _chunked_index_matchings(g: MultipartiteGraph, rest: list[int],
+                             side_name: str) -> list[tuple[int, int]]:
+    """Split each class's residue (the mask rest[j]) into r-1 per-index
+    chunks and perfectly match each index's bipartite pair (an empty residue
+    gives no edges); cyclic rotations are retried on failure and an exact
+    balanced search over the whole residue is the last resort."""
+    r, adj = g.r, g._adj
+    rest_ids = [list(mask_ids(mask)) for mask in rest]
+    chunk = len(rest_ids[0]) // (r - 1)
     indices_for_class = [[c for c in combinations(range(r), 2) if j in c]
                          for j in range(r)]
-    n_rot = max(1, len(rest[0]))
+    n_rot = max(1, len(rest_ids[0]))
     for rot in range(n_rot):
-        chunks: dict[tuple[tuple[int, int], int], list[Vertex]] = {}
+        chunks: dict[tuple[tuple[int, int], int], list[int]] = {}
         for j in range(r):
-            rotated = rest[j][rot:] + rest[j][:rot]
+            rotated = rest_ids[j][rot:] + rest_ids[j][:rot]
             for t, idx in enumerate(indices_for_class[j]):
-                chunks[(idx, j)] = [(j, o) for o in rotated[t * chunk:(t + 1) * chunk]]
+                chunks[(idx, j)] = rotated[t * chunk:(t + 1) * chunk]
         out = []
         ok = True
         for idx in combinations(range(r), 2):
             left = chunks[(idx, idx[0])]
             right = chunks[(idx, idx[1])]
-            adj = [[t for t, v in enumerate(right) if g.has_edge(u, v)]
-                   for u in left]
-            pm = regular_bipartite_perfect_matching(len(left), len(right), adj)
+            nbrs = [[t for t, v in enumerate(right) if adj[u] >> v & 1]
+                    for u in left]
+            pm = regular_bipartite_perfect_matching(len(left), len(right), nbrs)
             if pm is None:
                 ok = False
                 break
             out.extend((left[u], right[v]) for u, v in pm)
         if ok:
             return out
-    sub, from_sub = g.induced(g.mask_of((j, o) for j, offsets in enumerate(rest)
-                                        for o in offsets))
+    sub, from_sub = g.induced(sum(rest))     # one mask per class: disjoint
     res = exact_balanced_clique_packing(sub, 2, budget=500_000)
     if res.packing is not None:
-        return [tuple(g.vertex(from_sub[sub.flat(v)]) for v in edge)
-                for edge in res.packing.cliques]
+        return [(from_sub[u], from_sub[v]) for u, v in res.packing]
     raise SupplyObstruction(
         f"residue of side {side_name} admits no per-index perfect matchings "
         "under any chunk rotation, and the exact balanced residue search "
@@ -272,7 +261,7 @@ def _chunked_index_matchings(g: MultipartiteGraph, rest: list[list[int]],
 
 @dataclass
 class SearchResult:
-    packing: CliquePacking | None
+    packing: list[tuple[int, ...]] | None   # ascending flat-id cliques
     completed: bool
     nodes: int
 
@@ -291,7 +280,7 @@ def exact_balanced_clique_packing(g: MultipartiteGraph, p: int, *,
         raise ValueError("p must be positive")
     total = g.n_vertices
     if total == 0:
-        return SearchResult(CliquePacking([]), True, 0)
+        return SearchResult([], True, 0)
     if total % p or p > g.r:
         return SearchResult(None, True, 0)
     n_cliques, n_indices = total // p, comb(g.r, p)

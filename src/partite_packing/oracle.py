@@ -8,9 +8,10 @@ packings with it, and the solver's balanced row packings
 (`pipeline.glue_rows`) run through it too.  It draws its cliques from
 `graphs.k_cliques` and its component prune from `graphs.components`, and it
 keeps its own stack, so a packing of any depth fits in memory rather than in
-the recursion limit.  The oracle's independence therefore comes from
-`CliquePacking.verify`, whose plain loops re-check every packing the search
-returns, not from separate search code.
+the recursion limit.  It returns flat-id cliques, and only
+`brute_force_packing` names them, once, as the oracle's witness.  The
+oracle's independence therefore comes from `graphs.packing_problems`, which
+re-checks every packing the search returns, not from separate search code.
 The extremal construction is recognised in O(V^2) from its twin classes, and
 every positive answer is an explicit vertex map checked edge by edge.  That
 Γ(n, r, k) with rn/k odd has no perfect packing is proven by a divisibility
@@ -32,7 +33,7 @@ from math import ceil
 
 from .graphs import (CliquePacking, MultipartiteGraph, PartitionLabeling,
                      build_gamma, complete_multipartite, components,
-                     graph_to_json, k_cliques)
+                     graph_to_json, k_cliques, packing_problems)
 
 
 @dataclass
@@ -65,9 +66,10 @@ class _TallyMemo(set):
 
 def exact_cover(g: MultipartiteGraph, k: int, budget: int | None = None,
                 quota: int | None = None
-                ) -> tuple[CliquePacking | None, int, bool]:
+                ) -> tuple[list[tuple[int, ...]] | None, int, bool]:
     """The package's one exact-cover search: a perfect k-clique packing of g,
-    as (packing or None, nodes, completed).
+    as (cliques or None, nodes, completed), each clique an ascending tuple
+    of flat ids.
 
     Backtracking over k-cliques, always extending the least uncovered vertex
     and trying its cliques in ascending id order (`k_cliques`), with three
@@ -81,7 +83,7 @@ def exact_cover(g: MultipartiteGraph, k: int, budget: int | None = None,
     (uncovered mask, clique generator) per placed clique, so its depth is
     bounded by memory, not by the recursion limit.  completed=False marks a
     stop after `budget` nodes; a packing is returned only after
-    `CliquePacking.verify` passes."""
+    `graphs.packing_problems` finds it perfect."""
     total = g.n_vertices
     adj = g._adj
     class_masks = [g.class_mask(c) for c in range(g.r)]
@@ -142,26 +144,26 @@ def exact_cover(g: MultipartiteGraph, k: int, budget: int | None = None,
         chosen.append(clique)
         for f in clique:
             uncovered &= ~(1 << f)
-    packing = CliquePacking([tuple(g.vertex(f) for f in clique)
-                             for clique in chosen])
-    problems = packing.verify(g, perfect=True)
+    problems = sum(packing_problems(g, chosen), [])
     if problems:
         raise AssertionError(f"packing failed recheck: {problems[:3]}")
-    return packing, nodes, True
+    return chosen, nodes, True
 
 
 def brute_force_packing(g: MultipartiteGraph, k: int,
                         budget: int | None = None) -> OracleVerdict:
     """Exhaustive decision of a perfect k-clique packing by `exact_cover`.
     Exact whenever the search completes; the witness is the
-    lexicographically first packing."""
+    lexicographically first packing, named once here."""
     if k < 1:
         raise ValueError("k must be positive")
     total = g.n_vertices
     if total % k:
         raise ValueError(f"k={k} does not divide the vertex count {total}")
-    packing, nodes, completed = exact_cover(g, k, budget)
-    return OracleVerdict(packing is not None, packing, nodes, completed)
+    cliques, nodes, completed = exact_cover(g, k, budget)
+    witness = None if cliques is None else CliquePacking(
+        [tuple(map(g.vertex, c)) for c in cliques])
+    return OracleVerdict(witness is not None, witness, nodes, completed)
 
 
 # -- canonical forms -----------------------------------------------------------
@@ -360,11 +362,11 @@ def check_barrier(g: MultipartiteGraph, subparts: PartitionLabeling,
     classes.  If y(T) <= scale on every type and y.sizes = scale * V/k, the
     V/k cliques of a perfect packing would all lie on tight types
     (y(T) = scale); if p is even on every tight type but p.sizes is odd, they
-    cannot.  Plain loops over vertex pairs and subpart sets, like
-    `CliquePacking.verify`.  A barrier that lacks a key, has a field of the
-    wrong shape (`gamma` not three ints, `scale` not an int, `y` or `p` not
-    a list of ints; a bool is not an int) or has k < 1 is reported as a
-    problem, not raised: barriers are read from outside."""
+    cannot.  Plain loops over vertex pairs and subpart sets.  A barrier that
+    lacks a key, has a field of the wrong shape (`gamma` not three ints,
+    `scale` not an int, `y` or `p` not a list of ints; a bool is not an int)
+    or has k < 1 is reported as a problem, not raised: barriers are read
+    from outside."""
     missing = [key for key in ("gamma", "scale", "y", "p") if key not in barrier]
     if missing:
         return [f"the barrier lacks {', '.join(missing)}"]

@@ -9,14 +9,16 @@ oracle and the rest to the pipeline.  A stage raises StageFailure when a
 search or a builder comes up short or a count that the input decides is
 off, and the orchestrator falls back to the oracle or reports a structured
 diagnosis.  Identities that the stages' own arithmetic fixes are not
-recounted; the assembled packing is checked once, by the plain loops of
+recounted; the assembled packing is checked once, by
 `CliquePacking.verify`, before `solve` returns it.
 
 The deletion stages, from `classify_bad_vertices` to `balance_blocks`,
 hold every vertex set as a mask of flat ids and every clique as a tuple of
-them; vertex names appear only in failure messages and in the packing that
-`solve` returns.  Ascending flat id is ascending (class, offset), so each
-"least vertex" choice is the one the names would give.
+them, and so do rowpack and glue; vertex names appear only in failure
+messages and in the packing that `solve` returns, named once after glue's
+and the ledger's cliques are joined.  Ascending flat id is ascending
+(class, offset), so each "least vertex" choice is the one the names would
+give.
 
 Only the rows, prepare and cover stages delete cliques.  At desk scale the
 greedy column pattern that builds every deleted clique already leaves each
@@ -43,11 +45,11 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
 from math import ceil, comb, factorial
-from operator import or_
-from typing import Iterable, Iterator, Sequence
+from operator import and_, or_
+from typing import Iterable, Sequence
 
-from .graphs import (CliquePacking, MultipartiteGraph, Vertex, index_set,
-                     k_cliques, partite_min_degree)
+from .graphs import (CliquePacking, MultipartiteGraph, k_cliques, mask_ids,
+                     partite_min_degree)
 from .matching import (bipartite_maximum_matching,
                        exact_balanced_clique_packing,
                        pair_complete_balanced_matching, ObstructionError)
@@ -78,14 +80,6 @@ class PipelineParams:
 
 
 # -- block assignment ---------------------------------------------------------
-
-
-def _ids(mask: int) -> Iterator[int]:
-    """The flat ids of a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass
@@ -191,7 +185,7 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
             continue    # a single row without halves has nothing to audit
         for j in range(r):
             half = pc_halves[i][j] if i in pc_halves else 0
-            for f in _ids(x_masks[i][j]):
+            for f in mask_ids(x_masks[i][j]):
                 key = (i, j, bool(half >> f & 1), adj[f])
                 verdict = verdicts.get(key)
                 if verdict is None:
@@ -201,7 +195,7 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
 
     asg.bad = bad
     asg.w = [[block & ~bad for block in row] for row in x_masks]
-    for f in _ids(bad):
+    for f in mask_ids(bad):
         c = class_of[f]
         counts = [sum(1 for j in range(r)
                       if j != c and asg.is_block_bad_for(f, i, j))
@@ -212,7 +206,7 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
     for i in pc_halves:
         for j in range(r):
             asg.half |= pc_halves[i][j] & ~bad
-            for f in _ids(asg.w[i][j] & bad):
+            for f in mask_ids(asg.w[i][j] & bad):
                 if any(2 * (adj[f] & pc_halves[i][j2]).bit_count() >= n
                        for j2 in range(r) if j2 != j):
                     asg.half |= 1 << f
@@ -446,7 +440,7 @@ def building_block(g: MultipartiteGraph, asg: BlockAssignment, kind: str, *,
                     continue
                 partners = (asg.w[li][j2] & ~asg.bad & ~forbidden
                             & g._adj[v] & side)
-                for u in _ids(partners):
+                for u in mask_ids(partners):
                     got = building_block(g, asg, "outside_row", edge=(u, v),
                                          forbidden=forbidden)
                     if got is not None:
@@ -587,7 +581,7 @@ def _row_edge_matching(g: MultipartiteGraph, asg: BlockAssignment, i: int,
     edges: list[tuple[int, int]] = []
     row, used = asg.row_mask(i), forbidden
     while len(edges) < size:
-        for u in _ids(row & ~used & ~asg.bad):
+        for u in mask_ids(row & ~used & ~asg.bad):
             free = row & ~used & g._adj[u]
             if free:
                 v = (free & -free).bit_length() - 1
@@ -685,8 +679,8 @@ def _extremal_zero_excess_fix(g, asg, ledger, i_star):
         if i == i_star:
             continue
         row = asg.row_mask(i) & ~covered
-        for u in _ids(row & ~asg.bad):
-            for v in _ids(row & adj[u]):
+        for u in mask_ids(row & ~asg.bad):
+            for v in mask_ids(row & adj[u]):
                 k1 = building_block(g, asg, "through_edge", rows=(i, i_star),
                                     edge=(u, v), forbidden=covered)
                 if k1 is None:
@@ -706,9 +700,9 @@ def _extremal_zero_excess_fix(g, asg, ledger, i_star):
                 return
     # an edge inside the heavy row crossing the half split
     row = asg.row_mask(i_star) & ~covered
-    for u in _ids(row & ~asg.bad):
+    for u in mask_ids(row & ~asg.bad):
         across = ~asg.half if asg.half >> u & 1 else asg.half
-        for v in _ids(row & adj[u] & across):
+        for v in mask_ids(row & adj[u] & across):
             k = building_block(g, asg, "outside_row", edge=(u, v),
                                forbidden=covered)
             if k is not None:
@@ -758,7 +752,7 @@ def cover_and_divisibility(g: MultipartiteGraph, asg: BlockAssignment,
     modulus = r * factorial(r)
     m12 = len(ledger.entries)
     count = 0
-    for v in _ids(asg.bad):
+    for v in mask_ids(asg.bad):
         if ledger.covered >> v & 1:
             continue
         got = building_block(g, asg, "through_vertex", vertex=v,
@@ -840,7 +834,7 @@ def balance_blocks(g: MultipartiteGraph, asg: BlockAssignment,
         audit = min(    # twins share a row: read each distinct row once
             (row & left[i2][j2]).bit_count()
             for i in range(s) for j in range(r)
-            for row in {g._adj[f] for f in _ids(left[i][j])}
+            for row in {g._adj[f] for f in mask_ids(left[i][j])}
             for i2 in range(s) if i2 != i for j2 in range(r) if j2 != j)
     return xprime, audit
 
@@ -848,32 +842,15 @@ def balance_blocks(g: MultipartiteGraph, asg: BlockAssignment,
 # -- per-row balanced packings ----------------------------------------------------------
 
 
-def _named(g: MultipartiteGraph, sub: MultipartiteGraph, from_sub: list[int],
-           packing: CliquePacking) -> CliquePacking:
-    """The cliques of a packing of the induced subgraph `sub`, named in g."""
-    return CliquePacking([tuple(sorted(g.vertex(from_sub[sub.flat(u)]) for u in c))
-                          for c in packing.cliques])
-
-
-def _pair_complete_row_packing(g, asg, xprime, i) -> CliquePacking:
-    sub, from_sub = g.induced(reduce(or_, xprime.rows[i]))
-    halves = [[t for t in range(size) if asg.half >> from_sub[sub._off[j] + t] & 1]
-              for j, size in enumerate(sub.class_sizes)]
-    try:
-        packing = pair_complete_balanced_matching(sub, halves)
-    except ObstructionError as e:
-        raise StageFailure("rowpack", f"two-half row {i}: {e}") from e
-    return _named(g, sub, from_sub, packing)
-
-
 def fix_row_parity_and_matchability(g: MultipartiteGraph, asg: BlockAssignment,
                                     xprime: RowDecomposition,
                                     params: PipelineParams
-                                    ) -> dict[int, CliquePacking]:
+                                    ) -> dict[int, list[tuple[int, ...]]]:
     """A balanced perfect packing of every row of the final decomposition,
-    one way per row: a weight-1 row by its single vertices, a two-half row by
-    `pair_complete_balanced_matching` on the surviving part of its halves,
-    and every other row by the balanced exact search.  A row that its way
+    as flat-id cliques of g, one way per row: a weight-1 row by its single
+    vertices, a two-half row by `pair_complete_balanced_matching` on the
+    surviving part of its halves, and every other row by the balanced exact
+    search, both on the row induced from its mask.  A row that its way
     cannot pack raises StageFailure: nothing repairs it, and the
     decomposition stays the one the blocks stage left.  A two-half row fails
     with the matcher's obstruction, so an odd surviving half reads "two-half
@@ -881,23 +858,29 @@ def fix_row_parity_and_matchability(g: MultipartiteGraph, asg: BlockAssignment,
     verify their own packings, and blocks sized a weight-1 row's blocks
     equally, so nothing is recounted here."""
     if xprime.unit == 0:
-        return {i: CliquePacking([]) for i in range(xprime.s)}
-    packings: dict[int, CliquePacking] = {}
+        return {i: [] for i in range(xprime.s)}
+    packings: dict[int, list[tuple[int, ...]]] = {}
     for i in range(xprime.s):
-        w_i = xprime.weights[i]
+        w_i, row = xprime.weights[i], reduce(or_, xprime.rows[i])
         if w_i == 1:
-            packings[i] = CliquePacking(
-                [(g.vertex(f),) for f in _ids(reduce(or_, xprime.rows[i]))])
-        elif i in asg.pc_rows:
-            packings[i] = _pair_complete_row_packing(g, asg, xprime, i)
+            packings[i] = [(f,) for f in mask_ids(row)]
+            continue
+        sub, from_sub = g.induced(row)
+        if i in asg.pc_rows:
+            half = sum(1 << t for t, f in enumerate(from_sub)
+                       if asg.half >> f & 1)
+            try:
+                cliques = pair_complete_balanced_matching(sub, half)
+            except ObstructionError as e:
+                raise StageFailure("rowpack", f"two-half row {i}: {e}") from e
         else:
-            sub, from_sub = g.induced(reduce(or_, xprime.rows[i]))
             res = exact_balanced_clique_packing(sub, w_i, budget=params.budget)
             if res.packing is None:
                 kind = "proven absent" if res.completed else "budget exhausted"
                 raise StageFailure("rowpack",
                                    f"row {i}: balanced packing {kind}")
-            packings[i] = _named(g, sub, from_sub, res.packing)
+            cliques = res.packing
+        packings[i] = [tuple(from_sub[f] for f in c) for c in cliques]
     return packings
 
 
@@ -906,17 +889,17 @@ def fix_row_parity_and_matchability(g: MultipartiteGraph, asg: BlockAssignment,
 
 @dataclass
 class GlueResult:
-    packing: CliquePacking
+    packing: list[tuple[int, ...]]  # ascending flat-id cliques, sorted
     sigma_log: list[dict]
 
 
 def glue_rows(g: MultipartiteGraph, xprime: RowDecomposition,
-              row_packings: dict[int, CliquePacking]) -> GlueResult:
-    """Combine balanced perfect per-row packings into one packing of the
-    surviving graph: split each row packing into groups of size N, one per
-    injection of k slot positions into classes (k the sum of the row
-    weights), and perfectly match each group family's compatibility
-    hypergraph.
+              row_packings: dict[int, list[tuple[int, ...]]]) -> GlueResult:
+    """Combine balanced perfect per-row packings, each a list of flat-id
+    cliques of g, into one packing of the surviving graph: split each row
+    packing into groups of size N, one per injection of k slot positions
+    into classes (k the sum of the row weights), and perfectly match each
+    group family's compatibility hypergraph.
 
     Two groups of different rows are compatible when completely joined, so
     each family's matching is a perfect s-clique packing of an s-partite
@@ -926,12 +909,11 @@ def glue_rows(g: MultipartiteGraph, xprime: RowDecomposition,
     the rest of the packing."""
     s, r, n_prime = xprime.s, xprime.r, xprime.unit
     if s == 1:
-        packing = row_packings[0]
-        return GlueResult(CliquePacking(sorted(packing.cliques)), [])
+        return GlueResult(sorted(row_packings[0]), [])
     if n_prime % factorial(r):
         raise StageFailure("glue", f"unit {n_prime} not divisible by r!")
     if n_prime == 0:
-        return GlueResult(CliquePacking([]), [])
+        return GlueResult([], [])
 
     weights = xprime.weights
     k = sum(weights)
@@ -945,10 +927,10 @@ def glue_rows(g: MultipartiteGraph, xprime: RowDecomposition,
 
     groups: dict[tuple, dict[int, list]] = {sig: {} for sig in sigmas}
     for i in range(s):
-        packing = row_packings[i]
         per_index: dict[frozenset, list] = {}
-        for c in packing.cliques:
-            per_index.setdefault(index_set(c), []).append(tuple(sorted(c)))
+        for c in row_packings[i]:
+            per_index.setdefault(frozenset(g._class_of[f] for f in c),
+                                 []).append(c)
         want = r * n_prime // comb(r, weights[i])
         sig_by_index: dict[frozenset, list] = {}
         for sig in sigmas:
@@ -962,12 +944,13 @@ def glue_rows(g: MultipartiteGraph, xprime: RowDecomposition,
             for t, sig in enumerate(sorted(sig_list)):
                 groups[sig][i] = members[t * n_group:(t + 1) * n_group]
 
-    out: list[tuple[Vertex, ...]] = []
+    out: list[tuple[int, ...]] = []
     sigma_log = []
     for sig in sigmas:
         classes = [groups[sig][i] for i in range(s)]
-        common = [[_common_mask(g, c) for c in cls] for cls in classes]
-        masks = [[g.mask_of(c) for c in cls] for cls in classes]
+        common = [[reduce(and_, (g._adj[f] for f in c)) for c in cls]
+                  for cls in classes]
+        masks = [[sum(1 << f for f in c) for c in cls] for cls in classes]
         compat = _compatibility_graph(masks, common, n_group)
         degree_min = _min_clique_degree(compat)
         matching, _, _ = exact_cover(compat, s)
@@ -978,9 +961,10 @@ def glue_rows(g: MultipartiteGraph, xprime: RowDecomposition,
             raise StageFailure("glue", f"no perfect matching for one group "
                                        f"family (min degree {degree_min})",
                                detail={"sigma": list(sig)})
-        for combo in matching.cliques:
-            out.append(tuple(sorted(v for i, t in combo for v in classes[i][t])))
-    return GlueResult(CliquePacking(sorted(out)), sigma_log)
+        for combo in matching:
+            out.append(tuple(sorted(f for x in combo
+                                    for f in classes[x // n_group][x % n_group])))
+    return GlueResult(sorted(out), sigma_log)
 
 
 def _compatibility_graph(masks: Sequence[Sequence[int]],
@@ -1003,13 +987,6 @@ def _compatibility_graph(masks: Sequence[Sequence[int]],
                     adj[f1] |= 1 << f2
                     adj[f2] |= 1 << f1
     return compat
-
-
-def _common_mask(g: MultipartiteGraph, clique) -> int:
-    m = (1 << g.n_vertices) - 1
-    for v in clique:
-        m &= g.adj_mask(v)
-    return m
 
 
 def _min_clique_degree(h: MultipartiteGraph) -> int:
@@ -1197,9 +1174,8 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
     stages.append({"name": "glue",
                    "sigma_min_degrees": [e["min_degree"] for e in glue.sigma_log]})
 
-    cliques = list(glue.packing.cliques) + [tuple(map(g.vertex, e.clique))
-                                            for e in ledger.entries]
-    packing = CliquePacking(sorted(cliques))
+    cliques = sorted(glue.packing + [e.clique for e in ledger.entries])
+    packing = CliquePacking([tuple(map(g.vertex, c)) for c in cliques])
     problems = packing.verify(g, perfect=True)
     if problems:
         raise RecountFailure("final", f"assembled packing invalid: {problems[:3]}")

@@ -33,6 +33,7 @@ from partite_packing.structure import (divisibility_barrier_graph,
                                        is_splittable, robust_edge_lattice)
 from partite_packing.graphs import clique_complex_edges
 from detection_reference import naive_is_pair_complete, naive_is_splittable
+from test_graphs import index_counts, named
 from test_structure import offset_decomposition, row_masks
 
 
@@ -266,10 +267,11 @@ def test_pair_complete_matching_50():
         n = 2 if seed % 2 == 0 else 4
         g = _near_complete_halves_instance(n, seed)
         halves = [list(range(n))] * 3
-        packing = pair_complete_balanced_matching(g, halves)
-        assert packing.verify(g, perfect=True) == []
-        assert len(set(packing.index_counts.values())) == 1
-        assert len(packing.index_counts) == 3
+        edges = pair_complete_balanced_matching(g, sum(row_masks(g, halves)))
+        assert named(g, edges).verify(g, perfect=True) == []
+        counts = index_counts(g, edges)
+        assert len(set(counts.values())) == 1
+        assert len(counts) == 3
         done += 1
     assert done == 50
 
@@ -278,7 +280,7 @@ def test_pair_complete_matching_50():
         g = _near_complete_halves_instance(n, 100 + seed)
         odd_halves = [list(range(n)), list(range(n)), list(range(n - 1))]
         with pytest.raises(ParityObstruction):
-            pair_complete_balanced_matching(g, odd_halves)
+            pair_complete_balanced_matching(g, sum(row_masks(g, odd_halves)))
         # oracle confirmation that the parity obstruction is real: no perfect
         # matching covers the declared odd X an even number of times per
         # edge, i.e. once X-crossing edges are removed no matching remains
@@ -469,7 +471,7 @@ def test_glue_50():
         packings = fix_row_parity_and_matchability(g, asg, decomp,
                                                    PipelineParams())
         glue = glue_rows(g, decomp, packings)
-        assert glue.packing.verify(g, perfect=True) == []
+        assert named(g, glue.packing).verify(g, perfect=True) == []
         s = decomp.s
         n_group = 3 * decomp.unit * factorial(3 - 3) // factorial(3)
         for entry in glue.sigma_log:

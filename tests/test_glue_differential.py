@@ -42,7 +42,7 @@ def test_glue_search_matches_reference():
             unmatched += 1
         else:
             assert got is not None, copy
-            assert [tuple(t for _, t in c) for c in got.cliques] == want, copy
+            assert [tuple(h.vertex(f)[1] for f in c) for c in got] == want, copy
             matched += 1
     # both outcomes are common
     assert matched >= 1500 and unmatched >= 800

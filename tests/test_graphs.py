@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -448,6 +449,16 @@ def test_graph_json_rejects_non_integers(sizes, edges):
         graph_from_json(json.dumps(doc))
 
 
+def named(g, cliques) -> CliquePacking:
+    """Flat-id cliques of g as a named packing, for `verify`."""
+    return CliquePacking([tuple(map(g.vertex, c)) for c in cliques])
+
+
+def index_counts(g, cliques) -> Counter:
+    """Cliques per index (set of classes), counted from the vertex names."""
+    return Counter(frozenset(g.vertex(f)[0] for f in c) for c in cliques)
+
+
 def test_packing_verify_and_json():
     g = complete_multipartite([2, 2, 2])
     packing = CliquePacking([((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 1), (2, 1))])
@@ -456,13 +467,33 @@ def test_packing_verify_and_json():
     back = packing_from_json(text)
     assert sorted(back.cliques) == sorted(packing.cliques)
 
+    # each kind of violation, with the exact messages in report order
     overlapping = CliquePacking([((0, 0), (1, 0)), ((0, 0), (1, 1))])
-    assert any("twice" in p for p in overlapping.verify(g))
+    assert overlapping.verify(g) == ["vertex (0, 0) covered twice"]
     sparse = g.without_edges([((0, 0), (1, 0))])
     broken = CliquePacking([((0, 0), (1, 0))])
-    assert any("misses edge" in p for p in broken.verify(sparse))
+    assert broken.verify(sparse) == ["clique 0 misses edge (0, 0)-(1, 0)"]
+    assert overlapping.verify(sparse) == ["clique 0 misses edge (0, 0)-(1, 0)",
+                                          "vertex (0, 0) covered twice"]
+    same_class = CliquePacking([((0, 0), (0, 1), (1, 0))])
+    assert same_class.verify(g) == ["clique 0 has two vertices of class 0",
+                                    "clique 0 misses edge (0, 0)-(0, 1)"]
     gap = CliquePacking([((0, 0), (1, 0), (2, 0))])
-    assert any("not covered" in p for p in gap.verify(g, perfect=True))
+    assert gap.verify(g, perfect=True) == ["vertex (0, 1) not covered",
+                                           "vertex (1, 1) not covered",
+                                           "vertex (2, 1) not covered"]
+    miscounted = CliquePacking([((0, 0), (1, 0), (2, 0))],
+                               Counter({frozenset({0, 1, 2}): 2}))
+    assert miscounted.verify(g) == ["index_counts inconsistent with clique list"]
+    assert miscounted.verify(g, perfect=True) == [
+        "index_counts inconsistent with clique list",
+        "vertex (0, 1) not covered", "vertex (1, 1) not covered",
+        "vertex (2, 1) not covered"]
+    wide = complete_multipartite([4, 4])
+    assert CliquePacking([((0, 0), (1, 0))]).verify(wide, perfect=True) == [
+        "vertex (0, 1) not covered", "vertex (0, 2) not covered",
+        "vertex (0, 3) not covered", "vertex (1, 1) not covered",
+        "vertex (1, 2) not covered", "... and 1 more uncovered"]
 
 
 def test_packing_verify_reports_out_of_range_vertices_and_empty_cliques():
@@ -472,8 +503,10 @@ def test_packing_verify_reports_out_of_range_vertices_and_empty_cliques():
     stray = CliquePacking([((0, 0), (1, 5)), ((0, 1), (-1, 0))])
     assert stray.verify(g) == ["vertex (1, 5) out of range",
                                "vertex (-1, 0) out of range"]
-    assert stray.verify(g, perfect=True)[:2] == ["vertex (1, 5) out of range",
-                                                 "vertex (-1, 0) out of range"]
+    assert stray.verify(g, perfect=True) == ["vertex (1, 5) out of range",
+                                             "vertex (-1, 0) out of range",
+                                             "vertex (1, 0) not covered",
+                                             "vertex (1, 1) not covered"]
     assert CliquePacking([()]).verify(g) == ["clique 0 is empty"]
     assert CliquePacking([((0, 0), (1, 0)), ()]).verify(g) == [
         "clique 1 is empty", "clique 1 has 0 vertices, clique 0 has 2"]

@@ -18,6 +18,13 @@ from partite_packing.matching import (ParityObstruction,
                                       regular_bipartite_perfect_matching)
 from partite_packing.oracle import brute_force_packing
 from partite_packing.structure import divisibility_barrier_graph
+from test_graphs import index_counts, named
+from test_structure import row_masks
+
+
+def half_mask(g, halves):
+    """The flat-id mask of per-class offset lists."""
+    return sum(row_masks(g, halves))
 
 
 # -- degree sequences ------------------------------------------------------------
@@ -203,27 +210,37 @@ def test_general_bipartite_absence():
 
 def test_pair_complete_matching_small_exact_halves():
     g, _ = divisibility_barrier_graph(3, 2)
-    got = pair_complete_balanced_matching(g, [[0, 1]] * 3)
-    assert got.verify(g, perfect=True) == []
-    assert set(got.index_counts.values()) == {2}
+    got = pair_complete_balanced_matching(g, half_mask(g, [[0, 1]] * 3))
+    assert named(g, got).verify(g, perfect=True) == []
+    assert set(index_counts(g, got).values()) == {2}
 
 
 def test_pair_complete_matching_parity_error():
     g, _ = divisibility_barrier_graph(3, 2)
     with pytest.raises(ParityObstruction):
-        pair_complete_balanced_matching(g, [[0, 1], [0, 1], [0]])
+        pair_complete_balanced_matching(g, half_mask(g, [[0, 1], [0, 1], [0]]))
 
 
 def test_pair_complete_matching_rejects_a_single_class():
     with pytest.raises(ValueError):
-        pair_complete_balanced_matching(complete_multipartite([4]), [[0, 1]])
+        pair_complete_balanced_matching(complete_multipartite([4]), 0b11)
+
+
+def test_pair_complete_matching_rejects_a_half_outside_the_graph():
+    # ids 0-3 are class 0, ids 4-7 class 1: bit 8 (or a negative mask) names
+    # no vertex of the graph
+    g = complete_multipartite([4, 4])
+    for half in (0b11 | 1 << 8, 1 << 40, -1):
+        with pytest.raises(ValueError, match="outside the graph"):
+            pair_complete_balanced_matching(g, half)
 
 
 def test_pair_complete_matching_complete_graph_any_split():
     g = complete_multipartite([4, 4, 4])
-    got = pair_complete_balanced_matching(g, [[0, 1], [0, 2], [1, 3]])
-    assert got.verify(g, perfect=True) == []
-    assert got.is_balanced()
+    got = pair_complete_balanced_matching(
+        g, half_mask(g, [[0, 1], [0, 2], [1, 3]]))
+    assert named(g, got).verify(g, perfect=True) == []
+    assert len(set(index_counts(g, got).values())) == 1
 
 
 def test_pair_complete_matching_with_deletions_and_excess():
@@ -241,9 +258,9 @@ def test_pair_complete_matching_with_deletions_and_excess():
         drop.append(((j, rng.randrange(5)), (j2, rng.randrange(5))))
     g = g.without_edges(drop)
     g = g.with_edges([((2, 6), (j, o)) for j in (0, 1) for o in range(7, 12)])
-    got = pair_complete_balanced_matching(g, halves)
-    assert got.verify(g, perfect=True) == []
-    assert got.is_balanced()
+    got = pair_complete_balanced_matching(g, half_mask(g, halves))
+    assert named(g, got).verify(g, perfect=True) == []
+    assert len(set(index_counts(g, got).values())) == 1
 
 
 # -- exact balanced packing search ----------------------------------------------------------
@@ -254,7 +271,7 @@ def test_exact_search_complete_balanced_counts():
     res = exact_balanced_clique_packing(g, 2)
     assert res.completed and res.packing is not None
     want = (3 * 4 // 2) // 3
-    assert set(res.packing.index_counts.values()) == {want}
+    assert set(index_counts(g, res.packing).values()) == {want}
 
 
 def test_exact_search_gamma_absent_with_certainty():
@@ -297,8 +314,10 @@ def test_exact_search_balanced_singletons_need_equal_classes():
     # be balanced, even though every vertex is a 1-clique
     res = exact_balanced_clique_packing(complete_multipartite([1, 3]), 1)
     assert res.packing is None and res.completed
-    res = exact_balanced_clique_packing(complete_multipartite([2, 2]), 1)
-    assert res.packing is not None and res.packing.is_balanced()
+    g = complete_multipartite([2, 2])
+    res = exact_balanced_clique_packing(g, 1)
+    assert res.packing is not None
+    assert len(set(index_counts(g, res.packing).values())) == 1
 
 
 def test_exact_search_agrees_with_oracle():
@@ -360,7 +379,7 @@ def test_pair_complete_matching_four_classes():
         j2 = (j + 1) % r
         drop.append(((j, rng.randrange(5)), (j2, rng.randrange(5))))
     g = g.without_edges(drop)
-    got = pair_complete_balanced_matching(g, halves)
-    assert got.verify(g, perfect=True) == []
-    assert got.is_balanced()
-    assert len(got.index_counts) == 6
+    got = pair_complete_balanced_matching(g, half_mask(g, halves))
+    assert named(g, got).verify(g, perfect=True) == []
+    assert len(set(index_counts(g, got).values())) == 1
+    assert len(index_counts(g, got)) == 6

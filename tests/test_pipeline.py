@@ -23,6 +23,7 @@ from partite_packing.pipeline import (DeletionLedger, PipelineParams,
                                       is_properly_distributed,
                                       prepare_multirow, solve)
 from partite_packing.structure import RowDecomposition
+from test_graphs import index_counts, named
 from test_oracle import relabeled_copy
 from test_structure import members, offset_decomposition, row_masks
 
@@ -495,7 +496,7 @@ def test_glue_single_row_passthrough():
     decomp = offset_decomposition(g, (3,), 2, ([range(6)] * 3,))
     res = exact_balanced_clique_packing(g, 3)
     glue = glue_rows(g, decomp, {0: res.packing})
-    assert glue.packing.verify(g, perfect=True) == []
+    assert named(g, glue.packing).verify(g, perfect=True) == []
 
 
 def test_glue_two_rows_complete_diagonal():
@@ -504,9 +505,9 @@ def test_glue_two_rows_complete_diagonal():
     packs = fix_row_parity_and_matchability(g, asg, decomp, PipelineParams())
     glue = glue_rows(g, decomp, packs)
     assert min(e["min_degree"] for e in glue.sigma_log) > 0
-    assert glue.packing.verify(g, perfect=True) == []
+    assert named(g, glue.packing).verify(g, perfect=True) == []
     # every glued clique meets row i in exactly its weight
-    for clique in glue.packing.cliques:
+    for clique in named(g, glue.packing).cliques:
         for i in range(decomp.s):
             hit = sum(1 for v in clique if has(decomp.rows[i][v[0]], g, v))
             assert hit == decomp.weights[i]
@@ -517,7 +518,7 @@ def test_glue_rejects_bad_unit():
     g = complete_multipartite([6, 6, 6])
     decomp = offset_decomposition(g, (2, 1), 2, ([{0, 1, 2, 3}] * 3, [{4, 5}] * 3))
     with pytest.raises(StageFailure):
-        glue_rows(g, decomp, {0: CliquePacking([]), 1: CliquePacking([])})
+        glue_rows(g, decomp, {0: [], 1: []})
 
 
 def test_fix_rows_pair_complete_path():
@@ -525,9 +526,9 @@ def test_fix_rows_pair_complete_path():
     pc = {0: row_masks(g, [range(6)] * 3)}
     asg = make_assignment(g, decomp, pc=pc)
     packs = fix_row_parity_and_matchability(g, asg, decomp, PipelineParams())
-    assert set(packs[0].index_counts.values()) == {len(packs[0].cliques) // 3}
+    assert set(index_counts(g, packs[0]).values()) == {len(packs[0]) // 3}
     glue = glue_rows(g, decomp, packs)
-    assert glue.packing.verify(g, perfect=True) == []
+    assert named(g, glue.packing).verify(g, perfect=True) == []
 
 
 # -- the orchestrator ---------------------------------------------------------------------
@@ -1103,8 +1104,8 @@ def test_rowpack_routes_a_two_half_row_around_missing_edges(monkeypatch):
                           bad_slack=2)
     assert asg.bad == 0 and asg.pc_rows == {0}
     packs = fix_row_parity_and_matchability(g, asg, decomp, PipelineParams())
-    assert packs[0].verify(g, perfect=True) == []
-    assert packs[0].is_balanced()
+    assert named(g, packs[0]).verify(g, perfect=True) == []
+    assert len(set(index_counts(g, packs[0]).values())) == 1
 
 
 def test_extremal_zero_excess_fix_via_unit_row_edge():
@@ -1195,8 +1196,8 @@ def three_unit_rows():
                     if o1 // n_prime != o2 // n_prime and rng.random() < 0.02:
                         drop.append(((j1, o1), (j2, o2)))
     g = g.without_edges(drop)
-    packs = {i: CliquePacking([(v,) for j in range(r)
-                               for v in members(g, decomp.rows[i][j])])
+    packs = {i: [(g.flat(v),) for j in range(r)
+                 for v in members(g, decomp.rows[i][j])]
              for i in range(3)}
     return g, decomp, packs
 
@@ -1205,7 +1206,7 @@ def test_glue_three_unit_rows():
     # exercises the multi-way matcher
     g, decomp, packs = three_unit_rows()
     glue = glue_rows(g, decomp, packs)
-    assert glue.packing.verify(g, perfect=True) == []
+    assert named(g, glue.packing).verify(g, perfect=True) == []
     assert len(glue.sigma_log) == 6
     for entry in glue.sigma_log:
         assert entry["matched"]

@@ -12,6 +12,7 @@ from partite_packing.graphs import MultipartiteGraph, complete_multipartite
 from partite_packing.matching import (SearchResult,
                                       exact_balanced_clique_packing)
 from partite_packing.oracle import exact_cover
+from test_graphs import named
 
 # A planted balanced triangle packing of K(6,6,6,6,6), one triangle per class
 # triple, plus four stray edges.  The search meets one uncovered set twice
@@ -61,12 +62,16 @@ def search_cases():
 
 
 def kernel(g, p, balanced):
-    """The kernel's answer in the reference's shape: the balanced entry
-    point, or `exact_cover` with no quota."""
+    """The kernel's answer in the reference's shape, its cliques named: the
+    balanced entry point, or `exact_cover` with no quota."""
     if balanced:
-        return exact_balanced_clique_packing(g, p)
-    packing, nodes, completed = exact_cover(g, p)
-    return SearchResult(packing, completed, nodes)
+        res = exact_balanced_clique_packing(g, p)
+    else:
+        cliques, nodes, completed = exact_cover(g, p)
+        res = SearchResult(cliques, completed, nodes)
+    if res.packing is not None:
+        res.packing = named(g, res.packing)
+    return res
 
 
 def test_exact_search_matches_reference():
