@@ -290,11 +290,11 @@ def partite_min_degree(g: MultipartiteGraph) -> int:
 def density(g: MultipartiteGraph, a: Iterable[Vertex], b: Iterable[Vertex]) -> Fraction:
     """Exact edge density e(A,B) / (|A||B|) between sets in two distinct classes.
 
-    The independent verification path for every density-based search in the
-    package: every vertex is validated once, a repeated vertex in either side
-    is a `ValueError`, and the mask of B is built here from the vertices given,
-    so each A-vertex's edges into B are one popcount of its adjacency row
-    against that mask.  Nothing a search built or counted is read.
+    A library function on vertex names, which no package search calls (the
+    detection verifiers count edges on flat-id masks); the tests' reference
+    detection reads it.  Every vertex is validated once, a repeated vertex in
+    either side is a `ValueError`, and each A-vertex's edges into B are one
+    popcount of its adjacency row against the mask of B built here.
     """
     aa, bb = list(a), list(b)
     if not aa or not bb:

@@ -1131,11 +1131,10 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
     for i in range(decomp.s):
         if decomp.weights[i] != 2:
             continue
-        sub, from_sub = g.induced(reduce(or_, decomp.rows[i]))
-        w = is_pair_complete(sub, PC_THRESHOLD, seed=params.seed)
+        w = is_pair_complete(g, PC_THRESHOLD, seed=params.seed,
+                             blocks=decomp.rows[i])
         if w is not None:
-            pc_halves[i] = [sum(1 << from_sub[sub._off[j] + t] for t in half)
-                            for j, half in enumerate(w.halves)]
+            pc_halves[i] = w.halves
     bad_slack = max(1, (2 * decomp.unit) // 5)   # per-unit non-neighbours
     asg = classify_bad_vertices(g, decomp, pc_halves, bad_slack)
     stages.append({"name": "classify", "bad": asg.bad.bit_count(),

@@ -1,20 +1,25 @@
 """Row decompositions, splittability / pair-completeness detection, integer
 lattices of edge indices, and barrier diagnosis.
 
-Splittability and pair-completeness are existential density conditions; the
-searches here are exact (complete backtracking) for small classes and a
-verified local-search heuristic above a size cap.  The searches score
-candidates with integer edge counts over bitmasks (the heuristics update
-them incrementally per swap), never with `Fraction`s.  Any returned witness
-is re-checked once, by `is_splittable` / `is_pair_complete`, before it is
-handed back: `verify_split_witness` / `verify_pair_complete_witness` check
-the witness's shape (r sets of distinct in-range offsets of the right size)
-and then every density through `graphs.density`, which builds its own masks
-from the vertices it is given and reads only the adjacency rows, never a
+Splittability and pair-completeness are existential density conditions on
+the blocks a search is given: one flat-id mask per class, the blocks of a
+row of a `RowDecomposition` or by default the whole classes.  A search reads
+g's adjacency rows in place, masked by the union of the blocks where a row
+itself is compared, draws and ranks vertices by their position within each
+block, and returns witnesses whose sets are flat-id masks of g.  The
+searches are exact (complete backtracking) for small blocks and a verified
+local-search heuristic above a size cap, and they score candidates with
+integer edge counts over bitmasks (the heuristics update them incrementally
+per swap), never with `Fraction`s.  Any returned witness is re-checked once,
+by `is_splittable` / `is_pair_complete`, before it is handed back:
+`verify_split_witness` / `verify_pair_complete_witness` check its shape (one
+mask per block, inside it, all of one size) and then every density as an
+edge count over g's rows against complements they build themselves, never a
 mask or count a search made.  So witnesses are always exact and only
-*absence* depends on the class size: the exact search certifies it, and at
+*absence* depends on the block size: the exact search certifies it, and at
 any size so does the non-edge component rule that `is_splittable` tries
-before any split search (`_split_refuted`).
+before any split search (`_split_refuted`).  Offsets appear only in the
+report of `diagnose_barriers`.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .graphs import (MultipartiteGraph, PartitionLabeling, Vertex,
-                     clique_complex_edges, components, density, index_vector)
+                     clique_complex_edges, components, index_vector, mask_ids)
 
 EXACT_CLASS_CAP = 8           # exact detection up to this class size
 HEURISTIC_RESTARTS = 8        # seeded random starts per heuristic search
@@ -115,94 +120,84 @@ def min_diagonal_density(g: MultipartiteGraph, decomp: RowDecomposition) -> Frac
 
 @dataclass
 class SplitWitness:
-    """Sets S_j of size p_prime*n per class with all cross densities
-    d(S_j, V_j' \\ S_j') at least 1-d."""
+    """Sets S_j of p_prime*n vertices in each block B_j, as flat-id masks of
+    the searched graph, with all cross densities d(S_j, B_j' \\ S_j') at
+    least 1-d."""
 
     p_prime: int
-    sets: list[tuple[int, ...]]  # offsets per class
+    sets: list[int]              # flat-id mask per block
     achieved: Fraction           # minimum density over all ordered pairs
 
 
-def _offset_sets(g: MultipartiteGraph, sets: Sequence[Sequence[int]],
-                 t: int) -> list[set[int]] | None:
-    """The witness sets as Python sets, or None unless they are r sets of t
-    distinct offsets each, all inside the class size."""
-    size = g.class_sizes[0]
-    members = [set(s) for s in sets]
-    if (len(members) != g.r
-            or any(len(m) != t or len(s) != t for m, s in zip(members, sets))
-            or any(not 0 <= o < size for m in members for o in m)):
-        return None
-    return members
-
-
 def verify_split_witness(g: MultipartiteGraph, w: SplitWitness,
-                         d: Fraction) -> bool:
-    """Recheck a split witness through `graphs.density`.  The sets
-    must be r sets of distinct in-range offsets with one common size t,
-    0 < t < class size."""
-    r = g.r
-    size = g.class_sizes[0]
-    achieved = Fraction(1)
-    t = len(w.sets[0]) if w.sets else 0
-    members = _offset_sets(g, w.sets, t)
-    if members is None or not 0 < t < size:
+                         d: Fraction, *, blocks: Sequence[int] | None = None
+                         ) -> bool:
+    """Recheck a split witness on the blocks it was found in (one flat-id
+    mask per class, by default the classes).  The sets must be one mask per
+    block, each inside its block, all of one size t with 0 < t < block size;
+    every density is an edge count over g's rows against complements built
+    here."""
+    blocks = g._class_masks if blocks is None else blocks
+    sets = w.sets
+    size = blocks[0].bit_count()
+    t = sets[0].bit_count() if sets else 0
+    if (len(sets) != len(blocks) or not 0 < t < size
+            or any(s & ~b or s.bit_count() != t for s, b in zip(sets, blocks))):
         return False
-    comps = [[(j, o) for o in range(size) if o not in members[j]]
-             for j in range(r)]
-    for j in range(r):
-        s_j = [(j, o) for o in w.sets[j]]
-        for j2 in range(r):
-            if j == j2:
-                continue
-            dens = density(g, s_j, comps[j2])
-            achieved = min(achieved, dens)
-    w.achieved = achieved
-    return achieved >= 1 - d
+    e = _pair_counts(g, sets, [b & ~s for s, b in zip(sets, blocks)])
+    w.achieved = min([Fraction(1)] + [Fraction(x, t * (size - t))
+                                      for a, row in enumerate(e)
+                                      for b, x in enumerate(row) if a != b])
+    return w.achieved >= 1 - d
 
 
 def is_splittable(g: MultipartiteGraph, p: int, d: Fraction, *,
-                  seed: int = 0) -> SplitWitness | None:
-    """Search for an equal-proportion split with all diagonal densities >= 1-d.
+                  seed: int = 0, blocks: Sequence[int] | None = None
+                  ) -> SplitWitness | None:
+    """Search the blocks (one flat-id mask per class, by default the
+    classes) for an equal-proportion split with all diagonal densities
+    >= 1-d; each block is searched in place, by its vertices' positions.
 
     First the non-edge component rule (`_split_refuted`) may refute every
-    weight; None is then certified absence at any class size, and no search
-    runs.  Otherwise classes of at most EXACT_CLASS_CAP vertices get complete
-    backtracking over per-class subsets (lexicographic, so the first witness
-    found is the least, and None is certified absence); larger classes get
+    weight; None is then certified absence at any block size, and no search
+    runs.  Otherwise blocks of at most EXACT_CLASS_CAP vertices get complete
+    backtracking over per-block subsets (lexicographic, so the first witness
+    found is the least, and None is certified absence); larger blocks get
     seeded hill climbing, whose None certifies nothing.
     """
-    sizes = set(g.class_sizes)
+    blocks = g._class_masks if blocks is None else blocks
+    sizes = {b.bit_count() for b in blocks}
     if len(sizes) != 1:
-        raise ValueError("classes must have equal size")
-    size = g.class_sizes[0]
+        raise ValueError("blocks must have equal size")
+    size = sizes.pop()
     if p < 1 or size % p != 0:
-        raise ValueError(f"class size {size} is not divisible by weight {p}")
+        raise ValueError(f"block size {size} is not divisible by weight {p}")
     if p == 1 or size == 0:     # no proper nonempty part to split off
         return None
     n = size // p
-    if _split_refuted(g, p, n, d):
+    if _split_refuted(g, blocks, p, n, d):
         return None
     if size <= EXACT_CLASS_CAP:
-        witness = _split_exact(g, p, n, d)
+        witness = _split_exact(g, blocks, p, n, d)
     else:
-        witness = _split_heuristic(g, p, n, d, seed)
-    if witness is not None and (not verify_split_witness(g, witness, d)
-                                or len(witness.sets[0]) != witness.p_prime * n):
+        witness = _split_heuristic(g, blocks, p, n, d, seed)
+    if witness is not None and (
+            not verify_split_witness(g, witness, d, blocks=blocks)
+            or witness.sets[0].bit_count() != witness.p_prime * n):
         raise AssertionError("searcher returned a witness that fails verification")
     return witness
 
 
-def _split_refuted(g, p, n, d):
-    """True when the cross-class non-edges alone rule out a split for every
+def _split_refuted(g, blocks, p, n, d):
+    """True when the cross-block non-edges alone rule out a split for every
     p_prime in 1..p-1.
 
-    A witness for p_prime has t = p_prime*n offsets per class in S and
+    A witness for p_prime has t = p_prime*n vertices of each block in S and
     c = size - t outside, and allows at most d*t*c non-edges from S_a to
-    V_b minus S_b.  When d*t*c < 1 it allows none, so each connected
-    component of the cross-class non-edge graph (u, w in different classes,
+    B_b minus S_b.  When d*t*c < 1 it allows none, so each connected
+    component of the cross-block non-edge graph (u, w in different blocks,
     not adjacent) lies wholly in S or wholly outside it.  A component with
-    more than t vertices in some class and more than c in some class fits
+    more than t vertices in some block and more than c in some block fits
     on neither side.  The rule applies only when d*t*c < 1 for every
     p_prime; it never rejects a graph that has a split.
     """
@@ -210,49 +205,46 @@ def _split_refuted(g, p, n, d):
     targets = [q * n for q in range(1, p)]
     if any(d * t * (size - t) >= 1 for t in targets):
         return False
-    full = (1 << g.n_vertices) - 1
-    class_masks = [g.class_mask(j) for j in range(g.r)]
-    non_edges = [full & ~class_masks[c] & ~nb
+    union = reduce(or_, blocks)
+    non_edges = [union & ~g._class_masks[c] & ~nb
                  for c, nb in zip(g._class_of, g._adj)]
-    for comp in components(full, non_edges):
+    for comp in components(union, non_edges):
         # misfitting only grows with `most`, so the component with the
-        # largest class count misfits every p_prime that any component does
-        most = max((comp & m).bit_count() for m in class_masks)
+        # largest block count misfits every p_prime that any component does
+        most = max((comp & b).bit_count() for b in blocks)
         if all(most > t and most > size - t for t in targets):
             return True
     return False
 
 
-def _exact_choice(g, options, pair_ok):
-    """Lexicographically least choice of one offset tuple per class, from
-    options[j] for class j, with pair_ok(s_a, t_a, s_b, t_b) true for every
-    pair of classes b < a (s: chosen offsets' mask, t: the rest of the
-    class); None if there is none.  Each option's masks are built once."""
-    table = []
-    for j, opts in enumerate(options):
-        whole = g.class_mask(j)
-        masks = [g.mask_of((j, o) for o in combo) for combo in opts]
-        table.append([(combo, m, whole & ~m) for combo, m in zip(opts, masks)])
+def _exact_choice(blocks, options, pair_ok):
+    """Lexicographically least choice of one mask per block, from options[j]
+    for block j, with pair_ok(s_a, t_a, s_b, t_b) true for every pair of
+    blocks b < a (s: the chosen mask, t: the rest of its block); None if
+    there is none.  Each option's complement is built once."""
+    table = [[(m, block & ~m) for m in opts]
+             for block, opts in zip(blocks, options)]
     chosen = []
 
     def backtrack(a):
         if a == len(table):
             return True
         for option in table[a]:
-            _, s_a, t_a = option
-            if all(pair_ok(s_a, t_a, s_b, t_b) for _, s_b, t_b in chosen):
+            s_a, t_a = option
+            if all(pair_ok(s_a, t_a, s_b, t_b) for s_b, t_b in chosen):
                 chosen.append(option)
                 if backtrack(a + 1):
                     return True
                 chosen.pop()
         return False
 
-    return [combo for combo, _, _ in chosen] if backtrack(0) else None
+    return [s for s, _ in chosen] if backtrack(0) else None
 
 
-def _split_exact(g, p, n, d):
-    """Least split for the least p_prime: every e(S_a, V_b minus S_b) at
-    least (1-d)*t*c, with t = p_prime*n and c = size - t."""
+def _split_exact(g, blocks, p, n, d):
+    """Least split for the least p_prime: every e(S_a, B_b minus S_b) at
+    least (1-d)*t*c, with t = p_prime*n and c = size - t.  The options of a
+    block are its t-subsets in lexicographic order of positions."""
     size = p * n
     bound = 1 - Fraction(d)
     num, den = bound.numerator, bound.denominator
@@ -265,95 +257,91 @@ def _split_exact(g, p, n, d):
             return (count(s_a, t_b) * den >= least
                     and count(s_b, t_a) * den >= least)
 
-        sets = _exact_choice(
-            g, [list(combinations(range(size), target))] * g.r, pair_ok)
+        options = [[sum(1 << f for f in c)
+                    for c in combinations(mask_ids(b), target)] for b in blocks]
+        sets = _exact_choice(blocks, options, pair_ok)
         if sets is not None:
             return SplitWitness(p_prime, sets, Fraction(0))
     return None
 
 
-def _class_masks(g, sets):
-    """Bitmasks of the chosen offsets per class, and of their complements."""
-    masks = [g.mask_of((j, o) for o in s) for j, s in enumerate(sets)]
-    comps = [g.class_mask(j) & ~m for j, m in enumerate(masks)]
-    return masks, comps
-
-
 def _pair_counts(g, left, right):
-    """e(left[a], right[b]) for every ordered pair of classes a != b (masks
-    per class), 0 on the diagonal."""
+    """e(left[a], right[b]) for every ordered pair of blocks a != b (masks
+    per block), 0 on the diagonal."""
     r = len(left)
     return [[g.edge_count_between(left[a], right[b]) if a != b else 0
              for b in range(r)] for a in range(r)]
 
 
-def _neighborhoods(g, size):
-    return [[g.adj_mask((j, o)) for o in range(size)] for j in range(g.r)]
-
-
-def _pivot_seed(g, nbrs, c, nv, target, side):
-    """Sets of `target` offsets per class seeded by a pivot in class c with
-    neighbourhood nv: in class c the neighbourhoods nearest nv in Hamming
-    distance, in every other class the offsets with bit `side` in nv first
-    (1: neighbours, 0: non-neighbours), ties to the lower offset."""
-    size = len(nbrs[c])
+def _pivot_seed(g, ids, union, c, nv, target, side):
+    """Masks of `target` vertices per block seeded by a pivot in block c
+    whose row within the blocks (`union`) is nv; ids[j] lists block j's
+    vertices.  In block c the vertices whose rows within the blocks are
+    nearest nv in Hamming distance, in every other block the vertices with
+    bit `side` in nv first (1: neighbours, 0: non-neighbours), ties to the
+    lower position."""
     sets = []
-    for j in range(g.r):
+    for j, block in enumerate(ids):
         if j == c:
-            ranked = sorted(range(size),
-                            key=lambda o: ((nbrs[c][o] ^ nv).bit_count(), o))
+            ranked = sorted(block, key=lambda f: (
+                ((g._adj[f] ^ nv) & union).bit_count(), f))
         else:
-            bits = nv >> g._off[j]
-            ranked = [o for o in range(size) if (bits >> o & 1) == side]
+            ranked = [f for f in block if (nv >> f & 1) == side]
             if len(ranked) < target:
-                ranked += [o for o in range(size) if (bits >> o & 1) != side]
-        sets.append(tuple(sorted(ranked[:target])))
+                ranked += [f for f in block if (nv >> f & 1) != side]
+        sets.append(sum(1 << f for f in ranked[:target]))
     return sets
 
 
-def _split_pivot_candidates(g, p, n, nbrs):
+def _split_pivot_candidates(g, blocks, p, n):
     """Deterministic seed splits derived from single vertices: outside the
-    pivot's class take its non-neighbors, inside take the vertices with the
+    pivot's block take its non-neighbors, inside take the vertices with the
     most similar neighborhoods.  Exact for blow-up-shaped instances.
 
-    A candidate depends only on the pivot's class and neighbourhood, so each
-    distinct neighbourhood of a class is tried once, at its first vertex."""
-    for c in range(g.r):
-        for nv in dict.fromkeys(nbrs[c]):
-            non_counts = [(g.class_mask(j) & ~nv).bit_count()
-                          for j in range(g.r) if j != c]
+    A candidate depends only on the pivot's block and its row within the
+    blocks, so each distinct such row of a block is tried once, at its first
+    vertex."""
+    ids = [list(mask_ids(b)) for b in blocks]
+    union = reduce(or_, blocks)
+    for c in range(len(blocks)):
+        for nv in dict.fromkeys(g._adj[f] & union for f in ids[c]):
+            non_counts = [(b & ~nv).bit_count()
+                          for j, b in enumerate(blocks) if j != c]
             if not non_counts:
                 continue
             p_prime = round(sum(non_counts) / len(non_counts) / n)
             if 1 <= p_prime <= p - 1:
-                yield p_prime, _pivot_seed(g, nbrs, c, nv, p_prime * n, 0)
+                yield p_prime, _pivot_seed(g, ids, union, c, nv,
+                                           p_prime * n, 0)
 
 
-def _split_heuristic(g, p, n, d, seed):
+def _split_heuristic(g, blocks, p, n, d, seed):
     """Pivot candidates first, then seeded hill climbing from random splits.
 
-    All sets have p_prime*n offsets, so every density of a split shares the
+    All sets have p_prime*n vertices, so every density of a split shares the
     denominator full = target * (size - target), and the climb ranks splits
-    by the integer pair (min e, sum e) over e[a][b] = e(S_a, V_b minus S_b):
-    the same order as the densities give, with no Fractions.  A swap in class
+    by the integer pair (min e, sum e) over e[a][b] = e(S_a, B_b minus S_b):
+    the same order as the densities give, with no Fractions.  A swap in block
     j changes only row j and column j of that table, so a trial move costs
     O(r) bit counts.
     """
     size = p * n
-    r = g.r
+    r = len(blocks)
     bound = 1 - Fraction(d)
     num, den = bound.numerator, bound.denominator
-    nbrs = _neighborhoods(g, size)
+    ids = [list(mask_ids(b)) for b in blocks]
 
     def feasible(worst, full):
         return worst * den >= num * full
 
     def climb(sets, rng, target):
+        # sets[j]: the ascending flat ids of S_j
         free = size - target
         full = target * free
-        comps = [[o for o in range(size) if o not in members]
-                 for members in map(set, sets)]
-        masks, comp_masks = _class_masks(g, sets)
+        masks = [sum(1 << f for f in s) for s in sets]
+        comps = [[f for f in block if not m >> f & 1]
+                 for block, m in zip(ids, masks)]
+        comp_masks = [b & ~m for b, m in zip(blocks, masks)]
         e = _pair_counts(g, masks, comp_masks)
         pairs = [(a, b) for a in range(r) for b in range(r) if a != b]
         others = [[b for b in range(r) if b != j] for j in range(r)]
@@ -362,7 +350,7 @@ def _split_heuristic(g, p, n, d, seed):
         for _ in range(HEURISTIC_MAX_STEPS):
             if feasible(worst, full):
                 break
-            # per class j: the least entry outside row j and column j, and
+            # per block j: the least entry outside row j and column j, and
             # the sum of the entries inside them
             rest = [min([full] + [e[a][b] for a, b in pairs
                                   if j not in (a, b)]) for j in range(r)]
@@ -375,7 +363,7 @@ def _split_heuristic(g, p, n, d, seed):
                 j, rem = divmod(idx, full)
                 out_v = sets[j][rem // free]
                 in_v = comps[j][rem % free]
-                n_out, n_in = nbrs[j][out_v], nbrs[j][in_v]
+                n_out, n_in = g._adj[out_v], g._adj[in_v]
                 row = [e[j][b] - (n_out & comp_masks[b]).bit_count()
                        + (n_in & comp_masks[b]).bit_count() for b in others[j]]
                 col = [e[a][j] - (n_in & masks[a]).bit_count()
@@ -387,31 +375,30 @@ def _split_heuristic(g, p, n, d, seed):
                         e[j][b], e[b][j] = row[x], col[x]
                     sets[j] = sorted(set(sets[j]) - {out_v} | {in_v})
                     comps[j] = sorted(set(comps[j]) - {in_v} | {out_v})
-                    swap = 1 << g.flat((j, out_v)) | 1 << g.flat((j, in_v))
+                    swap = 1 << out_v | 1 << in_v
                     masks[j] ^= swap
                     comp_masks[j] ^= swap
                     worst, total, improved = new_worst, new_total, True
                     break
             if not improved:
                 break
-        return sets, feasible(worst, full)
+        return masks, feasible(worst, full)
 
-    for p_prime, sets in _split_pivot_candidates(g, p, n, nbrs):
+    for p_prime, sets in _split_pivot_candidates(g, blocks, p, n):
         target = p_prime * n
-        e = _pair_counts(g, *_class_masks(g, sets))
+        e = _pair_counts(g, sets, [b & ~s for b, s in zip(blocks, sets)])
         if feasible(min(e[a][b] for a in range(r) for b in range(r) if a != b),
                     target * (size - target)):
-            return SplitWitness(p_prime, [tuple(s) for s in sets], Fraction(0))
+            return SplitWitness(p_prime, sets, Fraction(0))
 
     for p_prime in range(1, p):
         target = p_prime * n
         for t in range(HEURISTIC_RESTARTS):
             rng = random.Random(f"split:{seed}:{p_prime}:{t}")
-            sets = [sorted(rng.sample(range(size), target)) for _ in range(r)]
-            sets, ok = climb(sets, rng, target)
+            sets = [sorted(rng.sample(block, target)) for block in ids]
+            masks, ok = climb(sets, rng, target)
             if ok:
-                return SplitWitness(p_prime, [tuple(s) for s in sets],
-                                    Fraction(0))
+                return SplitWitness(p_prime, masks, Fraction(0))
     return None
 
 
@@ -420,64 +407,72 @@ def _split_heuristic(g, p, n, d, seed):
 
 @dataclass
 class PairCompleteWitness:
-    """Halves S_j of size n per class: dense within each half, sparse across."""
+    """Halves S_j of n vertices in each block B_j of 2n, as flat-id masks of
+    the searched graph: dense within each half, sparse across."""
 
-    halves: list[tuple[int, ...]]
+    halves: list[int]            # flat-id mask per block
     min_half_density: Fraction
     min_cohalf_density: Fraction
     max_cross_density: Fraction
 
 
 def verify_pair_complete_witness(g: MultipartiteGraph, w: PairCompleteWitness,
-                                 d: Fraction) -> bool:
-    """Recheck a pair-complete witness through `graphs.density`.  The
-    halves must be r sets of n distinct in-range offsets, n half the class
-    size."""
-    size = g.class_sizes[0]
-    members = _offset_sets(g, w.halves, size // 2)
-    if members is None or size % 2:
+                                 d: Fraction, *,
+                                 blocks: Sequence[int] | None = None) -> bool:
+    """Recheck a pair-complete witness on the blocks it was found in (one
+    flat-id mask per class, by default the classes).  The halves must be one
+    mask per block, each inside its block and holding half of it; every
+    density is an edge count over g's rows against complements built
+    here."""
+    blocks = g._class_masks if blocks is None else blocks
+    halves = w.halves
+    size = blocks[0].bit_count()
+    n = size // 2
+    if (size % 2 or not n or len(halves) != len(blocks)
+            or any(h & ~b or h.bit_count() != n for h, b in zip(halves, blocks))):
         return False
-    lo1 = lo2 = Fraction(1)
-    hi = Fraction(0)
-    halves = [[(j, o) for o in w.halves[j]] for j in range(g.r)]
-    others = [[(j, o) for o in range(size) if o not in members[j]]
-              for j in range(g.r)]
-    for j in range(g.r):
-        for j2 in range(g.r):
-            if j == j2:
-                continue
-            lo1 = min(lo1, density(g, halves[j], halves[j2]))
-            lo2 = min(lo2, density(g, others[j], others[j2]))
-            hi = max(hi, density(g, halves[j], others[j2]))
-    w.min_half_density, w.min_cohalf_density, w.max_cross_density = lo1, lo2, hi
-    return lo1 >= 1 - d and lo2 >= 1 - d and hi <= d
+    others = [b & ~h for h, b in zip(halves, blocks)]
+    pairs = [(a, b) for a in range(len(blocks)) for b in range(len(blocks))
+             if a != b]
+    ss, tt, st = ([Fraction(e[a][b], n * n) for a, b in pairs] for e in (
+        _pair_counts(g, halves, halves), _pair_counts(g, others, others),
+        _pair_counts(g, halves, others)))
+    w.min_half_density, w.min_cohalf_density, w.max_cross_density = (
+        min([Fraction(1)] + ss), min([Fraction(1)] + tt), max([Fraction(0)] + st))
+    return (w.min_half_density >= 1 - d and w.min_cohalf_density >= 1 - d
+            and w.max_cross_density <= d)
 
 
 def is_pair_complete(g: MultipartiteGraph, d: Fraction, *,
-                     seed: int = 0) -> PairCompleteWitness | None:
-    """Search for halves with near-complete intra-half and near-empty
-    cross-half densities: complete backtracking for classes of at most
-    EXACT_CLASS_CAP vertices (None is then certified absence), seeded hill
-    climbing above.  Witnesses are re-verified before return."""
-    sizes = set(g.class_sizes)
+                     seed: int = 0, blocks: Sequence[int] | None = None
+                     ) -> PairCompleteWitness | None:
+    """Search the blocks (one flat-id mask per class, by default the
+    classes) for halves with near-complete intra-half and near-empty
+    cross-half densities, each block in place, by its vertices' positions:
+    complete backtracking for blocks of at most EXACT_CLASS_CAP vertices
+    (None is then certified absence), seeded hill climbing above.  Witnesses
+    are re-verified before return."""
+    blocks = g._class_masks if blocks is None else blocks
+    sizes = {b.bit_count() for b in blocks}
     if len(sizes) != 1:
-        raise ValueError("classes must have equal size")
-    size = g.class_sizes[0]
+        raise ValueError("blocks must have equal size")
+    size = sizes.pop()
     if size % 2 != 0:
-        raise ValueError("classes must have even size")
+        raise ValueError("blocks must have even size")
     n = size // 2
     if size <= EXACT_CLASS_CAP:
-        witness = _pc_exact(g, n, d)
+        witness = _pc_exact(g, blocks, n, d)
     else:
-        witness = _pc_heuristic(g, n, d, seed)
-    if witness is not None and not verify_pair_complete_witness(g, witness, d):
+        witness = _pc_heuristic(g, blocks, n, d, seed)
+    if witness is not None and not verify_pair_complete_witness(
+            g, witness, d, blocks=blocks):
         raise AssertionError("searcher returned a witness that fails verification")
     return witness
 
 
-def _pc_exact(g, n, d):
+def _pc_exact(g, blocks, n, d):
     """Least halves with e(S_a, S_b) and e(T_a, T_b) at least (1-d)*n*n and
-    e(S_a, T_b) at most d*n*n for every pair of classes."""
+    e(S_a, T_b) at most d*n*n for every pair of blocks."""
     lo, hi = 1 - Fraction(d), Fraction(d)
     least, most = lo.numerator * n * n, hi.numerator * n * n
     count = g.edge_count_between
@@ -488,43 +483,47 @@ def _pc_exact(g, n, d):
                 and count(s_b, t_a) * hi.denominator <= most
                 and count(s_a, t_b) * hi.denominator <= most)
 
-    halves = list(combinations(range(2 * n), n))
-    # Global half-swap symmetry: restrict class 0 to halves containing offset 0.
-    first = [h for h in halves if 0 in h]
-    chosen = _exact_choice(g, [first] + [halves] * (g.r - 1), pair_ok)
+    options = [[sum(1 << f for f in c) for c in combinations(mask_ids(b), n)]
+               for b in blocks]
+    # Global half-swap symmetry: restrict block 0 to halves holding its
+    # first vertex.
+    first = blocks[0] & -blocks[0]
+    options[0] = [h for h in options[0] if h & first]
+    chosen = _exact_choice(blocks, options, pair_ok)
     if chosen is None:
         return None
     return PairCompleteWitness(chosen, Fraction(0), Fraction(0), Fraction(0))
 
 
-def _pc_pivot_candidates(g, n, nbrs):
+def _pc_pivot_candidates(g, blocks, n):
     """Deterministic seed halves from single vertices: outside the pivot's
-    class its neighbors, inside the most similar neighborhoods.  Each
-    distinct neighbourhood of a class is tried once."""
-    for c in range(g.r):
-        for nv in dict.fromkeys(nbrs[c]):
-            yield _pivot_seed(g, nbrs, c, nv, n, 1)
+    block its neighbors, inside the most similar neighborhoods.  Each
+    distinct row within the blocks of a block is tried once."""
+    ids = [list(mask_ids(b)) for b in blocks]
+    union = reduce(or_, blocks)
+    for c in range(len(blocks)):
+        for nv in dict.fromkeys(g._adj[f] & union for f in ids[c]):
+            yield _pivot_seed(g, ids, union, c, nv, n, 1)
 
 
-def _pc_heuristic(g, n, d, seed):
+def _pc_heuristic(g, blocks, n, d, seed):
     """Pivot candidates first, then seeded first-improvement climbing.
 
     Every density of a half pair has the denominator n*n, so the score
     lo - hi is kept as the integer min e(S_a, S_b), e(T_a, T_b) minus max
     e(S_a, T_b), with the identities n*n and 0 that the density form starts
-    from.  A swap in class j changes only the entries that involve class j,
+    from.  A swap in block j changes only the entries that involve block j,
     and each vertex's edge counts into the halves are counted once per step.
     """
-    size = 2 * n
-    r = g.r
+    r = len(blocks)
     full = n * n
     lo_bound, hi_bound = 1 - Fraction(d), Fraction(d)
-    nbrs = _neighborhoods(g, size)
+    ids = [list(mask_ids(b)) for b in blocks]
     pairs = [(a, b) for a in range(r) for b in range(r) if a != b]
 
-    def table(halves):
-        s_masks, t_masks = _class_masks(g, halves)
-        return (s_masks, t_masks, _pair_counts(g, s_masks, s_masks),
+    def table(s_masks):
+        t_masks = [b & ~s for b, s in zip(blocks, s_masks)]
+        return (t_masks, _pair_counts(g, s_masks, s_masks),
                 _pair_counts(g, t_masks, t_masks),
                 _pair_counts(g, s_masks, t_masks))
 
@@ -539,16 +538,18 @@ def _pc_heuristic(g, n, d, seed):
         return (lo * lo_bound.denominator >= lo_bound.numerator * full
                 and hi * hi_bound.denominator <= hi_bound.numerator * full)
 
-    for cand in _pc_pivot_candidates(g, n, nbrs):
-        _, _, ss, tt, st = table(cand)
+    for cand in _pc_pivot_candidates(g, blocks, n):
+        _, ss, tt, st = table(cand)
         if feasible(*extremes(ss, tt, st)):
-            return PairCompleteWitness([tuple(h) for h in cand],
-                                       Fraction(0), Fraction(0), Fraction(0))
+            return PairCompleteWitness(cand, Fraction(0), Fraction(0),
+                                       Fraction(0))
 
     for t in range(HEURISTIC_RESTARTS):
         rng = random.Random(f"pc:{seed}:{t}")
-        halves = [sorted(rng.sample(range(size), n)) for _ in range(r)]
-        s_masks, t_masks, ss, tt, st = table(halves)
+        # halves[j]: the ascending flat ids of S_j
+        halves = [sorted(rng.sample(block, n)) for block in ids]
+        s_masks = [sum(1 << f for f in h) for h in halves]
+        t_masks, ss, tt, st = table(s_masks)
         lo, hi = extremes(ss, tt, st)
         for _ in range(HEURISTIC_MAX_STEPS):
             if feasible(lo, hi):
@@ -557,12 +558,12 @@ def _pc_heuristic(g, n, d, seed):
             for j in range(r):
                 rest_lo, rest_hi = extremes(ss, tt, st, skip=j)
                 others = [b for b in range(r) if b != j]
-                # edge counts of each class-j vertex into S_b and T_b
-                into = [[((nbrs[j][o] & s_masks[b]).bit_count(),
-                          (nbrs[j][o] & t_masks[b]).bit_count())
-                         for b in others] for o in range(size)]
+                # edge counts of each block-j vertex into S_b and T_b
+                into = {f: [((g._adj[f] & s_masks[b]).bit_count(),
+                             (g._adj[f] & t_masks[b]).bit_count())
+                            for b in others] for f in ids[j]}
                 inside = set(halves[j])
-                outside = [o for o in range(size) if o not in inside]
+                outside = [f for f in ids[j] if f not in inside]
                 for out_v in halves[j]:
                     for in_v in outside:
                         lo2, hi2 = rest_lo, rest_hi
@@ -581,8 +582,7 @@ def _pc_heuristic(g, n, d, seed):
                                 tt[j][b] = tt[b][j] = tt[j][b] - t_in + t_out
                                 st[j][b] += t_in - t_out
                                 st[b][j] += s_out - s_in
-                            swap = (1 << g.flat((j, out_v))
-                                    | 1 << g.flat((j, in_v)))
+                            swap = 1 << out_v | 1 << in_v
                             s_masks[j] ^= swap
                             t_masks[j] ^= swap
                             halves[j] = sorted(inside - {out_v} | {in_v})
@@ -595,8 +595,8 @@ def _pc_heuristic(g, n, d, seed):
             if not improved:
                 break
         if feasible(lo, hi):
-            return PairCompleteWitness([tuple(h) for h in halves],
-                                       Fraction(0), Fraction(0), Fraction(0))
+            return PairCompleteWitness(s_masks, Fraction(0), Fraction(0),
+                                       Fraction(0))
     return None
 
 
@@ -618,9 +618,9 @@ def iterate_decomposition(g: MultipartiteGraph, k: int, *,
                           seed: int = 0) -> IterationResult:
     """Refine the trivial one-row decomposition by splitting rows while any
     row is splittable at the `ladder(k)` threshold for the current row count.
-    Each row is searched as the subgraph `induced` on its blocks, and the
-    witness's offsets into it are mapped back to flat ids of g.  The
-    vertices beyond the first k·⌊n/k⌋ of each class stay in no block.
+    Each row is searched in place, with its blocks as the blocks of
+    `is_splittable`, and a split's sets become the first new row's blocks.
+    The vertices beyond the first k·⌊n/k⌋ of each class stay in no block.
 
     Tie-breaking is deterministic: the lowest-index splittable row splits
     first, using the lexicographically least witness the searcher finds.
@@ -636,14 +636,11 @@ def iterate_decomposition(g: MultipartiteGraph, k: int, *,
         for i, row in enumerate(rows):
             if weights[i] < 2:
                 continue
-            sub, from_sub = g.induced(reduce(or_, row))
-            w = is_splittable(sub, weights[i], d_s, seed=seed)
+            w = is_splittable(g, weights[i], d_s, seed=seed, blocks=row)
             if w is None:
                 continue
-            first = [sum(1 << from_sub[sub._off[j] + t] for t in part)
-                     for j, part in enumerate(w.sets)]
-            rows[i] = first
-            rows.append([block & ~part for block, part in zip(row, first)])
+            rows[i] = w.sets
+            rows.append([block & ~part for block, part in zip(row, w.sets)])
             weights.append(weights[i] - w.p_prime)
             weights[i] = w.p_prime
             break
@@ -938,15 +935,16 @@ def diagnose_barriers(g: MultipartiteGraph, p_weight: int, *,
     vertices in S; divisibility candidates are class refinements whose robust
     edge lattice is incomplete.  Enumeration is exhaustive within the budgets
     and flagged otherwise; a class whose candidates exceed a budget is never
-    listed in full.  Split and two-half detection choose their search by
-    the class size, as in `is_splittable` and `is_pair_complete`.
+    listed in full.  Split and two-half detection search the whole classes
+    and choose their search by the class size, as in `is_splittable` and
+    `is_pair_complete`; the report names their mask witnesses by offsets.
     """
     sizes = set(g.class_sizes)
     if len(sizes) != 1:
         raise ValueError("classes must have equal size")
     size = g.class_sizes[0]
-    if size % p_weight != 0:
-        raise ValueError("class size must be divisible by the weight")
+    if p_weight < 1 or size % p_weight != 0:
+        raise ValueError("class size must be divisible by a weight of at least 1")
     n = size // p_weight
     if floor is None:
         floor = max(1, n // 2)
@@ -958,13 +956,15 @@ def diagnose_barriers(g: MultipartiteGraph, p_weight: int, *,
     w = is_splittable(g, p_weight, d, seed=seed)
     if w is not None:
         report["splittable"] = {"p_prime": w.p_prime,
-                                "sets": [list(s) for s in w.sets],
+                                "sets": [list(mask_ids(s >> g._off[j]))
+                                         for j, s in enumerate(w.sets)],
                                 "achieved": str(w.achieved)}
     if p_weight == 2 and size % 2 == 0:
         pc = is_pair_complete(g, d, seed=seed)
         if pc is not None:
             report["pair_complete"] = {
-                "halves": [list(h) for h in pc.halves],
+                "halves": [list(mask_ids(h >> g._off[j]))
+                           for j, h in enumerate(pc.halves)],
                 "min_half_density": str(pc.min_half_density),
                 "min_cohalf_density": str(pc.min_cohalf_density),
                 "max_cross_density": str(pc.max_cross_density)}

@@ -4,10 +4,13 @@
   `graphs.density`, with no pruning; ground truth for the exact searches.
 - The Fraction-scored heuristics as they were before the integer,
   incremental rewrite in `partite_packing.structure`, kept verbatim but for
-  the move draw: the split climb takes its 80 trial moves by `rng.sample`
-  over indices into its move list, as the rewrite does, where it once
-  shuffled the whole list.  The differential tests assert that the rewrite
-  returns the same witnesses.
+  the move draw and the witness check: the split climb takes its 80 trial
+  moves by `rng.sample` over indices into its move list, as the rewrite
+  does, where it once shuffled the whole list, and a witness is checked
+  through `graphs.density` on its offsets (`_split_density`,
+  `_pc_densities`), as the package once checked it, where the package now
+  checks flat-id masks.  The differential tests assert that the rewrite
+  returns the same witnesses, named by offsets.
 
 Not collected by pytest (no test_ prefix).
 """
@@ -17,9 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from partite_packing.graphs import MultipartiteGraph, density
-from partite_packing.structure import (PairCompleteWitness, SplitWitness,
-                                       verify_pair_complete_witness,
-                                       verify_split_witness)
+from partite_packing.structure import PairCompleteWitness, SplitWitness
 
 
 def naive_is_splittable(g: MultipartiteGraph, p: int, d: Fraction) -> bool:
@@ -150,9 +151,9 @@ def _split_heuristic(g, p, n, d, seed, restarts, max_steps):
         return sets, best
 
     for p_prime, sets in _split_pivot_candidates(g, p, n):
-        w = SplitWitness(p_prime, [tuple(s) for s in sets], Fraction(0))
-        if verify_split_witness(g, w, d):
-            return w
+        achieved = _split_density(g, sets)
+        if achieved >= 1 - d:
+            return SplitWitness(p_prime, [tuple(s) for s in sets], achieved)
 
     for p_prime in range(1, p):
         target = p_prime * n
@@ -161,10 +162,35 @@ def _split_heuristic(g, p, n, d, seed, restarts, max_steps):
             sets = [sorted(rng.sample(range(size), target)) for _ in range(g.r)]
             sets, best = climb(sets, rng)
             if best[0] >= bound:
-                w = SplitWitness(p_prime, [tuple(s) for s in sets], best[0])
-                if verify_split_witness(g, w, d):
-                    return w
+                achieved = _split_density(g, sets)
+                if achieved >= 1 - d:
+                    return SplitWitness(p_prime, [tuple(s) for s in sets],
+                                        achieved)
     return None
+
+
+def _split_density(g, sets):
+    """min d(S_a, V_b minus S_b) over ordered pairs of classes, through
+    `graphs.density` on offset sets."""
+    size = g.class_sizes[0]
+    rest = [[(j, o) for o in range(size) if o not in s]
+            for j, s in enumerate(sets)]
+    return min(density(g, [(a, o) for o in sets[a]], rest[b])
+               for a in range(g.r) for b in range(g.r) if a != b)
+
+
+def _pc_densities(g, halves):
+    """(min d(S_a, S_b), min d(T_a, T_b), max d(S_a, T_b)) over ordered
+    pairs of classes, T_j the rest of class j, through `graphs.density` on
+    offset halves."""
+    size = g.class_sizes[0]
+    s = [[(j, o) for o in h] for j, h in enumerate(halves)]
+    t = [[(j, o) for o in range(size) if o not in h]
+         for j, h in enumerate(halves)]
+    pairs = [(a, b) for a in range(g.r) for b in range(g.r) if a != b]
+    return (min(density(g, s[a], s[b]) for a, b in pairs),
+            min(density(g, t[a], t[b]) for a, b in pairs),
+            max(density(g, s[a], t[b]) for a, b in pairs))
 
 
 def _pc_pivot_candidates(g, n):
@@ -211,10 +237,9 @@ def _pc_heuristic(g, n, d, seed, restarts, max_steps):
         return lo, hi
 
     for cand in _pc_pivot_candidates(g, n):
-        w = PairCompleteWitness([tuple(h) for h in cand],
-                                Fraction(0), Fraction(0), Fraction(0))
-        if verify_pair_complete_witness(g, w, d):
-            return w
+        lo1, lo2, hi = _pc_densities(g, cand)
+        if lo1 >= 1 - d and lo2 >= 1 - d and hi <= d:
+            return PairCompleteWitness([tuple(h) for h in cand], lo1, lo2, hi)
 
     for t in range(restarts):
         rng = random.Random(f"pc:{seed}:{t}")
@@ -242,8 +267,8 @@ def _pc_heuristic(g, n, d, seed, restarts, max_steps):
             if not improved:
                 break
         if lo >= 1 - d and hi <= d:
-            w = PairCompleteWitness([tuple(h) for h in halves],
-                                    lo, lo, hi)
-            if verify_pair_complete_witness(g, w, d):
-                return w
+            lo1, lo2, hi = _pc_densities(g, halves)
+            if lo1 >= 1 - d and lo2 >= 1 - d and hi <= d:
+                return PairCompleteWitness([tuple(h) for h in halves],
+                                           lo1, lo2, hi)
     return None

@@ -5,13 +5,15 @@ with the pivot seeds in play and with them switched off so that every
 witness comes from the hill climb."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import detection_reference as ref
 from partite_packing import structure
-from partite_packing.graphs import MultipartiteGraph, blow_up, build_gamma
+from partite_packing.graphs import (MultipartiteGraph, blow_up, build_gamma,
+                                    mask_ids)
 from partite_packing.oracle import random_min_degree_graph
 from test_oracle import relabeled_copy
 
@@ -127,6 +129,11 @@ def _no_pivots(*args):
     return iter(())
 
 
+def offsets(g, masks):
+    """Per-class flat-id masks of g as the reference's offset tuples."""
+    return [tuple(mask_ids(m >> g._off[j])) for j, m in enumerate(masks)]
+
+
 def _split_key(w):
     return None if w is None else (w.p_prime, [tuple(s) for s in w.sets],
                                    w.achieved)
@@ -151,6 +158,8 @@ def test_split_heuristic_matches_fraction_reference(monkeypatch, pivots):
         n = g.class_sizes[0] // p
         want = ref._split_heuristic(g, p, n, d, seed, 8, 60)
         got = structure.is_splittable(g, p, d, seed=seed)
+        if got is not None:
+            got = replace(got, sets=offsets(g, got.sets))
         assert _split_key(got) == _split_key(want), name
         hits += want is not None
     # both outcomes occur, so the cases exercise the found and the absent path
@@ -170,6 +179,8 @@ def test_pc_heuristic_matches_fraction_reference(monkeypatch, pivots):
         n = g.class_sizes[0] // 2
         want = ref._pc_heuristic(g, n, d, seed, 8, 60)
         got = structure.is_pair_complete(g, d, seed=seed)
+        if got is not None:
+            got = replace(got, halves=offsets(g, got.halves))
         assert _pc_key(got) == _pc_key(want), name
         hits += want is not None
     assert 10 <= hits <= len(cases) - 10

@@ -2,6 +2,7 @@
 barrier diagnosis."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import count
 
@@ -10,7 +11,7 @@ import pytest
 from partite_packing import structure
 from partite_packing.graphs import (MultipartiteGraph, blow_up, build_gamma,
                                     complete_multipartite, PartitionLabeling,
-                                    clique_complex_edges)
+                                    clique_complex_edges, mask_ids)
 from partite_packing.structure import (IntegerLattice, PairCompleteWitness,
                                        RowDecomposition, SplitWitness,
                                        diagnose_barriers,
@@ -25,7 +26,7 @@ from partite_packing.structure import (IntegerLattice, PairCompleteWitness,
 from partite_packing.oracle import random_min_degree_graph
 import detection_reference as ref
 from detection_reference import naive_is_pair_complete, naive_is_splittable
-from test_detection_differential import planted_split_graph
+from test_detection_differential import offsets, planted_split_graph
 from test_oracle import relabeled_copy
 
 
@@ -135,22 +136,37 @@ def test_split_witness_checker_rejects_bogus_sets():
     # sets can make the checker say no
     g = complete_multipartite([6, 6, 6])
     d = Fraction(1, 100)
-    assert verify_split_witness(
-        g, SplitWitness(1, [(0, 1, 2), (1, 3, 5), (2, 4, 5)], Fraction(0)), d)
+    assert verify_split_witness(g, SplitWitness(
+        1, list(row_masks(g, [(0, 1, 2), (1, 3, 5), (2, 4, 5)])), Fraction(0)), d)
+    threes = list(row_masks(g, [(0, 1, 2)] * 3))
     bogus = [
-        [(0, 1, 2, 3), (0,), (0, 1, 2)],          # unequal sizes
-        [(0, 1, 2), (0, 1, 2), (0, 1, 2, 3)],
-        [(), (), ()],                             # t = 0
-        [tuple(range(6))] * 3,                    # t = class size
-        [(0, 1, 2), (0, 1, 2)],                   # one set per class missing
-        [(0, 1, 2)] * 4,
-        [(0, 0, 1), (0, 1, 2), (0, 1, 2)],        # a repeated offset
-        [(0, 1, 6), (0, 1, 2), (0, 1, 2)],        # offsets out of range
-        [(-1, 0, 1), (0, 1, 2), (0, 1, 2)],
+        row_masks(g, [(0, 1, 2, 3), (0,), (0, 1, 2)]),    # unequal sizes
+        row_masks(g, [(0, 1, 2), (0, 1, 2), (0, 1, 2, 3)]),
+        [0, 0, 0],                                        # t = 0
+        row_masks(g, [range(6)] * 3),                     # t = class size
+        threes[:2],                                       # one set missing
+        threes + threes[:1],                              # one set too many
+        row_masks(g, [(0, 0, 1), (0, 1, 2), (0, 1, 2)]),  # a repeated offset
+        [threes[0] ^ 0b100 | 1 << 6] + threes[1:],        # a bit in class 1
+        [threes[1]] + threes[1:],                         # class 1's set
+        threes[:2] + [threes[2] ^ 1 << 14 | 1 << 18],     # a bit outside g
+        [-threes[0]] + threes[1:],                        # negative masks
+        [~threes[0]] + threes[1:],
     ]
     for sets in bogus:
-        assert not verify_split_witness(g, SplitWitness(1, sets, Fraction(0)),
-                                        d), sets
+        assert not verify_split_witness(g, SplitWitness(1, list(sets),
+                                                        Fraction(0)), d), sets
+    # in place on a row: blocks of offsets 0-3, sets of 2
+    blocks = row_masks(g, [range(4)] * 3)
+    ok = list(row_masks(g, [(0, 1), (1, 2), (2, 3)]))
+    assert verify_split_witness(g, SplitWitness(1, ok, Fraction(0)), d,
+                                blocks=blocks)
+    for sets in ([ok[0] ^ 1 | 1 << 4] + ok[1:],           # a bit outside the block
+                 row_masks(g, [(0, 1), (1, 2), (1, 2, 3)]),
+                 ok[:2], [-ok[0]] + ok[1:]):
+        assert not verify_split_witness(g, SplitWitness(1, list(sets),
+                                                        Fraction(0)), d,
+                                        blocks=blocks), sets
 
 
 def test_split_witness_size_must_match_weight(monkeypatch):
@@ -158,10 +174,10 @@ def test_split_witness_size_must_match_weight(monkeypatch):
     g = complete_multipartite([12, 12, 12])
     d = Fraction(1, 100)
     w = is_splittable(g, 3, d, seed=1)
-    assert w is not None and all(len(s) == w.p_prime * 4 for s in w.sets)
-    # a searcher answering p_prime = 1 with sets of 2n offsets: the sets
+    assert w is not None and all(s.bit_count() == w.p_prime * 4 for s in w.sets)
+    # a searcher answering p_prime = 1 with sets of 2n vertices: the sets
     # pass the density check, the size check in is_splittable stops them
-    wrong = SplitWitness(1, [tuple(range(8))] * 3, Fraction(0))
+    wrong = SplitWitness(1, list(row_masks(g, [range(8)] * 3)), Fraction(0))
     assert verify_split_witness(g, wrong, d)
     monkeypatch.setattr(structure, "_split_heuristic", lambda *args: wrong)
     with pytest.raises(AssertionError):
@@ -205,6 +221,12 @@ def test_split_rejects_uneven_classes():
     g = MultipartiteGraph([4, 2])
     with pytest.raises(ValueError):
         is_splittable(g, 2, Fraction(0))
+    g = complete_multipartite([4, 4])
+    for p in (0, -1):                   # a weight below 1
+        with pytest.raises(ValueError):
+            is_splittable(g, p, Fraction(0))
+        with pytest.raises(ValueError):
+            diagnose_barriers(g, p, d=Fraction(0))
 
 
 def test_split_absent_on_empty_classes():
@@ -254,7 +276,7 @@ def test_split_refutation_is_sound():
                        for noise in (0.0, 0.05)]
             for g, noise in graphs:
                 cases += 1
-                if not structure._split_refuted(g, p, n, d):
+                if not structure._split_refuted(g, g._class_masks, p, n, d):
                     continue
                 assert noise != 0.0, (r, size, p, d)
                 assert not naive_is_splittable(g, p, d), (r, size, p, d)
@@ -294,23 +316,38 @@ def test_pair_complete_witness_must_be_n_distinct_in_range_offsets():
     # on the offsets it happens to list
     g, _ = divisibility_barrier_graph(4, 12)
     d = Fraction(1, 4)
-    halves = [tuple(range(12))] * 4
-    short = tuple(range(11))
+    halves = list(row_masks(g, [range(12)] * 4))
+    short = row_masks(g, [range(11)])[0]
 
     def witness(sets):
-        return PairCompleteWitness(sets, Fraction(0), Fraction(0), Fraction(0))
+        return PairCompleteWitness(list(sets), Fraction(0), Fraction(0),
+                                   Fraction(0))
 
     assert verify_pair_complete_witness(g, witness(halves), d)
     bogus = [
         [short] + halves[1:],                   # a short half
         [short] * 4,
-        [(0,) + short] + halves[1:],            # a repeated offset
-        [short + (24,)] + halves[1:],           # offsets out of range
-        [(-1,) + short] + halves[1:],
+        row_masks(g, [(0,) + tuple(range(11))] + [range(12)] * 3),  # repeated
+        [short | 1 << 24] + halves[1:],         # a bit in class 1
+        [halves[1]] + halves[1:],               # class 1's half
+        halves[:3] + [halves[3] ^ 1 << 72 | 1 << 96],  # a bit outside g
+        [-halves[0]] + halves[1:],              # negative masks
+        [~halves[0]] + halves[1:],
+        halves[:3] + [halves[3] | 1 << 84],     # unequal sizes
         halves[1:],                             # one half missing
+        halves + halves[:1],                    # one half too many
     ]
     for h in bogus:
         assert not verify_pair_complete_witness(g, witness(h), d), h
+    # in place on a row: blocks of offsets 6-17, halves 6-11
+    blocks = row_masks(g, [range(6, 18)] * 4)
+    ok = list(row_masks(g, [range(6, 12)] * 4))
+    assert verify_pair_complete_witness(g, witness(ok), d, blocks=blocks)
+    for h in ([ok[0] ^ 1 << 6 | 1] + ok[1:],      # a bit outside the block
+              ok[:3] + [ok[3] | 1 << 84],
+              ok[:3], [-ok[0]] + ok[1:]):
+        assert not verify_pair_complete_witness(g, witness(h), d,
+                                                blocks=blocks), h
 
 
 def test_pair_complete_absent_on_complete_graph():
@@ -327,7 +364,7 @@ def test_pair_complete_on_gamma_double_row():
         (j, o) for j, sel in enumerate(keep) for o in sel))
     w = is_pair_complete(sub, Fraction(0))
     assert w is not None
-    halves = [set(h) for h in w.halves]
+    halves = [{o for _, o in members(sub, h)} for h in w.halves]
     assert halves == [{0, 1}] * 3 or halves == [{2, 3}] * 3
 
 
@@ -365,11 +402,12 @@ def test_pivot_seeds_match_the_reference_once_per_neighbourhood(g, k):
     first = {}
     for v in pivots:
         first.setdefault((v[0], g.adj_mask(v)), v)
-    nbrs = structure._neighborhoods(g, size)
+    classes = g._class_masks
     n = size // 2
     want = [seed for v, seed in zip(pivots, ref._pc_pivot_candidates(g, n))
             if first[(v[0], g.adj_mask(v))] == v]
-    assert list(structure._pc_pivot_candidates(g, n, nbrs)) == want
+    assert [offsets(g, seed) for seed
+            in structure._pc_pivot_candidates(g, classes, n)] == want
 
     # the reference yields a split seed only for a pivot whose non-neighbour
     # count per other class rounds to a weight in 1..k-1
@@ -382,7 +420,8 @@ def test_pivot_seeds_match_the_reference_once_per_neighbourhood(g, k):
     assert len(seeds) == len(tried)
     want = [seed for v, seed in zip(tried, seeds)
             if first[(v[0], g.adj_mask(v))] == v]
-    assert list(structure._split_pivot_candidates(g, k, n, nbrs)) == want
+    assert [(p_prime, offsets(g, seed)) for p_prime, seed
+            in structure._split_pivot_candidates(g, classes, k, n)] == want
 
 
 # -- iterative refinement ----------------------------------------------------------------
@@ -402,9 +441,9 @@ def test_iterate_unsplittable_stays_single_row():
     assert res.min_diagonal_density == 1  # single-row convention
 
 
-def test_iterate_recovers_planted_three_rows():
-    # three planted unit rows, complete between different rows and columns
-    r, n = 3, 2
+def planted_three_rows(r=3, n=2):
+    """Three planted unit rows (offsets 0-1, 2-3, 4-5 of every class),
+    complete between different rows and columns."""
     g = MultipartiteGraph([3 * n] * r)
     edges = []
     for j1 in range(r):
@@ -413,7 +452,12 @@ def test_iterate_recovers_planted_three_rows():
                 for o2 in range(3 * n):
                     if o1 // n != o2 // n:
                         edges.append(((j1, o1), (j2, o2)))
-    g = g.with_edges(edges)
+    return g.with_edges(edges)
+
+
+def test_iterate_recovers_planted_three_rows():
+    r = 3
+    g = planted_three_rows(r)
     res = iterate_decomposition(g, 3)
     assert res.decomposition.s == 3
     assert res.decomposition.weights == (1, 1, 1)
@@ -424,6 +468,66 @@ def test_iterate_recovers_planted_three_rows():
         assert len(blocks) == 1  # same offsets in every class
         got_rows.add(blocks.pop())
     assert got_rows == {(0, 1), (2, 3), (4, 5)}
+
+
+@pytest.mark.parametrize("g", [
+    planted_three_rows(),
+    relabeled_copy(blow_up(build_gamma(3, 4, 3).graph, 4), 5),
+    blow_up(build_gamma(3, 4, 3).graph, 24),
+], ids=["planted-three-rows", "gamma-x4-shuffled", "gamma-x24"])
+def test_rows_searched_in_place_match_their_induced_copies(monkeypatch, g):
+    # every row that iterate_decomposition searches, and every weight-2 row
+    # it leaves, searched in place on g with the row's blocks must give the
+    # witness that its induced copy gives with its classes, named back
+    # through from_sub: the in-place search masks rows to the blocks
+    calls = []
+    split = structure.is_splittable
+
+    def spy(g2, p, d, **kwargs):
+        calls.append((p, d, kwargs["blocks"]))
+        return split(g2, p, d, **kwargs)
+
+    monkeypatch.setattr(structure, "is_splittable", spy)
+    decomp = iterate_decomposition(g, 3).decomposition
+    monkeypatch.undo()
+    pc_rows = [row for row, w in zip(decomp.rows, decomp.weights) if w == 2]
+    found = 0
+    for search, field, cases in (
+            (is_splittable, "sets", calls),
+            (is_pair_complete, "halves",
+             [(None, d, row) for row in pc_rows
+              for d in (Fraction(1, 100), Fraction(1, 4))])):
+        for p, d, row in cases:
+            args = (d,) if p is None else (p, d)
+            sub, from_sub = g.induced(sum(row))
+            want = search(sub, *args)
+            if want is not None:
+                want = replace(want, **{field: [
+                    sum(1 << from_sub[f] for f in mask_ids(m))
+                    for m in getattr(want, field)]})
+            assert search(g, *args, blocks=row) == want, (search, p, d)
+            found += want is not None
+    assert calls and found
+
+
+def test_in_place_pivots_rank_by_rows_within_the_blocks():
+    # a two-half row (offsets 0-5 and 6-11 of each class, complete within a
+    # half, empty across) whose vertices of even offset share 48 neighbours
+    # outside the row: ranked by whole rows, a pivot's own half would lose
+    # its odd vertices to the other half's even ones; ranked within the
+    # row's blocks, the first pivot gives the induced copy's witness
+    g = MultipartiteGraph([36] * 3)
+    edges = [((a, x), (b, y)) for a in range(3) for b in range(a + 1, 3)
+             for x in range(12) for y in range(12) if x // 6 == y // 6]
+    edges += [((a, x), (b, y)) for a in range(3) for b in range(3) if a != b
+              for x in range(0, 12, 2) for y in range(12, 36)]
+    g = g.with_edges(edges)
+    row = row_masks(g, [range(12)] * 3)
+    sub, from_sub = g.induced(sum(row))
+    want = is_pair_complete(sub, Fraction(1, 100))
+    assert want.halves == list(row_masks(sub, [range(6)] * 3))
+    assert is_pair_complete(g, Fraction(1, 100), blocks=row).halves == list(
+        row_masks(g, [range(6)] * 3))
 
 
 # -- integer lattices ------------------------------------------------------------------
