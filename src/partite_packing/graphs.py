@@ -3,7 +3,8 @@
 Vertices are ``(class_index, offset)`` pairs; internally each vertex also has
 a flattened integer id, and adjacency is one Python int bitmask per vertex.
 Graphs are immutable once constructed; every operation that "modifies" a
-graph returns a new one.
+graph returns a new one.  A constructor writes the rows `_adj` before the
+graph's first query: the twin table (`twins`) is built once, on first use.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class MultipartiteGraph:
     """An r-partite graph: no edge joins two vertices of the same class."""
 
     __slots__ = ("r", "class_sizes", "n_vertices", "_off", "_adj", "_class_of",
-                 "_class_masks")
+                 "_class_masks", "_twins")
 
     def __init__(self, class_sizes: Sequence[int],
                  edges: Iterable[tuple[Vertex, Vertex]] = ()):
@@ -40,6 +41,7 @@ class MultipartiteGraph:
         self._class_masks = tuple(((1 << s) - 1) << off[c]
                                   for c, s in enumerate(sizes))
         self._adj = adj = [0] * self.n_vertices
+        self._twins: tuple[int, ...] | None = None
         for u, v in edges:
             (cu, ou), (cv, ov) = u, v
             if not (0 <= cu < self.r and 0 <= ou < sizes[cu]):
@@ -109,17 +111,36 @@ class MultipartiteGraph:
     def n_edges(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
 
-    def edge_count_between(self, mask_a: int, mask_b: int) -> int:
-        """Number of edges with one end in mask_a and the other in mask_b.
+    def twins(self) -> tuple[int, ...]:
+        """The twin table, built on first call: twins()[f] is the mask of
+        every vertex whose row equals vertex f's, f included.  A twin class
+        may span classes (isolated vertices share row 0)."""
+        if self._twins is None:
+            by_row: dict[int, int] = {}
+            for f, row in enumerate(self._adj):
+                by_row[row] = by_row.get(row, 0) | 1 << f
+            self._twins = tuple(by_row[row] for row in self._adj)
+        return self._twins
 
-        The masks must be disjoint.
-        """
-        total = 0
-        rest = mask_a
-        while rest:
-            low = rest & -rest
-            total += (self._adj[low.bit_length() - 1] & mask_b).bit_count()
-            rest ^= low
+    def twin_parts(self, mask: int) -> Iterator[tuple[int, int]]:
+        """(f, part) for each twin class that meets `mask`, by ascending f:
+        part is the class's vertices in mask, and f the least of them."""
+        twins = self.twins()
+        while mask:
+            f = (mask & -mask).bit_length() - 1
+            part = twins[f] & mask
+            yield f, part
+            mask ^= part
+
+    def edge_count_between(self, mask_a: int, mask_b: int) -> int:
+        """Number of edges with one end in mask_a and the other in mask_b,
+        counted once per twin class of mask_a.  The masks must be disjoint."""
+        adj, twins, total = self._adj, self.twins(), 0
+        while mask_a:
+            f = (mask_a & -mask_a).bit_length() - 1
+            part = twins[f] & mask_a
+            total += (adj[f] & mask_b).bit_count() * part.bit_count()
+            mask_a ^= part
         return total
 
     # -- derived graphs -----------------------------------------------------
@@ -146,17 +167,16 @@ class MultipartiteGraph:
                 runs.append([f, len(from_sub), 1])
             from_sub.append(f)
             rest ^= low
+
+        def gather(mask: int) -> int:   # the runs' bits are disjoint
+            return sum((mask >> old_at & ones) << new_at
+                       for old_at, new_at, ones in runs)
+
         sub = MultipartiteGraph(sizes)
-        gathered: dict[int, int] = {}   # twins share a row: gather it once
-        for new_fu, old_fu in enumerate(from_sub):
-            row = self._adj[old_fu]
-            mask = gathered.get(row)
-            if mask is None:
-                mask = 0
-                for old_at, new_at, ones in runs:
-                    mask |= (row >> old_at & ones) << new_at
-                gathered[row] = mask
-            sub._adj[new_fu] = mask
+        for f, part in self.twin_parts(keep):   # twins: gather one row
+            row = gather(self._adj[f])
+            for new_fu in mask_ids(gather(part)):
+                sub._adj[new_fu] = row
         return sub, from_sub
 
     def without_edges(self, drop: Iterable[tuple[Vertex, Vertex]]) -> "MultipartiteGraph":

@@ -33,7 +33,7 @@ from math import ceil
 
 from .graphs import (CliquePacking, MultipartiteGraph, PartitionLabeling,
                      build_gamma, complete_multipartite, components,
-                     graph_to_json, k_cliques, packing_problems)
+                     graph_to_json, k_cliques, mask_ids, packing_problems)
 
 
 @dataclass
@@ -286,16 +286,14 @@ def is_isomorphic_to_gamma(g: MultipartiteGraph, n: int, r: int, k: int) -> bool
         return False
     if n == 0:
         return True
-    twins: list[dict[int, list[int]]] = []     # adjacency mask -> members
-    for c in range(r):
-        groups: dict[int, list[int]] = {}
-        for f in range(g._off[c], g._off[c + 1]):
-            groups.setdefault(g._adj[f], []).append(f)
-        if len(groups) != k or any(len(vs) != n // k for vs in groups.values()):
-            return False
-        twins.append(groups)
-    owner = [{sum(1 << f for f in vs): nb for nb, vs in groups.items()}
-             for groups in twins]
+    # twins[c]: adjacency mask -> its members in class c, by least member
+    twins = [{g._adj[f]: part for f, part in g.twin_parts(g._class_masks[c])}
+             for c in range(r)]
+    if any(len(groups) != k or any(part.bit_count() != n // k
+                                   for part in groups.values())
+           for groups in twins):
+        return False
+    owner = [{part: nb for nb, part in groups.items()} for groups in twins]
 
     def partner(nb: int, c: int) -> int | None:
         return owner[c].get(g._class_masks[c] & ~nb)
@@ -316,7 +314,7 @@ def is_isomorphic_to_gamma(g: MultipartiteGraph, n: int, r: int, k: int) -> bool
     for c in range(r):
         for j, nb in enumerate(order, 1):
             base = target._off[c] + ((3 - j if c and j <= 2 else j) - 1) * (n // k)
-            for i, f in enumerate(twins[c][part[c][nb]]):
+            for i, f in enumerate(mask_ids(twins[c][part[c][nb]])):
                 image[f] = base + i
     for fu in range(g.n_vertices):
         row, trow, cu = g._adj[fu], target._adj[image[fu]], g._class_of[fu]

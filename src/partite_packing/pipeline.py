@@ -179,19 +179,16 @@ def classify_bad_vertices(g: MultipartiteGraph, decomp: RowDecomposition,
     for row in x_masks:
         for block in row:
             bad &= ~block
-    verdicts: dict[tuple, bool] = {}   # twins in one block share a verdict
     for i in range(s):
         if s == 1 and i not in pc_halves:
             continue    # a single row without halves has nothing to audit
         for j in range(r):
             half = pc_halves[i][j] if i in pc_halves else 0
-            for f in mask_ids(x_masks[i][j]):
-                key = (i, j, bool(half >> f & 1), adj[f])
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    verdict = verdicts[key] = weak(*key)
-                if verdict:
-                    bad |= 1 << f
+            for f, part in g.twin_parts(x_masks[i][j]):
+                # twins on one side of the half share a verdict
+                for side, inside in ((part & half, True), (part & ~half, False)):
+                    if side and weak(i, j, inside, adj[f]):
+                        bad |= side
 
     asg.bad = bad
     asg.w = [[block & ~bad for block in row] for row in x_masks]
@@ -831,10 +828,10 @@ def balance_blocks(g: MultipartiteGraph, asg: BlockAssignment,
                               tuple(tuple(row) for row in left))
     audit = None
     if s > 1 and n_prime > 0:
-        audit = min(    # twins share a row: read each distinct row once
-            (row & left[i2][j2]).bit_count()
+        audit = min(    # twins share a row: read it once per twin class
+            (g._adj[f] & left[i2][j2]).bit_count()
             for i in range(s) for j in range(r)
-            for row in {g._adj[f] for f in mask_ids(left[i][j])}
+            for f, _ in g.twin_parts(left[i][j])
             for i2 in range(s) if i2 != i for j2 in range(r) if j2 != j)
     return xprime, audit
 
@@ -974,18 +971,23 @@ def _compatibility_graph(masks: Sequence[Sequence[int]],
     i2 is joined to group t1 of row i1 < i2 when all of its vertices
     (masks[i2][t2]) lie in the common neighbourhood of group t1
     (common[i1][t1]).  Vertex (i, t) is flat id i * n_group + t, and the
-    adjacency rows are set directly, as `complete_multipartite` does."""
+    adjacency rows are set directly, as `complete_multipartite` does.  Groups
+    of row i1 with one common neighbourhood share their row, found once;
+    each of its partners' rows takes their mask by one OR."""
     s = len(masks)
     compat = MultipartiteGraph([n_group] * s)
     adj = compat._adj
-    for i1, i2 in combinations(range(s), 2):
+    for i1 in range(s - 1):
+        groups: dict[int, int] = {}     # common neighbourhood -> its groups
         for t1, c1 in enumerate(common[i1]):
-            f1, outside = i1 * n_group + t1, ~c1
-            for t2, m2 in enumerate(masks[i2]):
-                if m2 & outside == 0:
-                    f2 = i2 * n_group + t2
-                    adj[f1] |= 1 << f2
-                    adj[f2] |= 1 << f1
+            groups[c1] = groups.get(c1, 0) | 1 << (i1 * n_group + t1)
+        for c1, same in groups.items():
+            row = sum(1 << (i2 * n_group + t2) for i2 in range(i1 + 1, s)
+                      for t2, m2 in enumerate(masks[i2]) if m2 & ~c1 == 0)
+            for f in mask_ids(row):
+                adj[f] |= same
+            for f in mask_ids(same):
+                adj[f] |= row
     return compat
 
 
@@ -994,9 +996,9 @@ def _min_clique_degree(h: MultipartiteGraph) -> int:
     h: neighbourhood masks are intersected along the classes before the last,
     whose candidates are counted by their bits.  The walk is on flat ids, so
     no candidate is turned into a vertex tuple and range-checked again.  The
-    count depends only on a vertex's class and neighbourhood, so twins are
-    counted once."""
-    adj, class_masks, class_of = h._adj, h._class_masks, h._class_of
+    count depends only on a vertex's class and neighbourhood, so it is made
+    once per twin class, for each candidate times its class's size too."""
+    adj, class_masks, twins = h._adj, h._class_masks, h.twins()
 
     def count(classes, common: int) -> int:
         pool = common & class_masks[classes[0]]
@@ -1004,17 +1006,14 @@ def _min_clique_degree(h: MultipartiteGraph) -> int:
             return pool.bit_count()
         rest, total = classes[1:], 0
         while pool:
-            low = pool & -pool
-            total += count(rest, common & adj[low.bit_length() - 1])
-            pool ^= low
+            f = (pool & -pool).bit_length() - 1
+            part = twins[f] & pool
+            total += count(rest, common & adj[f]) * part.bit_count()
+            pool ^= part
         return total
 
-    counts: dict[tuple[int, int], int] = {}
-    for fv, nv in enumerate(adj):
-        key = (class_of[fv], nv)
-        if key not in counts:
-            counts[key] = count([c for c in range(h.r) if c != key[0]], nv)
-    return min(counts.values())
+    return min(count([c2 for c2 in range(h.r) if c2 != c], adj[f])
+               for c in range(h.r) for f, _ in h.twin_parts(class_masks[c]))
 
 
 # -- orchestration ------------------------------------------------------------------

@@ -11,6 +11,7 @@ from partite_packing.graphs import (MultipartiteGraph, blow_up,
                                     complete_multipartite)
 from partite_packing.oracle import exact_cover
 from partite_packing.pipeline import _min_clique_degree
+from test_graphs import isolated_pair_graph
 
 
 def compat_cases():
@@ -63,9 +64,11 @@ def product_min_degree(h):
 
 
 def test_min_clique_degree_matches_product_count():
-    """`_min_clique_degree` counts once per class and neighbourhood: on
-    blow-ups and complete graphs (all twins) and on random graphs (few)."""
+    """`_min_clique_degree` counts once per twin class and multiplies: on
+    blow-ups and complete graphs (all twins), on random graphs (few), and on
+    a graph whose one twin class of isolated vertices spans two classes."""
     cases = [complete_multipartite([n] * s) for s in (2, 3, 4) for n in (1, 3, 5)]
+    cases.append(isolated_pair_graph())
     for copy in range(40):
         rng = random.Random(f"clique-degree:{copy}")
         s, n = rng.randint(2, 4), rng.randint(1, 3)

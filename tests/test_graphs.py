@@ -253,6 +253,100 @@ def test_induced_on_twins_matches_edge_list():
     assert twin_picks >= 100
 
 
+# -- the twin table -----------------------------------------------------------
+
+
+def row_groups(g):
+    """Plain loop: for each vertex, the mask of every vertex with its row."""
+    names = list(g.vertices())
+    rows = [{w for w in names if g.has_edge(v, w)} for v in names]
+    return [sum(1 << h for h in range(len(names)) if rows[h] == rows[f])
+            for f in range(len(names))]
+
+
+def isolated_pair_graph():
+    """Three classes of 3; vertices (0, 2) and (1, 2) have no edges, so one
+    twin class (row 0) spans classes 0 and 1."""
+    return MultipartiteGraph([3, 3, 3], [
+        ((c1, o1), (c2, o2)) for c1, c2 in combinations(range(3), 2)
+        for o1 in range(3) for o2 in range(3)
+        if (c1, o1) not in ((0, 2), (1, 2)) and (c2, o2) not in ((0, 2), (1, 2))
+        and (o1 + o2) % 3 != 1])
+
+
+def twin_test_graphs():
+    rng = random.Random("twin-graphs")
+    random_edges = [((a, o1), (b, o2)) for a in range(3) for b in range(a + 1, 3)
+                    for o1 in range(6) for o2 in range(6) if rng.random() < 0.5]
+    gamma = build_gamma(3, 4, 3).graph
+    return [MultipartiteGraph([6] * 3, random_edges), gamma,
+            relabeled_copy(blow_up(gamma, 3), 4),
+            complete_multipartite([4, 5, 3]), isolated_pair_graph()]
+
+
+def test_twin_classes_of_the_isolated_pair_graph():
+    g = isolated_pair_graph()
+    zero = 1 << g.flat((0, 2)) | 1 << g.flat((1, 2))
+    assert g.twins()[g.flat((0, 2))] == g.twins()[g.flat((1, 2))] == zero
+    assert list(g.twin_parts(zero | g.class_mask(2))) == (
+        [(g.flat((0, 2)), zero)]
+        + [(f, 1 << f) for f in range(g.flat((2, 0)), g.n_vertices)])
+
+
+def test_twin_table_equals_a_fresh_row_grouping_on_every_constructor():
+    """The table is built on first use, so every constructor must have
+    written its rows by then.  Each path that writes rows directly is built
+    after the table of its source graph has been read, and its own table must
+    equal the rows grouped here."""
+    import generator_reference as gen_ref
+    from partite_packing.oracle import random_min_degree_graph
+
+    base = MultipartiteGraph([3, 4, 2], [((0, 0), (1, 1)), ((0, 1), (1, 1)),
+                                         ((1, 2), (2, 0)), ((0, 2), (2, 1))])
+    gamma = build_gamma(6, 4, 3).graph
+    for g in (base, gamma):
+        g.twins()
+    made = {
+        "MultipartiteGraph": base,
+        "graph_from_json": graph_from_json(graph_to_json(base))[0],
+        "build_gamma": gamma,
+        "blow_up": blow_up(base, 3),
+        "complete_multipartite": complete_multipartite([3, 4, 2]),
+        "with_edges": gamma.with_edges([((0, 0), (1, 2))]),
+        "without_edges": gamma.without_edges([((0, 0), (1, 5))]),
+        "induced": gamma.induced(gamma.class_mask(0) | 0b101 << 6)[0],
+        "random_min_degree_graph": random_min_degree_graph(3, 6, 3, 1),
+        "generator_reference": gen_ref.random_min_degree_graph(3, 6, 3, 1),
+    }
+    for name, g in made.items():
+        assert list(g.twins()) == row_groups(g), name
+    # edits change the grouping: a stale table would show it
+    assert made["with_edges"].twins() != gamma.twins()
+    assert made["without_edges"].twins() != gamma.twins()
+
+
+def test_edge_count_between_matches_a_pairwise_count():
+    """`edge_count_between` counts once per twin class and multiplies; it
+    must equal the pairs counted one by one through `has_edge`."""
+    rng = random.Random("edge-count")
+    checked = 0
+    for g in twin_test_graphs():
+        names = list(g.vertices())
+        for _ in range(60):
+            side = [rng.randrange(3) for _ in names]     # 0: a, 1: b, 2: none
+            a = [v for v, x in zip(names, side) if x == 0]
+            b = [v for v, x in zip(names, side) if x == 1]
+            want = sum(1 for u in a for v in b if g.has_edge(u, v))
+            assert g.edge_count_between(g.mask_of(a), g.mask_of(b)) == want
+            checked += want > 0
+        for c1, c2 in combinations(range(g.r), 2):
+            a = [v for v in names if v[0] == c1]
+            b = [v for v in names if v[0] == c2]
+            want = sum(1 for u in a for v in b if g.has_edge(u, v))
+            assert g.edge_count_between(g.class_mask(c1), g.class_mask(c2)) == want
+    assert checked >= 250
+
+
 # -- blow-ups --------------------------------------------------------------------
 
 
