@@ -24,14 +24,13 @@ from .matching import (ObstructionError, ParityObstruction, SearchResult,
                        SizingObstruction, SupplyObstruction,
                        bipartite_maximum_matching,
                        exact_balanced_clique_packing, is_multigraphic,
-                       pair_complete_balanced_matching, realize_multigraph,
-                       regular_bipartite_perfect_matching)
+                       pair_complete_balanced_matching, realize_multigraph)
 from .oracle import (CanonicalFormBudgetExceeded, OracleVerdict,
                      brute_force_packing, canonical_form, check_barrier,
                      gamma_barrier, is_isomorphic_to_gamma,
                      random_min_degree_graph, verify_theorem_boundary)
 from .pipeline import (BlockAssignment, DeletionLedger, GlueResult,
-                       PipelineParams, RecountFailure, SolveResult,
+                       PipelineParams, SolveResult,
                        StageFailure, balance_blocks, balance_columns,
                        balance_rows, building_block, classify_bad_vertices,
                        cover_and_divisibility, extend_clique,

@@ -413,8 +413,13 @@ def build_gamma(n: int, r: int, k: int) -> GammaGraph:
     labeling = PartitionLabeling(
         r * k,
         tuple(tuple(c * k + (o // m) for o in range(n)) for c in range(r)))
-    blocked = (r * n // k) % 2 == 1
-    return GammaGraph(g, labeling, n, r, k, blocked)
+    return GammaGraph(g, labeling, n, r, k, parity_blocked(n, r, k))
+
+
+def parity_blocked(n: int, r: int, k: int) -> bool:
+    """The parity clause of the paper's exact result: k divides n and rn/k
+    is odd, the case in which Γ(n, r, k) has no perfect k-clique packing."""
+    return n % k == 0 and (r * n // k) % 2 == 1
 
 
 # -- clique enumeration and components -----------------------------------------
@@ -426,6 +431,18 @@ def mask_ids(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def least_edge(g: MultipartiteGraph, left: int, right: int
+               ) -> tuple[int, int] | None:
+    """The edge from the least vertex of the mask `left` with a neighbour in
+    the mask `right` to its least such neighbour, or None.  The package's
+    one least-edge search."""
+    for u in mask_ids(left):
+        free = g._adj[u] & right
+        if free:
+            return u, (free & -free).bit_length() - 1
+    return None
 
 
 def k_cliques(adj: Sequence[int], pool: int, k: int,

@@ -15,7 +15,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .graphs import MultipartiteGraph, mask_ids, packing_problems
+from .graphs import (MultipartiteGraph, least_edge, mask_ids,
+                     packing_problems)
 from .oracle import exact_cover
 
 
@@ -107,29 +108,7 @@ def bipartite_maximum_matching(n_left: int, n_right: int,
     return sorted((u, v) for v, u in match_r.items())
 
 
-def regular_bipartite_perfect_matching(n_left: int, n_right: int,
-                                       adj: Sequence[Iterable[int]]):
-    """Perfect matching by augmenting paths.  For regular bipartite inputs
-    (equal sides, every vertex of the same degree >= 1) existence is
-    guaranteed; general inputs are still searched, with None meaning no
-    perfect matching exists."""
-    matching = bipartite_maximum_matching(n_left, n_right, adj)
-    if len(matching) != n_left or n_left != n_right:
-        return None
-    return matching
-
-
 # -- balanced perfect matchings in two-half rows -----------------------------------
-
-
-def _pick_edge(g: MultipartiteGraph, left: int, right: int):
-    """The edge from the least vertex of the mask `left` with a neighbour in
-    the mask `right` to its least such neighbour, or None."""
-    for u in mask_ids(left):
-        free = g._adj[u] & right
-        if free:
-            return u, (free & -free).bit_length() - 1
-    return None
 
 
 def pair_complete_balanced_matching(g: MultipartiteGraph,
@@ -195,7 +174,7 @@ def pair_complete_balanced_matching(g: MultipartiteGraph,
         # one X-edge of the pair's index, then one Y-edge of every other
         for side, sets, (a, b) in [("X", x_sets, pair)] + [
                 ("Y", y_sets, idx) for idx in all_indices if idx != pair]:
-            picked = _pick_edge(g, sets[a] & ~used, sets[b] & ~used)
+            picked = least_edge(g, sets[a] & ~used, sets[b] & ~used)
             if picked is None:
                 raise SupplyObstruction(f"no free {side}-edge of index {(a, b)} "
                                         "for a correction matching")
@@ -239,9 +218,9 @@ def _chunked_index_matchings(g: MultipartiteGraph, rest: list[int],
             right = chunks[(idx, idx[1])]
             nbrs = [[t for t, v in enumerate(right) if adj[u] >> v & 1]
                     for u in left]
-            pm = regular_bipartite_perfect_matching(len(left), len(right), nbrs)
-            if pm is None:
-                ok = False
+            pm = bipartite_maximum_matching(len(left), len(right), nbrs)
+            if len(pm) != len(left) or len(left) != len(right):
+                ok = False      # no perfect matching of this pair
                 break
             out.extend((left[u], right[v]) for u, v in pm)
         if ok:

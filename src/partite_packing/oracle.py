@@ -16,11 +16,14 @@ The extremal construction is recognised in O(V^2) from its twin classes, and
 every positive answer is an explicit vertex map checked edge by edge.  That
 Γ(n, r, k) with rn/k odd has no perfect packing is proven by a divisibility
 barrier (`gamma_barrier`), integer weights on its subparts that
-`check_barrier` verifies with plain loops.  `solve` runs the recogniser once,
-after its input checks and before it picks a route, so it answers Γ with
-rn/k odd without any decomposition or search; the oracle then searches only
-graphs that are not Γ.  `canonical_form` is an independent, exponential
-library function that `solve` never calls.
+`check_barrier` verifies.  The checker reads g through the package's
+kernels, one flat-id mask per subpart: `edge_count_between` counts the edges
+between two subparts, and `k_cliques` lists the types from the subparts'
+completeness masks.  `solve` runs the recogniser once, after its input checks
+and before it picks a route, so it answers Γ with rn/k odd without any
+decomposition or search; the oracle then searches only graphs that are not
+Γ.  `canonical_form` is an independent, exponential library function that
+`solve` never calls.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from math import ceil
 
 from .graphs import (CliquePacking, MultipartiteGraph, PartitionLabeling,
                      build_gamma, complete_multipartite, components,
-                     graph_to_json, k_cliques, mask_ids, packing_problems)
+                     graph_to_json, k_cliques, mask_ids, packing_problems,
+                     parity_blocked, partite_min_degree)
 
 
 @dataclass
@@ -45,23 +49,6 @@ class OracleVerdict:
 
 
 MEMO_CAP = 4_000_000   # failed states remembered by one search
-
-
-class _TallyMemo(set):
-    """Failed-state memo under a per-index quota.  Whether the rest of the
-    graph can still be packed depends on how many cliques of each index the
-    branch has placed, so a state is the uncovered mask together with that
-    count vector, which `tally()` reads for the current branch."""
-
-    def __init__(self, tally):
-        super().__init__()
-        self.tally = tally
-
-    def __contains__(self, uncovered) -> bool:
-        return super().__contains__((uncovered, self.tally()))
-
-    def add(self, uncovered) -> None:
-        super().add((uncovered, self.tally()))
 
 
 def exact_cover(g: MultipartiteGraph, k: int, budget: int | None = None,
@@ -89,12 +76,14 @@ def exact_cover(g: MultipartiteGraph, k: int, budget: int | None = None,
     class_masks = [g.class_mask(c) for c in range(g.r)]
     nodes = 0
     chosen: list[tuple[int, ...]] = []
+    # uncovered states proven unpackable; under a quota whether the rest can
+    # still be packed depends on how many cliques of each index the branch
+    # has placed, so a state is the uncovered mask with that count vector
     failed: set = set()
     if quota is not None:
         slot = {idx: i for i, idx in enumerate(combinations(range(g.r), k))}
         # tallies[d]: cliques per index among the first d chosen
         tallies = [(0,) * len(slot)] * (total // k + 1)
-        failed = _TallyMemo(lambda: tallies[len(chosen)])
 
         def admit(clique: tuple[int, ...]) -> bool:
             d = len(chosen)
@@ -112,29 +101,32 @@ def exact_cover(g: MultipartiteGraph, k: int, budget: int | None = None,
         return any(comp.bit_count() % k for comp in components(uncovered, adj))
 
     # frames[d]: the uncovered mask after the first d cliques of `chosen`,
-    # and the generator of the cliques through its least vertex
+    # its memo state, and the generator of the cliques through its least
+    # vertex
     frames = []
     uncovered = (1 << total) - 1
     while uncovered:
-        if uncovered in failed:
+        state = uncovered if quota is None else (uncovered,
+                                                 tallies[len(chosen)])
+        if state in failed:
             pass        # proven unpackable at this tally: backtrack
         elif prunable(uncovered, total // k - len(chosen)):
             if len(failed) < MEMO_CAP:
-                failed.add(uncovered)
+                failed.add(state)
         else:
             fv = (uncovered & -uncovered).bit_length() - 1
             cliques = k_cliques(adj, adj[fv] & uncovered, k, (fv,))
-            frames.append((uncovered, cliques if quota is None
+            frames.append((uncovered, state, cliques if quota is None
                            else filter(admit, cliques)))
         # advance the deepest frame, dropping the clique that led below it
         while frames:
-            uncovered, cliques = frames[-1]
+            uncovered, state, cliques = frames[-1]
             del chosen[len(frames) - 1:]
             clique = next(cliques, None)
             if clique is not None:
                 break
             if len(failed) < MEMO_CAP:
-                failed.add(uncovered)
+                failed.add(state)
             frames.pop()
         else:
             return None, nodes, True
@@ -338,7 +330,7 @@ def gamma_barrier(n: int, r: int, k: int) -> dict:
     packs); the barrier is returned only after `check_barrier` passes on Γ."""
     if k < 2 or r < k or n % k:
         raise ValueError(f"Γ({n}, {r}, {k}) needs k >= 2, r >= k and k | n")
-    if (r * n // k) % 2 == 0:
+    if not parity_blocked(n, r, k):
         raise ValueError(f"rn/k = {r * n // k} is even: no barrier refutes Γ")
     barrier = {"gamma": [n, r, k], "scale": k - 2,
                "y": ([0, 0] + [1] * (k - 2)) * r,
@@ -360,11 +352,14 @@ def check_barrier(g: MultipartiteGraph, subparts: PartitionLabeling,
     classes.  If y(T) <= scale on every type and y.sizes = scale * V/k, the
     V/k cliques of a perfect packing would all lie on tight types
     (y(T) = scale); if p is even on every tight type but p.sizes is odd, they
-    cannot.  Plain loops over vertex pairs and subpart sets.  A barrier that
-    lacks a key, has a field of the wrong shape (`gamma` not three ints,
-    `scale` not an int, `y` or `p` not a list of ints; a bool is not an int)
-    or has k < 1 is reported as a problem, not raised: barriers are read
-    from outside."""
+    cannot.  g is read through the package's kernels: each subpart is one
+    flat-id mask, its size a popcount and its edges to another subpart one
+    `edge_count_between`, and the types, in ascending lexicographic order,
+    are the k-cliques (`k_cliques`) of the subparts' completeness masks.  A
+    barrier that lacks a key, has a field of the wrong shape (`gamma` not
+    three ints, `scale` not an int, `y` or `p` not a list of ints; a bool is
+    not an int) or has k < 1 is reported as a problem, not raised: barriers
+    are read from outside."""
     missing = [key for key in ("gamma", "scale", "y", "p") if key not in barrier]
     if missing:
         return [f"the barrier lacks {', '.join(missing)}"]
@@ -391,44 +386,42 @@ def check_barrier(g: MultipartiteGraph, subparts: PartitionLabeling,
     if len(y) != d or len(p) != d:
         return [f"y and p need one weight for each of the {d} subparts"]
     problems = []
-    members = subparts.parts()
-    for a, vs in enumerate(members):
-        if len({c for c, _ in vs}) != 1:
+    masks = [0] * d
+    for c, row in enumerate(subparts.part_of):
+        for f, a in enumerate(row, g._off[c]):
+            masks[a] |= 1 << f
+    # each subpart is named by the class of its least vertex
+    cls = [g._class_of[(m & -m).bit_length() - 1] for m in masks]
+    for a, m in enumerate(masks):
+        if m & ~g.class_mask(cls[a]):
             problems.append(f"subpart {a} spans more than one class")
-    complete = [[False] * d for _ in range(d)]
+    complete = [0] * d      # complete[a]: the subparts completely joined to a
     for a in range(d):
         for b in range(a + 1, d):
-            if members[a][0][0] == members[b][0][0]:
+            if cls[a] == cls[b]:
                 continue
-            edges = sum(1 for u in members[a] for v in members[b]
-                        if g.has_edge(u, v))
-            pairs = len(members[a]) * len(members[b])
+            edges = g.edge_count_between(masks[a], masks[b])
+            pairs = masks[a].bit_count() * masks[b].bit_count()
             if 0 < edges < pairs:
                 problems.append(f"subparts {a} and {b} are not all-or-nothing: "
                                 f"{edges} of {pairs} edges")
-            complete[a][b] = complete[b][a] = edges == pairs
-
-    def extend(chosen: list[int], weight: int, parity: int,
-               candidates: list[int]) -> None:
-        # candidates: the later subparts complete to every chosen one
-        if len(chosen) == k:
-            if weight > scale:
-                problems.append(f"type {chosen} has y(T) = {weight}/{scale} > 1")
-            elif weight == scale and parity % 2:
-                problems.append(f"tight type {chosen} has odd p(T) = {parity}")
-            return
-        for i, b in enumerate(candidates):
-            extend(chosen + [b], weight + y[b], parity + p[b],
-                   [c for c in candidates[i + 1:] if complete[b][c]])
-
-    extend([], 0, 0, list(range(d)))
+            if edges == pairs:
+                complete[a] |= 1 << b
+                complete[b] |= 1 << a
+    for t in k_cliques(complete, (1 << d) - 1, k):
+        weight, parity = sum(y[a] for a in t), sum(p[a] for a in t)
+        if weight > scale:
+            problems.append(f"type {list(t)} has y(T) = {weight}/{scale} > 1")
+        elif weight == scale and parity % 2:
+            problems.append(f"tight type {list(t)} has odd p(T) = {parity}")
     total = g.n_vertices
+    sizes = [m.bit_count() for m in masks]
     if total % k:
         problems.append(f"k = {k} does not divide the {total} vertices")
-    elif sum(w * len(vs) for w, vs in zip(y, members)) != scale * (total // k):
+    elif sum(w * size for w, size in zip(y, sizes)) != scale * (total // k):
         problems.append(f"y.sizes is not the {total // k} cliques of a perfect "
                         "packing")
-    if sum(w * len(vs) for w, vs in zip(p, members)) % 2 == 0:
+    if sum(w * size for w, size in zip(p, sizes)) % 2 == 0:
         problems.append("p.sizes is even")
     return problems
 
@@ -473,15 +466,9 @@ def _all_graphs_with_min_degree(r: int, n: int, threshold: int):
     for bits in range(1 << len(all_edges)):
         keep = [e for i, e in enumerate(all_edges) if bits >> i & 1]
         g = MultipartiteGraph([n] * r, keep)
-        ok = True
-        for v in g.vertices():
-            for c in range(r):
-                if c != v[0] and g.degree_in_class(v, c) < threshold:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        # a bound of 0 (k = 1) admits every graph, also at r = 1, where
+        # `partite_min_degree` has no second class to count in
+        if not threshold or partite_min_degree(g) >= threshold:
             yield g
 
 
@@ -532,8 +519,7 @@ def verify_theorem_boundary(r: int, k: int, n: int, sample,
             report["with_packing"] += 1
             continue
         report["without_packing"] += 1
-        parity = (r * n // k) % 2 == 1 and n % k == 0
-        if parity:
+        if parity_blocked(n, r, k):
             report["parity_clause_applies"] += 1
             if is_isomorphic_to_gamma(g, n, r, k):
                 report["gamma_isomorphic"] += 1

@@ -48,8 +48,8 @@ from math import ceil, comb, factorial
 from operator import and_, or_
 from typing import Iterable, Sequence
 
-from .graphs import (CliquePacking, MultipartiteGraph, k_cliques, mask_ids,
-                     partite_min_degree)
+from .graphs import (CliquePacking, MultipartiteGraph, k_cliques, least_edge,
+                     mask_ids, parity_blocked, partite_min_degree)
 from .matching import (bipartite_maximum_matching,
                        exact_balanced_clique_packing,
                        pair_complete_balanced_matching, ObstructionError)
@@ -62,10 +62,6 @@ class StageFailure(RuntimeError):
     def __init__(self, stage: str, reason: str, detail=None):
         self.stage, self.reason, self.detail = stage, reason, detail
         super().__init__(f"[{stage}] {reason}")
-
-
-class RecountFailure(StageFailure):
-    pass
 
 
 FALLBACK_CUTOFF = 40    # oracle fallback after a stage failure, in vertices
@@ -578,15 +574,11 @@ def _row_edge_matching(g: MultipartiteGraph, asg: BlockAssignment, i: int,
     edges: list[tuple[int, int]] = []
     row, used = asg.row_mask(i), forbidden
     while len(edges) < size:
-        for u in mask_ids(row & ~used & ~asg.bad):
-            free = row & ~used & g._adj[u]
-            if free:
-                v = (free & -free).bit_length() - 1
-                edges.append((u, v))
-                used |= 1 << u | 1 << v
-                break
-        else:
+        edge = least_edge(g, row & ~used & ~asg.bad, row & ~used)
+        if edge is None:
             return None
+        edges.append(edge)
+        used |= 1 << edge[0] | 1 << edge[1]
     return edges
 
 
@@ -659,10 +651,10 @@ def balance_rows(g: MultipartiteGraph, asg: BlockAssignment,
         got = (asg.row_mask(i) & ~ledger.covered).bit_count()
         want = asg.weights[i] * (total_target - m1)
         if got != want:
-            raise RecountFailure("rows", f"row {i} has {got} vertices left, "
-                                         f"expected {want}")
+            raise StageFailure("rows", f"row {i} has {got} vertices left, "
+                                       f"expected {want}")
     if extremal and _covered_s_parity(asg, ledger, i_star) != 0:
-        raise RecountFailure("rows", "heavy-row half parity still odd")
+        raise StageFailure("rows", "heavy-row half parity still odd")
 
 
 def _extremal_zero_excess_fix(g, asg, ledger, i_star):
@@ -732,8 +724,8 @@ def prepare_multirow(g: MultipartiteGraph, asg: BlockAssignment,
                                        f"spare clique shortfall for pair {(i, j)}")
                 if not is_ij_distributed(asg, got, i, j):
                     named = tuple(map(g.vertex, got))
-                    raise RecountFailure("prepare", f"clique {named} is not "
-                                                    f"{(i, j)}-distributed")
+                    raise StageFailure("prepare", f"clique {named} is not "
+                                                  f"{(i, j)}-distributed")
                 ledger.add(got, "prepare", f"ij:{i},{j}")
 
 
@@ -758,8 +750,8 @@ def cover_and_divisibility(g: MultipartiteGraph, asg: BlockAssignment,
             raise StageFailure("cover",
                                f"bad vertex {g.vertex(v)} cannot be covered")
         if not is_properly_distributed(asg, got):
-            raise RecountFailure("cover", "covering clique "
-                                          f"{tuple(map(g.vertex, got))} not proper")
+            raise StageFailure("cover", "covering clique "
+                                        f"{tuple(map(g.vertex, got))} not proper")
         ledger.add(got, "cover", "proper")
         count += 1
     residue = (total_target - m12) % modulus
@@ -775,8 +767,8 @@ def cover_and_divisibility(g: MultipartiteGraph, asg: BlockAssignment,
         if got is None:
             raise StageFailure("cover", "proper filler clique unavailable")
         if not is_properly_distributed(asg, got):
-            raise RecountFailure("cover", "filler clique "
-                                          f"{tuple(map(g.vertex, got))} not proper")
+            raise StageFailure("cover", "filler clique "
+                                        f"{tuple(map(g.vertex, got))} not proper")
         ledger.add(got, "cover", "proper")
         count += 1
 
@@ -1031,7 +1023,8 @@ def _extremal(g: MultipartiteGraph, k: int) -> SolveResult | None:
     """`extremal`, with Γ's checked barrier certificate, when rn/k is odd and
     the recogniser maps g onto Γ(n, r, k); None otherwise."""
     n_plus, r = g.class_sizes[0], g.r
-    if (r * n_plus // k) % 2 == 0 or not is_isomorphic_to_gamma(g, n_plus, r, k):
+    if (not parity_blocked(n_plus, r, k)
+            or not is_isomorphic_to_gamma(g, n_plus, r, k)):
         return None
     return SolveResult("extremal", None, [{"name": "oracle", "note": "barrier"}],
                        {"stage": "oracle",
@@ -1058,7 +1051,7 @@ def _oracle_route(g: MultipartiteGraph, k: int, params: PipelineParams,
     if not verdict.completed:
         return SolveResult("diagnosis", None, stages,
                            {"stage": "oracle", "reason": "budget exhausted"})
-    parity = (g.n_vertices // k) % 2 == 1 and g.class_sizes[0] % k == 0
+    parity = parity_blocked(g.class_sizes[0], g.r, k)
     return SolveResult("diagnosis", None, stages,
                        {"stage": "oracle", "reason": "no packing exists (proven)",
                         "parity_clause": parity})
@@ -1076,7 +1069,8 @@ def solve(g: MultipartiteGraph, k: int,
     the oracle when k = 2, r <= 3 or the class size is below k*k, so on every
     graph below 36 vertices the verdict is exactly the oracle's.  The rest
     go to the pipeline, and a stage failure falls back to the oracle on at
-    most FALLBACK_CUTOFF vertices."""
+    most FALLBACK_CUTOFF vertices.  The pipeline takes only r >= 4, k >= 3
+    and n >= k*k, so the cutoff of 40 covers one shape, 4×9 at k = 3."""
     params = params or PipelineParams()
     r = g.r
     if len(set(g.class_sizes)) != 1:
@@ -1176,5 +1170,5 @@ def _pipeline_route(g: MultipartiteGraph, k: int, params: PipelineParams,
     packing = CliquePacking([tuple(map(g.vertex, c)) for c in cliques])
     problems = packing.verify(g, perfect=True)
     if problems:
-        raise RecountFailure("final", f"assembled packing invalid: {problems[:3]}")
+        raise StageFailure("final", f"assembled packing invalid: {problems[:3]}")
     return SolveResult("packed", packing, stages)

@@ -973,10 +973,12 @@ def diagnose_barriers(g: MultipartiteGraph, p_weight: int, *,
     clique_masks = [g.mask_of(c) for c in cliques]
 
     # space barriers: S with j*n vertices per class and at most a beta
-    # fraction of cliques holding more than j vertices of S
+    # fraction of cliques holding more than j vertices of S; empty classes
+    # give only the empty S, which bars nothing (as `is_splittable` answers
+    # None there)
     beta = Fraction(beta)
     allowed = int(beta * len(clique_masks))
-    for j in range(1, p_weight):
+    for j in range(1, p_weight if n else 1):
         options = _budgeted(combinations(range(size), j * n), g.r, SPACE_BUDGET)
         if options is None:
             report["space_exhaustive"] = False

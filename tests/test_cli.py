@@ -210,7 +210,9 @@ def test_detect_on_empty_classes(tmp_path):
                                   "edges": []}))
     rep = str(tmp_path / "rep.json")
     assert run(["detect", "--input", str(g_path), "-o", rep]) == 0
-    assert json.loads(open(rep).read())["splittable"] is None
+    doc = json.loads(open(rep).read())
+    # the only set a space barrier could plant is empty, and it bars nothing
+    assert doc["splittable"] is None and doc["space"] == []
 
 
 def test_bad_input_prints_error(tmp_path, capsys):
@@ -306,6 +308,17 @@ def test_harness_report_file(tmp_path):
     assert doc2["instances"] == 25
     assert doc2["without_packing"] == (doc2["gamma_isomorphic"]
                                        + len(doc2["exceptions"]))
+
+
+def test_harness_counts_every_graph_when_k_is_1(tmp_path):
+    # k = 1 puts the degree bound at 0, so every edge subset is an instance
+    # and packs by singletons: one graph for r = 1, 2^4 for two classes of 2
+    for r, want in (("1", 1), ("2", 16)):
+        out = str(tmp_path / f"h{r}.json")
+        assert run(["harness", "--r", r, "--k", "1", "--n", "2",
+                    "--exhaustive", "-o", out]) == 0
+        doc = json.loads(open(out).read())
+        assert (doc["instances"], doc["with_packing"]) == (want, want), doc
 
 
 def test_harness_usage_error_on_bad_clique_size(tmp_path, capsys):

@@ -14,8 +14,7 @@ from partite_packing.matching import (ParityObstruction,
                                       exact_balanced_clique_packing,
                                       is_multigraphic,
                                       pair_complete_balanced_matching,
-                                      realize_multigraph,
-                                      regular_bipartite_perfect_matching)
+                                      realize_multigraph)
 from partite_packing.oracle import brute_force_packing
 from partite_packing.structure import divisibility_barrier_graph
 from test_graphs import index_counts, named
@@ -190,19 +189,22 @@ def test_transversal_fallback_reports_absence():
 
 
 def test_regular_bipartite_examples():
+    # regular bipartite graphs have a perfect matching, which the maximum
+    # matching finds: every left vertex matched, each right vertex once
     identity = [[0], [1], [2]]
-    assert regular_bipartite_perfect_matching(3, 3, identity) == [(0, 0), (1, 1), (2, 2)]
+    assert bipartite_maximum_matching(3, 3, identity) == [(0, 0), (1, 1), (2, 2)]
     k33 = [[0, 1, 2]] * 3
-    got = regular_bipartite_perfect_matching(3, 3, k33)
+    got = bipartite_maximum_matching(3, 3, k33)
     assert sorted(u for u, _ in got) == [0, 1, 2]
     assert sorted(v for _, v in got) == [0, 1, 2]
     cycle6 = [[0, 1], [1, 2], [2, 0]]
-    got = regular_bipartite_perfect_matching(3, 3, cycle6)
-    assert got is not None and len(got) == 3
+    got = bipartite_maximum_matching(3, 3, cycle6)
+    assert len(got) == 3 and len({v for _, v in got}) == 3
 
 
 def test_general_bipartite_absence():
-    assert regular_bipartite_perfect_matching(2, 2, [[0], [0]]) is None
+    # two left vertices with one common neighbour: no perfect matching
+    assert len(bipartite_maximum_matching(2, 2, [[0], [0]])) == 1
 
 
 # -- two-half balanced matchings -----------------------------------------------------------
